@@ -8,6 +8,8 @@ rows) quadratic-to-cubic costs with big rationals stay comfortable.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
@@ -166,19 +168,30 @@ def det(mat):
 def charpoly(a):
     """Exact characteristic polynomial of a square matrix, descending coefficients.
 
-    Faddeev-LeVerrier recursion: returns [1, c1, .., cm] with
-    det(tI - A) = t^m + c1 t^(m-1) + .. + cm.
+    Returns [1, c1, .., cm] with det(tI - A) = t^m + c1 t^(m-1) + .. + cm.
+    With D the lcm of the entry denominators, the Faddeev-LeVerrier
+    recursion N_0 = I, c_k = -tr(M N_(k-1)) / k, N_k = M N_(k-1) + c_k I
+    runs in int on M = D A.  Every division is exact there: the c_k are
+    the coefficients of det(tI - M) and the N_k those of its adjugate,
+    all integers; a remainder raises rather than rounds.  Scaling back,
+    det(tI - A) = D^-m det(D t I - M), so c_i(A) = c_i(M) / D^i.
     """
     m = len(a)
     if any(len(row) != m for row in a):
         raise UsageError("characteristic polynomial of a non-square matrix")
     a = _copy(a)
-    coeffs = [Fraction(1)]
-    work = identity(m)
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    cols = list(zip(*ints))
+    coeffs = [1]
+    work = [[int(i == j) for j in range(m)] for i in range(m)]
     for k in range(1, m + 1):
-        work = mat_mul(a, work)
-        ck = -Fraction(sum(work[i][i] for i in range(m)), k)
+        # N_(k-1) is a polynomial in M, so N_(k-1) M = M N_(k-1)
+        work = [[sum(map(operator.mul, row, col)) for col in cols] for row in work]
+        ck, rem = divmod(-sum(work[i][i] for i in range(m)), k)
+        if rem:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace not divisible by {k}")
         coeffs.append(ck)
         for i in range(m):
             work[i][i] += ck
-    return coeffs
+    return [Fraction(c, den**i) for i, c in enumerate(coeffs)]

@@ -72,9 +72,12 @@ def poly_roots(coeffs, max_sweeps=200, tol=1e-13):
     coefficients would park the starts so far out that the inward march
     alone could eat the whole sweep budget.  A root counts as placed
     when its step is tiny or when the polynomial value sits below the
-    roundoff of its own Horner evaluation — ill-conditioned coefficients
-    make approximations chatter at that floor forever, which is
-    convergence in every sense that matters.
+    roundoff of its own Horner evaluation, where ill-conditioned
+    coefficients make approximations chatter forever.  That floor is only
+    as good as the rounded coefficients, and a spectrum clustered far from
+    the origin can lose every digit to it; so exact (int or Fraction)
+    coefficients get further sweeps whose Newton quotients are evaluated
+    without rounding.
     """
     cs = [complex(c) for c in coeffs]
     while cs and cs[0] == 0:
@@ -92,35 +95,66 @@ def poly_roots(coeffs, max_sweeps=200, tol=1e-13):
         radius * cmath.exp(2j * cmath.pi * (i + 0.3) / deg + 0.41j) for i in range(deg)
     ]
     eval_eps = (4 * deg + 8) * 2.220446049250313e-16
+
+    def float_newton(x):
+        val = der = 0j
+        mag = 0.0
+        for c in cs:
+            der = der * x + val
+            val = val * x + c
+            mag = mag * abs(x) + abs(c)
+        if abs(val) <= eval_eps * mag:
+            return None
+        return val / der if der != 0 else val
+
+    roots = _aberth(roots, float_newton, max_sweeps, tol)
+    if all(isinstance(c, (int, Fraction)) for c in coeffs):
+        exact = [Fraction(c) for c in coeffs[len(coeffs) - deg - 1 :]]
+        den = math.lcm(*(c.denominator for c in exact))
+        ints = [c.numerator * (den // c.denominator) for c in exact]
+        roots = _aberth(roots, lambda x: _exact_newton(ints, x), max_sweeps, 1e-15)
+    return sorted(roots, key=lambda r: (r.real, r.imag))
+
+
+def _aberth(roots, newton, max_sweeps, tol):
+    """Aberth sweeps until no root moves by tol; newton(x) is p(x)/p'(x), None once placed."""
     for _ in range(max_sweeps):
         moved = 0.0
-        done = True
         new_roots = list(roots)
         for i, x in enumerate(roots):
-            val = 0j
-            der = 0j
-            mag = 0.0
-            for c in cs:
-                der = der * x + val
-                val = val * x + c
-                mag = mag * abs(x) + abs(c)
-            if abs(val) <= eval_eps * mag:
+            w = newton(x)
+            if w is None:
                 continue
-            w = val / der if der != 0 else val
             rep = sum(1.0 / (x - r) for j, r in enumerate(roots) if j != i)
             denom = 1.0 - w * rep
             step = w / denom if denom != 0 else w
             new_roots[i] = x - step
-            rel = abs(step) / max(1.0, abs(x))
-            moved = max(moved, rel)
-            if rel >= tol:
-                done = False
+            moved = max(moved, abs(step) / max(1.0, abs(x)))
         roots = new_roots
-        if done or moved < tol:
-            break
-    else:
-        raise NumericError(f"root iteration still moving after {max_sweeps} sweeps")
-    return sorted(roots, key=lambda r: (r.real, r.imag))
+        if moved < tol:
+            return roots
+    raise NumericError(f"root iteration still moving after {max_sweeps} sweeps")
+
+
+def _exact_newton(ints, x):
+    """p(x) / p'(x) for integer coefficients, rounded only at the end.
+
+    A float x is X / e, X a Gaussian integer and e a power of two, so
+    Horner's rule on the partial values times e^j stays in integers.
+    """
+    re, im = Fraction(x.real), Fraction(x.imag)
+    e = max(re.denominator, im.denominator)
+    xr, xi = re.numerator * (e // re.denominator), im.numerator * (e // im.denominator)
+    vr = vi = dr = di = 0
+    scale = 1
+    for c in ints:
+        dr, di = dr * xr - di * xi + vr * e, dr * xi + di * xr + vi * e
+        vr, vi = vr * xr - vi * xi + c * scale, vr * xi + vi * xr
+        scale *= e
+    norm = dr * dr + di * di
+    if norm == 0:
+        return None
+    return complex((vr * dr + vi * di) / norm, (vi * dr - vr * di) / norm)
 
 
 # -- the operator route -------------------------------------------------------
@@ -130,10 +164,13 @@ def joint_spectrum(alg, seed=0, cluster_tol=1e-6, redraws=5):
     """Critical points as the joint spectrum of the multiplication operators.
 
     Draws an integer combination c, computes the exact characteristic
-    polynomial of sum_j c_j K_j, takes its roots, and reads every p_j off
-    the eigenvectors.  A draw whose eigenvalues sit closer than cluster_tol
-    is discarded; after `redraws` such draws a NumericError reports the
-    clustering, rather than silently splitting a true multiple point.
+    polynomial of sum_j c_j K_j, and takes its roots.  Only a draw whose
+    eigenvalues sit within cluster_tol of each other is discarded; after
+    `redraws` such draws a NumericError reports the clustering, rather
+    than silently splitting a true multiple point.  Each eigenvector is the
+    last right-singular vector of the combination minus its eigenvalue,
+    every p_j is a Rayleigh quotient on it, and the t fitted to those
+    momenta is polished by Newton at z (see _point_from_momenta).
     """
     rng = np.random.default_rng(seed)
     n = alg.spec.n
@@ -153,24 +190,20 @@ def joint_spectrum(alg, seed=0, cluster_tol=1e-6, redraws=5):
         cmat = np.array(_to_complex(comb))
         points = []
         for lam in eigvals:
-            vec = _null_vector(cmat - lam * np.eye(dim))
-            if vec is None:
-                tried_gaps.append(gap)
-                break
-            p = tuple(complex(vec.conj() @ (km @ vec)) / complex(vec.conj() @ vec) for km in kmats)
+            vec = np.linalg.svd(cmat - lam * np.eye(dim))[2][-1].conj()
+            p = tuple(complex(vec.conj() @ (km @ vec)) for km in kmats)
             points.append(_point_from_momenta(alg.spec, alg.z, p))
-        else:
-            points.sort(key=_momenta_key)
-            return SpectrumResult(
-                points=tuple(points),
-                combination=tuple(c),
-                eigenvalues=tuple(eigvals),
-                attempts=attempt,
-                min_gap=gap,
-            )
+        points.sort(key=_momenta_key)
+        return SpectrumResult(
+            points=tuple(points),
+            combination=tuple(c),
+            eigenvalues=tuple(eigvals),
+            attempts=attempt,
+            min_gap=gap,
+        )
     raise NumericError(
-        f"eigenvalues stayed within {cluster_tol} after {redraws} draws "
-        f"(gaps seen: {sorted(tried_gaps)}); the fiber looks degenerate"
+        f"every one of {redraws} draws had eigenvalues within {cluster_tol} of "
+        f"each other (smallest gaps: {sorted(tried_gaps)}); the fiber looks degenerate"
     )
 
 
@@ -186,48 +219,24 @@ def _min_gap(values):
     )
 
 
-def _null_vector(mat, rel_tol=1e-8):
-    """One unit kernel vector by elimination with a relative pivot threshold."""
-    a = np.array(mat, dtype=complex)
-    rows, cols = a.shape
-    scale = max(1.0, float(np.abs(a).max()))
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        i = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[i, c]) <= rel_tol * scale:
-            continue
-        a[[r, i]] = a[[i, r]]
-        a[r] = a[r] / a[r, c]
-        for i2 in range(rows):
-            if i2 != r and a[i2, c] != 0:
-                a[i2] = a[i2] - a[i2, c] * a[r]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in piv_cols]
-    if not free:
-        return None
-    fc = free[0]
-    v = np.zeros(cols, dtype=complex)
-    v[fc] = 1.0
-    for rr, pc in enumerate(piv_cols):
-        v[pc] = -a[rr, fc]
-    return v / np.linalg.norm(v)
-
-
 def _point_from_momenta(spec, z, p):
-    """Rebuild t from momenta by least squares on f_j = a_j / p_j = z_j + (b t)_j."""
+    """Rebuild t from momenta by least squares on f_j = a_j / p_j = z_j + (b t)_j.
+
+    Newton at z then polishes t; when it converges, p becomes a / f at the
+    polished t, and otherwise the given momenta stand.
+    """
     b = np.array([[complex(x) for x in row] for row in spec.b])
-    f = np.array([complex(spec.a[j]) / p[j] for j in range(spec.n)])
+    a = np.array([complex(x) for x in spec.a])
     zc = np.array([complex(v) for v in z])
-    t, *_ = np.linalg.lstsq(b, f - zc, rcond=None)
-    grad = _gradient(spec, zc, t)
+    t, *_ = np.linalg.lstsq(b, a / np.array(p) - zc, rcond=None)
+    polished = _correct_at(b, a, zc, t)
+    if polished is not None:
+        t = polished
+        p = a / (zc + b @ t)
     return CriticalPoint(
         t=tuple(complex(x) for x in t),
         p=tuple(complex(x) for x in p),
-        grad_norm=float(np.abs(grad).max()),
+        grad_norm=float(np.abs(b.T @ (a / (zc + b @ t))).max()),
     )
 
 
@@ -236,13 +245,6 @@ def _momenta_key(pt):
 
 
 # -- the direct route ---------------------------------------------------------
-
-
-def _gradient(spec, zc, t):
-    b = np.array([[complex(x) for x in row] for row in spec.b])
-    a = np.array([complex(x) for x in spec.a])
-    f = zc + b @ t
-    return b.T @ (a / f)
 
 
 def _bilinear_attempt(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):

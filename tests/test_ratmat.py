@@ -96,9 +96,40 @@ def test_charpoly_against_cofactor_expansion():
         assert ratmat.charpoly(a) == _charpoly_cofactor(a)
 
 
+def _charpoly_fraction(a):
+    """Reference: the Faddeev-LeVerrier recursion carried out over Fraction."""
+    m = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(1)]
+    work = ratmat.identity(m)
+    for k in range(1, m + 1):
+        work = ratmat.mat_mul(a, work)
+        ck = -Fraction(sum(work[i][i] for i in range(m)), k)
+        coeffs.append(ck)
+        for i in range(m):
+            work[i][i] += ck
+    return coeffs
+
+
+def test_charpoly_against_fraction_recursion():
+    rng = random.Random(23)
+    for dim in range(1, 13):
+        for _ in range(2):
+            a = [
+                [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 7, 9, 12]))
+                 for _ in range(dim)]
+                for _ in range(dim)
+            ]
+            assert ratmat.charpoly(a) == _charpoly_fraction(a)
+
+
 def test_charpoly_small():
     a = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
     assert ratmat.charpoly(a) == [Fraction(1), Fraction(-5), Fraction(6)]
+    ints = [[2, -1, 0], [4, 3, 5], [-7, 1, 1]]
+    assert ratmat.charpoly(ints) == _charpoly_fraction(ints)
+    assert ratmat.charpoly([[Fraction(-3, 7)]]) == [Fraction(1), Fraction(3, 7)]
+    assert ratmat.charpoly(ratmat.zeros(4, 4)) == [Fraction(1)] + [Fraction(0)] * 4
     with pytest.raises(UsageError):
         ratmat.charpoly([[Fraction(1), Fraction(2)]])
 

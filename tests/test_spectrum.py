@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from critvar.arrangement import ArrangementSpec, random_generic, sample_z
@@ -55,6 +56,19 @@ def test_poly_roots_random_reconstruction():
         assert max(abs(g - t) for g, t in zip(got, true)) < 1e-9
 
 
+def test_poly_roots_exact_coefficients_resolve_a_far_cluster():
+    # ten roots 1000 + j/8: rounding the coefficients to floats leaves no
+    # correct digit in them, the exact sweeps recover every one
+    true = [Fraction(1000) + Fraction(j, 8) for j in range(10)]
+    coeffs = [Fraction(1)]
+    for r in true:
+        coeffs = coeffs + [Fraction(0)]
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i] -= r * coeffs[i - 1]
+    got = poly_roots(coeffs)
+    assert max(abs(g - float(t)) for g, t in zip(got, true)) < 1e-12
+
+
 def test_two_point_spectrum():
     spec, z = line_setup()
     res = joint_spectrum(QuotientAlgebra(spec, z), seed=1)
@@ -89,6 +103,59 @@ def test_newton_matches_spectrum():
         )
         assert ok, f"point sets differ by {worst}"
         assert all(pt.grad_norm < 1e-10 for pt in pts)
+
+
+def test_separated_draw_is_accepted_first_time():
+    # `critvar gen --n 7 --k 2 --seed 5003`: its first draw separates the
+    # eigenvalues (gap 0.87) and must not be redrawn
+    rng = random.Random(5003)
+    spec = random_generic(7, 2, rng)
+    z = sample_z(spec, rng)
+    res = joint_spectrum(QuotientAlgebra(spec, z), seed=5003)
+    assert res.attempts == 1
+    assert res.min_gap > 1e-6
+    assert len(res.points) == math.comb(6, 2)
+
+
+def test_spectrum_of_a_clustered_combination_is_read_off_first_time():
+    # `critvar gen --n 6 --k 3 --seed 303002`: the eigenvalues of the first
+    # draw sit around -26 with gap 0.025, where float-coefficient roots were
+    # off by up to 3.4 and their eigenvectors landed on repeated points
+    rng = random.Random(303002)
+    spec = random_generic(6, 3, rng)
+    z = sample_z(spec, rng)
+    alg = QuotientAlgebra(spec, z)
+    res = joint_spectrum(alg, seed=303002)
+    assert res.attempts == 1
+    comb = sum(
+        c * np.array([[complex(x) for x in row] for row in alg.bethe_operator(j)])
+        for j, c in enumerate(res.combination, start=1)
+    )
+    ok, worst = match_point_sets(
+        [(lam,) for lam in res.eigenvalues], [(lam,) for lam in np.linalg.eigvals(comb)], 1e-9
+    )
+    assert ok, f"eigenvalues off by {worst}"
+    momenta = [pt.p for pt in res.points]
+    assert min(
+        max(abs(u - v) for u, v in zip(p, q))
+        for i, p in enumerate(momenta) for q in momenta[i + 1 :]
+    ) > 1e-3
+
+
+def test_route_one_points_satisfy_the_hessian_identity():
+    # `critvar gen --n 7 --k 3 --seed 5000`, the instance route one missed
+    # by 8.5e-7 before its points were polished
+    rng = random.Random(5000)
+    spec = random_generic(7, 3, rng)
+    z = sample_z(spec, rng)
+    points = joint_spectrum(QuotientAlgebra(spec, z), seed=5000).points
+    assert len(points) == math.comb(6, 3)
+    worst = 0.0
+    for pt in points:
+        direct = complex(hessian_direct(spec, z, pt.t))
+        closed = complex(hessian_formula(spec, pt.p))
+        worst = max(worst, abs(direct - closed) / (1 + abs(direct)))
+    assert worst <= 1e-8
 
 
 def test_newton_determinism():
