@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from . import ratmat
-from .arrangement import k_subsets, rat_str
+from .arrangement import _perm_sign, k_subsets, rat_str
 from .errors import CritvarError, DomainError, UsageError
 from .laurent import LaurentPoly
 
@@ -49,6 +49,8 @@ __all__ = [
     "euler_operator_residual",
     "weighted_sum_operator_residual",
     "commutator_residual",
+    "unit_column",
+    "unit_orbit",
 ]
 
 
@@ -85,14 +87,7 @@ def eliminate_first_kind(spec, j, forbidden=()):
 
 def _signed_disc(spec, seq, z):
     """f on a sequence of k+1 distinct indices: sign of sorting times the form."""
-    order = tuple(sorted(seq))
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign * spec.discriminant_value(order, z)
+    return _perm_sign(seq) * spec.discriminant_value(tuple(sorted(seq)), z)
 
 
 class QuotientAlgebra:
@@ -121,7 +116,7 @@ class QuotientAlgebra:
         self._inv_ops = {}
         self._one = None
         self._sing = None
-        self._gram_data = None
+        self._gram_inv = None
         self._mu = None
 
     # -- rewriting to the monomial basis ------------------------------------
@@ -210,10 +205,7 @@ class QuotientAlgebra:
 
     def _op_power(self, j, e):
         if e >= 0:
-            mat = ratmat.identity(self.dim)
-            for _ in range(e):
-                mat = ratmat.mat_mul(mat, self.bethe_operator(j))
-            return mat
+            return _op_product(self, (j,) * e)
         if j not in self._inv_ops:
             self._inv_ops[j] = ratmat.inverse(self.bethe_operator(j))
         mat = ratmat.identity(self.dim)
@@ -224,10 +216,7 @@ class QuotientAlgebra:
     def element_one(self):
         """Coordinates of the unit: solve (prod_{i in I} K_i) u = e_I on a basis class."""
         if self._one is None:
-            iset = self.basis[0]
-            mat = ratmat.identity(self.dim)
-            for i in iset:
-                mat = ratmat.mat_mul(mat, self.bethe_operator(i))
+            mat = _op_product(self, self.basis[0])
             rhs = [Fraction(0)] * self.dim
             rhs[0] = Fraction(1)
             self._one = ratmat.solve(mat, rhs)
@@ -265,12 +254,7 @@ class QuotientAlgebra:
                 if j in iprime:
                     continue
                 seq = (j,) + iprime
-                sign = 1
-                for x in range(len(seq)):
-                    for y in range(x + 1, len(seq)):
-                        if seq[x] > seq[y]:
-                            sign = -sign
-                row[self.v_index[tuple(sorted(seq))]] += sign * spec.a[j - 1]
+                row[self.v_index[tuple(sorted(seq))]] += _perm_sign(seq) * spec.a[j - 1]
             rows.append(row)
         return rows
 
@@ -293,16 +277,17 @@ class QuotientAlgebra:
             raise UsageError("vector does not live in the big coordinate space")
         basis = self.sing_basis()
         sdiag = self.s_diagonal()
-        if self._gram_data is None:
+        if self._gram_inv is None:
             gram = [
                 [sum(br[i] * sdiag[i] * bc[i] for i in range(len(sdiag))) for bc in basis]
                 for br in basis
             ]
-            if ratmat.det(gram) == 0:
-                raise DomainError("the form S degenerates on the singular subspace")
-            self._gram_data = gram
+            try:
+                self._gram_inv = ratmat.inverse(gram)
+            except DomainError:
+                raise DomainError("the form S degenerates on the singular subspace") from None
         rhs = [sum(br[i] * sdiag[i] * vec[i] for i in range(len(sdiag))) for br in basis]
-        coeffs = ratmat.solve(self._gram_data, rhs)
+        coeffs = ratmat.mat_vec(self._gram_inv, rhs)
         out = [Fraction(0)] * len(vec)
         for c, bvec in zip(coeffs, basis):
             for i, x in enumerate(bvec):
@@ -373,61 +358,64 @@ def _bump(work, key, coeff):
 
 
 # -- identities the operators satisfy, as exact residual matrices -------------
+#
+# Each residual is P(K) start for a polynomial identity P; start=None stands
+# for the identity matrix, so the residual is P(K) itself.
 
 
-def first_kind_operator_residual(alg, iset):
-    """sum_j d_{j,I} K_j for a (k-1)-subset I; the zero matrix."""
-    total = ratmat.zeros(alg.dim, alg.dim)
-    for j in range(1, alg.spec.n + 1):
-        if j in iset:
-            continue
-        d = alg.spec.plucker((j,) + tuple(iset))
-        total = ratmat.mat_add(total, ratmat.mat_scale(d, alg.bethe_operator(j)))
-    return total
+def unit_column(alg):
+    """The unit element as an m x 1 block, the start the verify battery uses."""
+    return [[x] for x in alg.element_one()]
 
 
-def second_kind_operator_residual(alg, jset):
-    """f_J(z) K_{j_1}..K_{j_{k+1}} minus its expansion into k-fold products."""
+def unit_orbit(alg):
+    """W, with one column K_I u per basis monomial I, u the unit column.
+
+    A certificate that the identities may be checked on u alone.  K_j is
+    multiplication by p_j, so P(K) [1] = [P] for every polynomial P, and
+    K_I u = [p_I] = e_I: W is the identity matrix.  When the K_j commute
+    and W has full rank (u is cyclic), P(K) u = 0 gives
+    P(K) K^alpha u = K^alpha P(K) u = 0 for every alpha; the K^alpha u
+    span the algebra, so P(K) = 0.
+    """
+    start = unit_column(alg)
+    cols = [_op_product(alg, mono, start) for mono in alg.basis]
+    return [[col[r][0] for col in cols] for r in range(alg.dim)]
+
+
+def first_kind_operator_residual(alg, iset, start=None):
+    """(sum_j d_{j,I} K_j) start for a (k-1)-subset I; the zero matrix."""
+    spec = alg.spec
+    return _combination(alg, [(spec.plucker((j,) + tuple(iset)), (j,))
+                              for j in range(1, spec.n + 1) if j not in iset], start)
+
+
+def second_kind_operator_residual(alg, jset, start=None):
+    """f_J(z) K_{j_1}..K_{j_{k+1}} minus its expansion into k-fold products, on start."""
     jset = tuple(sorted(jset))
     spec = alg.spec
-    lhs = ratmat.mat_scale(
-        spec.discriminant_value(jset, alg.z), _op_product(alg, jset)
-    )
+    terms = [(spec.discriminant_value(jset, alg.z), jset)]
     for m, j in enumerate(jset):
         others = jset[:m] + jset[m + 1 :]
-        c = -((-1) ** m) * spec.a[j - 1] * spec.plucker(others)
-        lhs = ratmat.mat_add(lhs, ratmat.mat_scale(c, _op_product(alg, others)))
-    return lhs
+        terms.append((-((-1) ** m) * spec.a[j - 1] * spec.plucker(others), others))
+    return _combination(alg, terms, start)
 
 
-def euler_operator_residual(alg):
-    """sum_j z_j K_j - |a| id; the unit relation in operator form."""
-    total = ratmat.mat_scale(-alg.spec.weight_total, ratmat.identity(alg.dim))
-    for j in range(1, alg.spec.n + 1):
-        if alg.z[j - 1]:
-            total = ratmat.mat_add(
-                total, ratmat.mat_scale(alg.z[j - 1], alg.bethe_operator(j))
-            )
-    return total
+def euler_operator_residual(alg, start=None):
+    """(sum_j z_j K_j - |a| id) start; the unit relation in operator form."""
+    return _combination(alg, [(-alg.spec.weight_total, ())] + _euler_terms(alg), start)
 
 
-def weighted_sum_operator_residual(alg, iset):
-    """sum_j z_j K_j - (1/d_I) sum_{j not in I} f_{(j,I)}(z) K_j for a k-subset I."""
+def weighted_sum_operator_residual(alg, iset, start=None):
+    """(sum_j z_j K_j - (1/d_I) sum_{j not in I} f_{(j,I)}(z) K_j) start, I a k-subset."""
     iset = tuple(sorted(iset))
     spec = alg.spec
-    total = ratmat.zeros(alg.dim, alg.dim)
-    for j in range(1, spec.n + 1):
-        if alg.z[j - 1]:
-            total = ratmat.mat_add(
-                total, ratmat.mat_scale(alg.z[j - 1], alg.bethe_operator(j))
-            )
     d = spec.plucker(iset)
-    for j in range(1, spec.n + 1):
-        if j in iset:
-            continue
-        f = _signed_disc(spec, (j,) + iset, alg.z)
-        total = ratmat.mat_add(total, ratmat.mat_scale(-f / d, alg.bethe_operator(j)))
-    return total
+    terms = _euler_terms(alg) + [
+        (-_signed_disc(spec, (j,) + iset, alg.z) / d, (j,))
+        for j in range(1, spec.n + 1) if j not in iset
+    ]
+    return _combination(alg, terms, start)
 
 
 def commutator_residual(alg, i, j):
@@ -435,8 +423,23 @@ def commutator_residual(alg, i, j):
     return ratmat.mat_add(ratmat.mat_mul(ki, kj), ratmat.mat_scale(-1, ratmat.mat_mul(kj, ki)))
 
 
-def _op_product(alg, indices):
-    mat = ratmat.identity(alg.dim)
+def _euler_terms(alg):
+    return [(alg.z[j - 1], (j,)) for j in range(1, alg.spec.n + 1) if alg.z[j - 1]]
+
+
+def _combination(alg, terms, start):
+    """sum of c K_I start over the (c, I) in terms."""
+    cols = alg.dim if start is None else len(start[0])
+    total = ratmat.zeros(alg.dim, cols)
+    for c, indices in terms:
+        total = ratmat.mat_add(total, ratmat.mat_scale(c, _op_product(alg, indices, start)))
+    return total
+
+
+def _op_product(alg, indices, start=None):
+    """K_{i_r}(..(K_{i_1} start)); start=None is the identity."""
+    mat = start
     for i in indices:
-        mat = ratmat.mat_mul(mat, alg.bethe_operator(i))
-    return mat
+        op = alg.bethe_operator(i)
+        mat = op if mat is None else ratmat.mat_mul(op, mat)
+    return ratmat.identity(alg.dim) if mat is None else mat

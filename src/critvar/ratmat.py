@@ -48,11 +48,21 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
+def _cleared(mat):
+    """(D, D * mat over int) with D the lcm of the denominators of int/Fraction entries."""
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+
+
 def mat_mul(a, b):
+    """Exact product, accumulated in int on the denominator-cleared operands."""
     if len(a[0]) != len(b):
         raise UsageError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    da, ai = _cleared(a)
+    db, bi = _cleared(b)
+    den = da * db
+    cols = list(zip(*bi))
+    return [[Fraction(sum(map(operator.mul, row, col)), den) for col in cols] for row in ai]
 
 
 def mat_vec(a, v):

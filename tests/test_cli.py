@@ -1,9 +1,12 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import math
 
 import pytest
 
+from critvar import quotient as qt
+from critvar import ratmat
 from critvar.cli import main
 
 
@@ -35,8 +38,36 @@ def test_verify_reports_every_identity(config_path, capsys):
     assert report["command"] == "verify"
     names = {c["name"] for c in report["checks"]}
     assert {"minor_relations", "generator_brackets", "operator_commutators",
-            "special_vector_map"} <= names
+            "unit_vector_cyclic", "special_vector_map"} <= names
     assert all(c["status"] == "pass" for c in report["checks"])
+    cyclic = next(c for c in report["checks"] if c["name"] == "unit_vector_cyclic")
+    assert cyclic["count"] == cyclic["expected"] == 3
+    # one entry per check, in run order
+    assert list(report["timing"]["stages"]) == [c["name"] for c in report["checks"]]
+
+
+@pytest.mark.parametrize("attr, fake, failing", [
+    ("unit_orbit", lambda alg: ratmat.zeros(alg.dim, alg.dim), "unit_vector_cyclic"),
+    ("commutator_residual", lambda alg, i, j: ratmat.identity(alg.dim),
+     "operator_commutators"),
+], ids=["cyclicity", "commutators"])
+def test_uncertified_unit_vector_falls_back_to_full_matrices(config_path, capsys,
+                                                             monkeypatch, attr, fake,
+                                                             failing):
+    # either half of the certificate failing sends every family to full matrices
+    starts = []
+    second_kind = qt.second_kind_operator_residual
+
+    def spy(alg, jset, start=None):
+        starts.append(start)
+        return second_kind(alg, jset, start)
+
+    monkeypatch.setattr(qt, attr, fake)
+    monkeypatch.setattr(qt, "second_kind_operator_residual", spy)
+    rc, report = run_json(capsys, ["verify", "--config", config_path])
+    assert rc == 1
+    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == [failing]
+    assert starts and all(start is None for start in starts)
 
 
 def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
@@ -48,6 +79,23 @@ def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["minor_relations"] == "pass"
     assert statuses["operator_commutators"] == "skipped"
+    assert statuses["unit_vector_cyclic"] == "skipped"
+    assert list(report["timing"]["stages"]) == [
+        "minor_relations", "discriminant_span_rank", "generator_brackets"]
+
+
+def test_verify_checks_every_minor_relation_pair(tmp_path, capsys):
+    out = tmp_path / "seven.json"
+    assert main(["gen", "--n", "7", "--k", "3", "--seed", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = json.loads(out.read_text())
+    del cfg["z"]
+    out.write_text(json.dumps(cfg))
+    rc, report = run_json(capsys, ["verify", "--config", str(out)])
+    assert rc == 0
+    minors = next(c for c in report["checks"] if c["name"] == "minor_relations")
+    assert minors["status"] == "pass"
+    assert minors["count"] == math.comb(7, 4) * math.comb(7, 2)
 
 
 def test_solve_finds_and_cross_checks_critical_points(config_path, capsys):

@@ -15,6 +15,8 @@ from critvar.quotient import (
     euler_operator_residual,
     first_kind_operator_residual,
     second_kind_operator_residual,
+    unit_column,
+    unit_orbit,
     weighted_sum_operator_residual,
 )
 from critvar.relations import build_relations, euler_relation, g_comb
@@ -90,6 +92,20 @@ def test_eliminate_first_kind():
         assert c == -sp.plucker((l,) + iprime) / sp.plucker((2,) + iprime)
 
 
+def _identity_families(alg):
+    """name -> residual(start) for every instance of every identity family."""
+    n, k = alg.spec.n, alg.spec.k
+    return {
+        "first_kind": lambda start: [first_kind_operator_residual(alg, iset, start)
+                                     for iset in k_subsets(n, k - 1)],
+        "second_kind": lambda start: [second_kind_operator_residual(alg, jset, start)
+                                      for jset in k_subsets(n, k + 1)],
+        "euler": lambda start: [euler_operator_residual(alg, start)],
+        "weighted_sum": lambda start: [weighted_sum_operator_residual(alg, iset, start)
+                                       for iset in k_subsets(n, k)],
+    }
+
+
 def test_operator_identities():
     for n, k, seed in [(3, 1, 1), (4, 2, 2), (5, 3, 3), (5, 2, 4)]:
         alg = random_algebra(n, k, seed + 40)
@@ -97,13 +113,30 @@ def test_operator_identities():
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 assert commutator_residual(alg, i, j) == zero
-        for iset in k_subsets(n, k - 1):
-            assert first_kind_operator_residual(alg, iset) == zero
-        for jset in k_subsets(n, k + 1):
-            assert second_kind_operator_residual(alg, jset) == zero
-        assert euler_operator_residual(alg) == zero
-        for iset in k_subsets(n, k):
-            assert weighted_sum_operator_residual(alg, iset) == zero
+        # K_I u = [p_I] = e_I: the unit column is cyclic, with W the identity
+        assert unit_orbit(alg) == ratmat.identity(alg.dim)
+        unit = unit_column(alg)
+        for family in _identity_families(alg).values():
+            assert all(res == zero for res in family(None))
+            assert all(res == ratmat.zeros(alg.dim, 1) for res in family(unit))
+
+
+def test_corrupted_operator_fails_on_the_unit_column():
+    # the unit column comes from the operators before the corruption
+    for j, entry in [(1, (0, 0)), (1, (2, 3)), (3, (5, 1)), (3, (0, 4)), (5, (4, 2))]:
+        alg = random_algebra(5, 2, 44)
+        unit = unit_column(alg)
+        assert all(alg.z[i - 1] != 0 for i in (1, 3))
+        alg.operators()
+        alg._ops[j][entry[0]][entry[1]] += Fraction(1, 7)
+        assert any(commutator_residual(alg, j, i) != ratmat.zeros(alg.dim, alg.dim)
+                   for i in range(1, 6) if i != j)
+        for name, family in _identity_families(alg).items():
+            on_unit = family(unit)
+            # the chain on a start block is the full residual applied to it
+            assert on_unit == [ratmat.mat_mul(res, unit) for res in family(None)], name
+            if name != "euler" or alg.z[j - 1] != 0:  # z_j = 0 drops K_j from Euler
+                assert any(x != 0 for res in on_unit for row in res for x in row), name
 
 
 def test_unit_element_two_routes():

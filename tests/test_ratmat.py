@@ -11,6 +11,30 @@ def rand_mat(rng, r, c, lo=-6, hi=6):
     return [[Fraction(rng.randint(lo, hi), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)]
 
 
+def _mat_mul_fraction(a, b):
+    """Reference: the plain Fraction triple loop."""
+    return [[sum((Fraction(a[i][l]) * Fraction(b[l][j]) for l in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_mat_mul_against_fraction_loop():
+    rng = random.Random(29)
+    dens = [1, 2, 3, 4, 5, 7, 9, 12, 1024, 3**20]
+    for r, m, c in [(1, 1, 1), (3, 4, 2), (5, 5, 5), (6, 6, 1), (7, 3, 7)]:
+        for _ in range(3):
+            a = [[Fraction(rng.randint(-99, 99), rng.choice(dens)) for _ in range(m)]
+                 for _ in range(r)]
+            b = [[Fraction(rng.randint(-99, 99), rng.choice(dens)) for _ in range(c)]
+                 for _ in range(m)]
+            assert ratmat.mat_mul(a, b) == _mat_mul_fraction(a, b)
+            ints = [[rng.randint(-50, 50) for _ in range(c)] for _ in range(m)]
+            assert ratmat.mat_mul(a, ints) == _mat_mul_fraction(a, ints)
+            assert ratmat.mat_mul(ratmat.zeros(r, m), b) == ratmat.zeros(r, c)
+            assert ratmat.mat_mul(a, ratmat.zeros(m, c)) == ratmat.zeros(r, c)
+    with pytest.raises(UsageError):
+        ratmat.mat_mul(ratmat.zeros(2, 3), ratmat.zeros(2, 3))
+
+
 def test_identity_mul():
     rng = random.Random(3)
     a = rand_mat(rng, 4, 4)
