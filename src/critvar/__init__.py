@@ -36,7 +36,6 @@ from .lagrangian import (
     generating_map,
     projection_jacobian,
     projection_jacobian_fd,
-    psi_value,
     sample_chart_point,
     scale_action,
     transition_expected,
@@ -105,7 +104,6 @@ __all__ = [
     "poly_roots",
     "projection_jacobian",
     "projection_jacobian_fd",
-    "psi_value",
     "random_generic",
     "rat_str",
     "sample_chart_point",

@@ -20,8 +20,11 @@ rationals), optional "z" (n rationals, or "sample"), "seed",
 Every run emits a report_v1 JSON document: command, the resolved config,
 one entry per check (name, status pass/fail/skipped, residual, count,
 expected), and timing; verify's timing also has "stages", the seconds
-spent on each check, keyed by check name in run order.  Complex numbers
-are [re, im] pairs.  Exit status:
+spent on each check, keyed by check name in run order.  solve's stages
+are the spectral route and each Newton tier that ran ("newton_plain",
+...), and its "diagnostics.newton" gives each such tier's starts,
+converged runs and distinct points added.  Complex numbers are
+[re, im] pairs.  Exit status:
 0 all checks passed, 1 at least one failed, 2 bad usage or bad input
 data, 3 a numeric procedure gave up.
 """
@@ -296,9 +299,16 @@ def _cmd_solve(args):
     checks = []
     expected = math.comb(spec.n - 1, spec.k)
 
+    mark = time.perf_counter()
     spectral = joint_spectrum(qt.QuotientAlgebra(spec, z), seed=seed)
+    stages = {"joint_spectrum": round(time.perf_counter() - mark, 6)}
+    tiers = {}
     newton = newton_multistart(spec, z, seed=seed, tol=args.tol_newton,
-                               dedup_tol=args.tol_dedup, target_count=expected)
+                               dedup_tol=args.tol_dedup, target_count=expected,
+                               stats=tiers)
+    # seconds go to timing, so the rest of the report repeats under a seed
+    for tier, row in tiers.items():
+        stages[f"newton_{tier}"] = round(row.pop("seconds"), 6)
     checks.append(_check("critical_count_spectral", len(spectral.points) == expected,
                          None, len(spectral.points), expected))
     checks.append(_check("critical_count_newton", len(newton) == expected,
@@ -342,8 +352,10 @@ def _cmd_solve(args):
         "points": points,
         "eigenvalue_combination": [int(c) for c in spectral.combination],
         "eigenvalues": [_c_pair(v) for v in spectral.eigenvalues],
+        "diagnostics": {"newton": tiers},
     }
-    return _finish("solve", raw, spec, z, seed, checks, started, args.out, extra)
+    return _finish("solve", raw, spec, z, seed, checks, started, args.out, extra,
+                   stages=stages)
 
 
 # -- flows ------------------------------------------------------------------------
@@ -367,6 +379,7 @@ def _cmd_flows(args):
     from .relations import build_relations
 
     rels = build_relations(spec)
+    euler = euler_relation(spec)
 
     def member(z, p):
         if not rels.all_vanish_at(z, p):
@@ -374,7 +387,7 @@ def _cmd_flows(args):
         for jset in k_subsets(spec.n, spec.k + 1):
             if rels.g[jset].evaluate(z, p) != 0:
                 return False
-        return euler_relation(spec).evaluate(z, p) == 0
+        return euler.evaluate(z, p) == 0
 
     good = sum(1 for _, (zz, pp) in samples if member(zz, pp))
     checks.append(_check("chart_membership", good == len(samples),

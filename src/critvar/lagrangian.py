@@ -42,7 +42,6 @@ __all__ = [
     "chart_coords",
     "chart_vector",
     "generating_map",
-    "psi_value",
     "generating_fd_residual",
     "transition_expected",
     "transition_jacobian_fd",
@@ -139,19 +138,6 @@ def generating_map(spec, iset, z_part, p_part):
             val = val + (spec.a[i - 1] / p[i - 1] - z[i - 1]) * dpdp
         out.append(val)
     return out
-
-
-def psi_value(spec, iset, z, p):
-    """Psi = sum_j a_j ln p_j - sum_{i in I} z_i p_i at a full point (numeric)."""
-    import cmath
-
-    iset = _check_chart(spec, iset)
-    total = 0j
-    for j in range(1, spec.n + 1):
-        total += complex(spec.a[j - 1]) * cmath.log(complex(p[j - 1]))
-    for i in iset:
-        total -= complex(z[i - 1]) * complex(p[i - 1])
-    return total
 
 
 def generating_fd_residual(spec, iset, z, p, h=1e-6):

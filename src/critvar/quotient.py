@@ -214,12 +214,9 @@ class QuotientAlgebra:
         return mat
 
     def element_one(self):
-        """Coordinates of the unit: solve (prod_{i in I} K_i) u = e_I on a basis class."""
+        """Coordinates of the unit: the empty monomial, rewritten onto the basis."""
         if self._one is None:
-            mat = _op_product(self, self.basis[0])
-            rhs = [Fraction(0)] * self.dim
-            rhs[0] = Fraction(1)
-            self._one = ratmat.solve(mat, rhs)
+            self._one = self.reduce_monomial(())
         return self._one
 
     def multiplication_matrix(self, poly):

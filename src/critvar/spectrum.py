@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,11 +213,12 @@ def _to_complex(mat):
 
 
 def _min_gap(values):
+    """Smallest distance between two entries: numbers, or points by largest coordinate."""
     if len(values) < 2:
         return math.inf
-    return min(
-        abs(x - y) for i, x in enumerate(values) for y in values[i + 1 :]
-    )
+    arr = np.array(values, dtype=complex).reshape(len(values), -1)
+    gaps = np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=2)
+    return float(gaps[np.triu_indices(len(arr), 1)].min())
 
 
 def _point_from_momenta(spec, z, p):
@@ -246,67 +248,122 @@ def _momenta_key(pt):
 
 # -- the direct route ---------------------------------------------------------
 
+_DEFLATION_CHUNK = 256  # starts run at once against one list of found points
 
-def _bilinear_attempt(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
-    """One start of the bilinear solve plus rational polish; limit t or None.
+
+def _apply(mat, rows):
+    """mat @ row for every row of a stack.
+
+    numpy takes each product in turn with the routine it uses for one
+    vector, so a row comes out bit for bit as a single-start run would
+    compute it; one matrix product over the stack rounds differently, and
+    the deflated iteration amplifies that into different limits.
+    """
+    return (mat @ rows[..., None])[..., 0]
+
+
+def _solve_rows(mats, rhs):
+    """np.linalg.solve on a stack; a row whose matrix is singular comes back NaN."""
+    try:
+        return np.linalg.solve(mats, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan, dtype=complex)
+        for i, (mat, vec) in enumerate(zip(mats, rhs)):
+            try:
+                out[i] = np.linalg.solve(mat, vec)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
+    """Every start of a round at once: bilinear solve, then rational polish.
+
+    Rows of t (B, k) and s (B, n - k) are independent starts.  Returns
+    (limits, ok): row i of limits is start i's limit where ok[i] holds;
+    a start whose Jacobian turns singular, whose iterate leaves the finite
+    numbers, or that runs out of iterations has ok[i] false.  Each Newton
+    step stacks the live rows' Jacobians [b w | N f] into one batched
+    solve, and rows drop out as they converge or fail.
 
     With repel nonempty the residual is multiplied by the deflation factor
     prod_r (1 + 1 / |t - r|^2), which turns every known root into a pole
     of the iteration so fresh starts get pushed toward the roots not yet
     seen.  Convergence is still judged on the bare residual, and the
-    polish below never sees the deflation, so repelling cannot invent a
+    polish never sees the deflation, so repelling cannot invent a
     solution that was not already there.
     """
-    k = t.shape[0]
-    solved = False
+    k = t.shape[1]
+    t, s = t.copy(), s.copy()
+    solved = np.zeros(len(t), dtype=bool)
+    live = np.arange(len(t))
     for _ in range(max_iter):
-        f = zc + b @ t
-        w = kernel @ s
+        tl, sl = t[live], s[live]
+        f = zc + _apply(b, tl)
+        w = _apply(kernel, sl)
         base = f * w - a
-        if np.abs(base).max() < 1e-13 * scale:
-            solved = True
-            break
-        jac = np.hstack([b * w[:, None], kernel * f[:, None]])
+        done = np.abs(base).max(axis=1) < 1e-13 * scale
+        solved[live[done]] = True
+        live, tl, sl, f, w, base = (x[~done] for x in (live, tl, sl, f, w, base))
+        jac = np.concatenate([b * w[:, :, None], kernel * f[:, :, None]], axis=2)
         resid = base
-        if repel:
-            factor = 1.0
-            grad_log = np.zeros(k, dtype=complex)
-            for r in repel:
-                d = t - r
-                q = float(np.real(np.vdot(d, d)))
-                if q == 0.0:
-                    return None
-                factor *= 1.0 + 1.0 / q
-                grad_log += -(1.0 / (q * (q + 1.0))) * np.conj(d)
-            resid = base * factor
-            jac = jac * factor
-            jac[:, :k] += np.outer(resid, grad_log)
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            return None
-        t = t + step[:k]
-        s = s + step[k:]
-        if not (np.isfinite(t).all() and np.isfinite(s).all()):
-            return None
-    if not solved:
-        return None
-    for _ in range(20):
-        f = zc + b @ t
-        if not np.isfinite(f).all() or np.abs(f).min() == 0.0:
-            return None
-        g = b.T @ (a / f)
-        if (np.abs(g) <= tol * _gradient_floor(b, a, f)).all():
-            return t
-        jacr = -(b.T * (a / f**2)) @ b
-        try:
-            step = np.linalg.solve(jacr, -g)
-        except np.linalg.LinAlgError:
-            return None
-        t = t + step
-        if not np.isfinite(t).all():
-            return None
-    return None
+        if len(repel):
+            factor = np.ones(len(live))
+            grad_log = np.zeros((len(live), k), dtype=complex)
+            on_root = np.zeros(len(live), dtype=bool)  # such a start fails
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for r in repel:
+                    d = tl - r
+                    # |d|^2 rounded as np.vdot rounds it for one start
+                    q = (np.conj(d)[:, None, :] @ d[:, :, None])[:, 0, 0].real
+                    on_root |= q == 0.0
+                    factor *= 1.0 + 1.0 / q
+                    grad_log += -(1.0 / (q * (q + 1.0)))[:, None] * np.conj(d)
+            resid = base * factor[:, None]
+            jac = jac * factor[:, None, None]
+            jac[:, :, :k] += resid[:, :, None] * grad_log[:, None, :]
+            live, tl, sl, resid, jac = (x[~on_root] for x in (live, tl, sl, resid, jac))
+        if not live.size:
+            break
+        step = _solve_rows(jac, -resid)
+        tl, sl = tl + step[:, :k], sl + step[:, k:]
+        finite = np.isfinite(tl).all(axis=1) & np.isfinite(sl).all(axis=1)
+        live = live[finite]
+        t[live], s[live] = tl[finite], sl[finite]
+    rows = np.flatnonzero(solved)
+    t[rows], solved[rows] = _polish(b, a, zc, t[rows], 20, tol)
+    return t, solved
+
+
+def _polish(b, a, zc, t, sweeps, gtol):
+    """Newton on the bare critical equations at z for every row of t.
+
+    Returns (corrected t, ok): a row is ok when its gradient falls
+    below gtol relative to the term scale (see _gradient_floor) within
+    `sweeps` steps, with every hyperplane value finite and nonzero on the
+    way.  The (B, k, k) Hessians -sum_j a_j b^m_j b^l_j / f_j^2 go through
+    one batched solve per sweep.
+    """
+    t = np.array(t, dtype=complex)
+    done = np.zeros(len(t), dtype=bool)
+    live = np.arange(len(t))
+    for _ in range(sweeps):
+        tl = t[live]
+        f = zc + _apply(b, tl)
+        sane = np.isfinite(f).all(axis=1) & (np.abs(f).min(axis=1) != 0.0)
+        live, tl, f = live[sane], tl[sane], f[sane]
+        g = _apply(b.T, a / f)
+        close = (np.abs(g) <= gtol * _gradient_floor(b, a, f)).all(axis=1)
+        done[live[close]] = True
+        live, tl, f, g = live[~close], tl[~close], f[~close], g[~close]
+        if not live.size:
+            break
+        hess = -(b.T * (a / f**2)[:, None, :]) @ b
+        tl = tl + _solve_rows(hess, -g)
+        finite = np.isfinite(tl).all(axis=1)
+        live = live[finite]
+        t[live] = tl[finite]
+    return t, done
 
 
 def _gradient_floor(b, a, f):
@@ -315,29 +372,16 @@ def _gradient_floor(b, a, f):
     A root pressed against several hyperplanes has gradient terms of size
     a/|f| that must cancel; no iteration can push the residual below the
     rounding of those terms, so convergence tests are taken relative to
-    this scale (which is O(1) at comfortable roots).
+    this scale (which is O(1) at comfortable roots).  f holds one row of
+    hyperplane values per point.
     """
-    return 1.0 + np.abs(b).T @ (np.abs(a) / np.abs(f))
+    return 1.0 + _apply(np.abs(b).T, np.abs(a) / np.abs(f))
 
 
 def _correct_at(b, a, zt, t, sweeps=15, gtol=1e-10):
     """Newton on the bare critical equations at fixed z; corrected t or None."""
-    for _ in range(sweeps):
-        f = zt + b @ t
-        if not np.isfinite(f).all() or np.abs(f).min() == 0.0:
-            return None
-        g = b.T @ (a / f)
-        if (np.abs(g) <= gtol * _gradient_floor(b, a, f)).all():
-            return t
-        jac = -(b.T * (a / f**2)) @ b
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            return None
-        t = t + step
-        if not np.isfinite(t).all():
-            return None
-    return None
+    out, ok = _polish(b, a, zt, np.asarray(t)[None], sweeps, gtol)
+    return out[0] if ok[0] else None
 
 
 def _track_paths(b, a, z_from, z_to, roots):
@@ -398,6 +442,7 @@ def newton_multistart(
     max_iter=80,
     target_count=None,
     homotopy=True,
+    stats=None,
 ):
     """All critical points of the master function at fixed z, by multistart.
 
@@ -413,11 +458,18 @@ def newton_multistart(
     vector p = N s satisfies the critical linear relations by construction,
     no denominators appear, and f_j = 0 is impossible at a solution because
     no a_j vanishes.  The initial s is the least-squares fit of a / f at
-    the start.  Solutions are then polished on the rational form with its
-    analytic Jacobian -sum_j a_j b^i_j b^l_j / f_j^2 down to tol relative
-    to the componentwise term scale (see _gradient_floor), cross-checked
-    against the unit relation sum_j z_j p_j = |a|, and deduplicated at
-    dedup_tol; survivors come back sorted by momenta.
+    the start, from one lstsq call with a column per start of the round.
+    Solutions are then polished on the rational form with its analytic
+    Jacobian -sum_j a_j b^i_j b^l_j / f_j^2 down to tol relative to the
+    componentwise term scale (see _gradient_floor), cross-checked against
+    the unit relation sum_j z_j p_j = |a|, and deduplicated at dedup_tol;
+    survivors come back sorted by momenta.
+
+    A round draws its starts one by one, always in the same order from the
+    seeded generator, and then advances all of them at once
+    (_bilinear_batch): every Newton step is one batched solve over the
+    starts still running.  The round's limits are then absorbed in start
+    order, so the first start to reach a point is the one that keeps it.
 
     When the caller knows how many points exist, target_count arms three
     escalations, each skipped once the count is reached: extra rounds of
@@ -429,10 +481,17 @@ def newton_multistart(
     at a fresh random base point, carries that root set through the
     exact scaling equivariance (critical points at g z are g times those
     at z), and tracks it along a complex segment to the requested z.
-    Candidates from every tier pass the same polish and filters at the
-    target, so none of this can invent a point.  Runs that never needed
-    help are unchanged, and a short result after all rounds is returned
-    as-is for the caller to judge.
+    A deflated start repels every point found before it, so deflation
+    runs speculative chunks of starts against the current list: when a
+    start of the chunk adds a point, the starts after it are discarded and
+    run again against the longer list.  Candidates from every tier pass
+    the same polish and filters at the target, so none of this can invent
+    a point.  Runs that never needed help are unchanged, and a short
+    result after all rounds is returned as-is for the caller to judge.
+
+    If stats is a dict, each tier that ran ("plain", "random_s",
+    "deflation", "continuation") is stored in it as {"starts",
+    "converged", "added", "seconds"}, summed over the tier's rounds.
     """
     n, k = spec.n, spec.k
     if len(z) != n:
@@ -450,40 +509,74 @@ def newton_multistart(
     radius = 2.0 * (float(np.abs(zc).max()) + 1.0)
     scale = 1.0 + float(np.abs(a).max())
     found = []
+    tiers = {}
 
-    def absorb(limit):
-        limit = np.asarray(limit)
-        f = zc + b @ limit
-        euler = abs(np.sum(zc * (a / f)) - np.sum(a))
-        if euler > 1e-6 * (1.0 + abs(np.sum(a))):
-            return
-        if any(np.abs(limit - np.array(q)).max() < dedup_tol for q in found):
-            return
-        found.append(tuple(complex(x) for x in limit))
+    def absorb(limits):
+        """Indices of the limits kept, in start order: Euler filter, then dedup."""
+        f = zc + _apply(b, limits)
+        euler = np.abs((zc * (a / f)).sum(axis=1) - np.sum(a))
+        rows = np.flatnonzero(euler <= 1e-6 * (1.0 + abs(np.sum(a))))
+        if found:
+            gaps = np.abs(limits[rows, None, :] - np.array(found)[None]).max(axis=2)
+            rows = rows[(gaps >= dedup_tol).all(axis=1)]
+        kept = []
+        while rows.size:
+            kept.append(rows[0])
+            rows = rows[np.abs(limits[rows] - limits[rows[0]]).max(axis=1) >= dedup_tol]
+        return kept
 
-    def harvest(count, random_s=False, deflate=False):
-        iters = max_iter + 40 if deflate else max_iter
+    def draw(count, random_s):
+        ts, ss = [], []
         for _ in range(count):
-            repel = [np.array(q) for q in found] if deflate else ()
             mag = radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
             ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
             t = mag * np.exp(1j * ang)
-            f = zc + b @ t
-            if np.abs(f).min() < 1e-9:
+            if np.abs(zc + b @ t).min() < 1e-9:
                 continue
+            ts.append(t)
             if random_s:
-                s = rng.normal(size=kernel.shape[1]) + 1j * rng.normal(
-                    size=kernel.shape[1]
-                )
-            else:
-                s, *_ = np.linalg.lstsq(kernel, a / f, rcond=None)
-            limit = _bilinear_attempt(
-                b, a, zc, kernel, scale, t, s, iters, tol, repel
+                ss.append(rng.normal(size=n - k) + 1j * rng.normal(size=n - k))
+        t = np.array(ts, dtype=complex).reshape(-1, k)
+        if random_s:
+            return t, np.array(ss).reshape(-1, n - k)
+        rhs = a / (zc + _apply(b, t))
+        return t, np.linalg.lstsq(kernel, rhs.T, rcond=None)[0].T
+
+    def record(tier, started, starts, converged, added):
+        row = tiers.setdefault(
+            tier, dict.fromkeys(("starts", "converged", "added", "seconds"), 0)
+        )
+        row["starts"] += starts
+        row["converged"] += converged
+        row["added"] += added
+        row["seconds"] += time.perf_counter() - started
+
+    def harvest(count, tier, random_s=False, deflate=False):
+        started = time.perf_counter()
+        before = len(found)
+        t, s = draw(count, random_s)
+        iters = max_iter + 40 if deflate else max_iter
+        pos = converged = 0
+        while pos < len(t):
+            repel = np.array(found) if deflate else ()
+            end = pos + _DEFLATION_CHUNK if deflate else len(t)
+            limits, ok = _bilinear_batch(
+                b, a, zc, kernel, scale, t[pos:end], s[pos:end], iters, tol, repel
             )
-            if limit is not None:
-                absorb(limit)
+            rows = np.flatnonzero(ok)
+            kept = absorb(limits[rows])
+            if deflate and kept:
+                # the starts after the first new point must repel it too
+                rows, kept = rows[: kept[0] + 1], kept[:1]
+                end = pos + int(rows[-1]) + 1
+            converged += len(rows)
+            found.extend(tuple(complex(x) for x in limits[i]) for i in rows[kept])
+            pos = end
+        record(tier, started, len(t), converged, len(found) - before)
 
     def continuation_round():
+        started = time.perf_counter()
+        before = len(found)
         for _ in range(200):
             z0 = tuple(Fraction(int(v)) for v in rng.integers(-9, 10, size=n))
             if spec.is_off_discriminant(z0):
@@ -504,25 +597,28 @@ def newton_multistart(
         gamma = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         z0c = np.array([complex(v) for v in z0])
         starts = [gamma * np.array(pt.t) for pt in base]
-        for limit in _track_paths(b, a, gamma * z0c, zc, starts):
-            polished = _correct_at(b, a, zc, limit, sweeps=25, gtol=tol)
-            if polished is not None:
-                absorb(polished)
+        ends = np.array(_track_paths(b, a, gamma * z0c, zc, starts)).reshape(-1, k)
+        ends, ok = _polish(b, a, zc, ends, 25, tol)
+        ends = ends[ok]
+        found.extend(tuple(complex(x) for x in ends[i]) for i in absorb(ends))
+        record("continuation", started, len(starts), len(ends), len(found) - before)
 
-    harvest(n_starts)
+    harvest(n_starts, "plain")
     if target_count is not None:
         rounds = 0
         while len(found) < target_count and rounds < 2:
-            harvest(n_starts, random_s=True)
+            harvest(n_starts, "random_s", random_s=True)
             rounds += 1
         rounds = 0
         while len(found) < target_count and rounds < 3:
-            harvest(n_starts, deflate=True)
+            harvest(n_starts, "deflation", deflate=True)
             rounds += 1
         rounds = 0
         while homotopy and len(found) < target_count and rounds < 3:
             continuation_round()
             rounds += 1
+    if stats is not None:
+        stats.update(tiers)
     points = []
     for t in found:
         f = zc + b @ np.array(t)
@@ -534,7 +630,16 @@ def newton_multistart(
 
 
 def match_point_sets(pa, pb, tol):
-    """Greedy matching of two momenta lists; (matched fully, worst distance)."""
+    """Greedy matching of two momenta lists; (matched fully, worst distance).
+
+    Distances are the largest coordinate difference.  Greedy matching is
+    provably right only when tol is below half the smallest separation
+    within each list: then each point has at most one partner within tol,
+    and the greedy pass finds a matching within tol exactly when one
+    exists.  Otherwise the answer is ambiguous (greedy may miss a matching
+    that exists, or pair points that tol cannot tell apart), and the
+    result is (False, worst) even when every greedy pair was within tol.
+    """
     if len(pa) != len(pb):
         return False, math.inf
     unused = list(range(len(pb)))
@@ -549,7 +654,8 @@ def match_point_sets(pa, pb, tol):
             return False, best_d
         unused.remove(best)
         worst = max(worst, best_d)
-    return True, worst
+    separated = all(2 * tol < _min_gap(pts) for pts in (pa, pb))
+    return separated, worst
 
 
 # -- second-order data --------------------------------------------------------

@@ -108,6 +108,14 @@ def test_solve_finds_and_cross_checks_critical_points(config_path, capsys):
     for pt in report["points"]:
         assert len(pt["t"]) == 2 and len(pt["p"]) == 4
         assert all(len(pair) == 2 for pair in pt["t"] + pt["p"])
+    # every tier that ran reports its counts; its seconds are a timing stage
+    tiers = report["diagnostics"]["newton"]
+    assert "plain" in tiers and sum(row["added"] for row in tiers.values()) == 3
+    for tier, row in tiers.items():
+        assert set(row) == {"starts", "converged", "added"}
+        assert row["starts"] >= row["converged"] >= row["added"]
+        assert f"newton_{tier}" in report["timing"]["stages"]
+    assert "joint_spectrum" in report["timing"]["stages"]
 
 
 def test_solve_is_deterministic_modulo_timing(config_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from critvar import ratmat, spectrum
 from critvar.arrangement import ArrangementSpec, random_generic, sample_z
 from critvar.errors import UsageError
 from critvar.quotient import QuotientAlgebra
 from critvar.spectrum import (
+    _bilinear_batch,
     hessian_direct,
     hessian_formula,
     jacobian_formula,
@@ -158,6 +161,183 @@ def test_route_one_points_satisfy_the_hessian_identity():
     assert worst <= 1e-8
 
 
+def _bilinear_attempt(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
+    """One start of the bilinear solve plus rational polish; limit t or None.
+
+    The per-start loop the batched kernel replaced, kept as its reference.
+    """
+    k = t.shape[0]
+    solved = False
+    for _ in range(max_iter):
+        f = zc + b @ t
+        w = kernel @ s
+        base = f * w - a
+        if np.abs(base).max() < 1e-13 * scale:
+            solved = True
+            break
+        jac = np.hstack([b * w[:, None], kernel * f[:, None]])
+        resid = base
+        if len(repel):
+            factor = 1.0
+            grad_log = np.zeros(k, dtype=complex)
+            for r in repel:
+                d = t - r
+                q = float(np.real(np.vdot(d, d)))
+                if q == 0.0:
+                    return None
+                factor *= 1.0 + 1.0 / q
+                grad_log += -(1.0 / (q * (q + 1.0))) * np.conj(d)
+            resid = base * factor
+            jac = jac * factor
+            jac[:, :k] += np.outer(resid, grad_log)
+        try:
+            step = np.linalg.solve(jac, -resid)
+        except np.linalg.LinAlgError:
+            return None
+        t = t + step[:k]
+        s = s + step[k:]
+        if not (np.isfinite(t).all() and np.isfinite(s).all()):
+            return None
+    if not solved:
+        return None
+    for _ in range(20):
+        f = zc + b @ t
+        if not np.isfinite(f).all() or np.abs(f).min() == 0.0:
+            return None
+        g = b.T @ (a / f)
+        if (np.abs(g) <= tol * (1.0 + np.abs(b).T @ (np.abs(a) / np.abs(f)))).all():
+            return t
+        jacr = -(b.T * (a / f**2)) @ b
+        try:
+            step = np.linalg.solve(jacr, -g)
+        except np.linalg.LinAlgError:
+            return None
+        t = t + step
+        if not np.isfinite(t).all():
+            return None
+    return None
+
+
+def _direct_setup(spec, z):
+    """b, a, z, the kernel N of b^T, the residual scale and the start radius."""
+    n, k = spec.n, spec.k
+    b = np.array([[complex(x) for x in row] for row in spec.b])
+    a = np.array([complex(x) for x in spec.a])
+    zc = np.array([complex(v) for v in z])
+    bt = [[Fraction(spec.b[j][m]) for j in range(n)] for m in range(k)]
+    kernel = np.array([[complex(v[j]) for v in ratmat.nullspace(bt)] for j in range(n)])
+    return b, a, zc, kernel, 1.0 + float(np.abs(a).max()), 2.0 * (float(np.abs(zc).max()) + 1.0)
+
+
+def _draw_starts(rng, count, b, a, zc, kernel, radius, random_s):
+    """Starts in newton_multistart's order of draws; s by lstsq or at random."""
+    k, r = b.shape[1], kernel.shape[1]
+    starts = []
+    for _ in range(count):
+        mag = radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
+        ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        t = mag * np.exp(1j * ang)
+        f = zc + b @ t
+        if np.abs(f).min() < 1e-9:
+            continue
+        if random_s:
+            s = rng.normal(size=r) + 1j * rng.normal(size=r)
+        else:
+            s, *_ = np.linalg.lstsq(kernel, a / f, rcond=None)
+        starts.append((t, s))
+    return starts
+
+
+@pytest.mark.parametrize("n,k,seed", [(5, 1, 7000), (6, 1, 7005), (4, 2, 6), (6, 3, 5)])
+def test_batched_kernel_matches_the_per_start_reference(n, k, seed):
+    rng = random.Random(seed)
+    spec = random_generic(n, k, rng)
+    z = sample_z(spec, rng)
+    b, a, zc, kernel, scale, radius = _direct_setup(spec, z)
+    known = np.array([pt.t for pt in newton_multistart(spec, z, seed=seed)])
+    draws = np.random.default_rng(seed)
+    cases = [
+        (_draw_starts(draws, 40, b, a, zc, kernel, radius, False), 80, ()),
+        (_draw_starts(draws, 40, b, a, zc, kernel, radius, True), 80, ()),
+        (_draw_starts(draws, 40, b, a, zc, kernel, radius, False), 120, known[:-1]),
+    ]
+    # a zero s makes the first Jacobian exactly singular, the deflation
+    # factor is undefined at a repelled point, and a start at 1e300 overflows
+    for starts, _, _ in cases:
+        starts.append((starts[0][0], np.zeros(kernel.shape[1], dtype=complex)))
+        starts.append((np.full(k, 1e300 + 0j), starts[1][1]))
+    cases[2][0].append((known[0].copy(), cases[2][0][0][1]))
+    nones = 0
+    for starts, iters, repel in cases:
+        t = np.array([st[0] for st in starts])
+        s = np.array([st[1] for st in starts])
+        with np.errstate(over="ignore", invalid="ignore"):  # the start at 1e300
+            limits, ok = _bilinear_batch(b, a, zc, kernel, scale, t, s, iters, 1e-12, repel)
+            want = [_bilinear_attempt(b, a, zc, kernel, scale, t0, s0, iters, 1e-12, repel)
+                    for t0, s0 in starts]
+        for i, limit in enumerate(want):
+            assert ok[i] == (limit is not None), f"start {i}: reference gave {limit}"
+            if limit is None:
+                nones += 1
+            else:
+                assert np.abs(limits[i] - limit).max() <= 1e-12
+    assert nones >= 3
+
+
+def _per_start_multistart(spec, z, seed, target):
+    """newton_multistart's plain, random-s and deflation tiers, one start at a time.
+
+    Returns the points and, per tier that ran, its stats row without seconds.
+    """
+    b, a, zc, kernel, scale, radius = _direct_setup(spec, z)
+    rng = np.random.default_rng(seed)
+    found, tiers = [], {}
+
+    def harvest(tier, random_s=False, deflate=False):
+        row = tiers.setdefault(tier, {"starts": 0, "converged": 0, "added": 0})
+        for t, s in _draw_starts(rng, 50 * target, b, a, zc, kernel, radius, random_s):
+            repel = np.array(found) if deflate else ()
+            limit = _bilinear_attempt(b, a, zc, kernel, scale, t, s,
+                                      120 if deflate else 80, 1e-12, repel)
+            row["starts"] += 1
+            if limit is None:
+                continue
+            row["converged"] += 1
+            f = zc + b @ limit
+            if abs(np.sum(zc * (a / f)) - np.sum(a)) > 1e-6 * (1.0 + abs(np.sum(a))):
+                continue
+            if not any(np.abs(limit - q).max() < 1e-7 for q in found):
+                found.append(limit)
+                row["added"] += 1
+
+    harvest("plain")
+    for tier, rounds in [("random_s", 2), ("deflation", 3)]:
+        for _ in range(rounds):
+            if len(found) < target:
+                harvest(tier, random_s=tier == "random_s", deflate=tier == "deflation")
+    return found, tiers
+
+
+def test_multistart_matches_one_start_at_a_time(monkeypatch):
+    # `critvar gen --n 4 --k 1 --seed 7157`: one deflation round adds the
+    # last two points, so the speculative chunks must restart after each;
+    # chunks of 16 also cross chunk boundaries within the round
+    rng = random.Random(7157)
+    spec = random_generic(4, 1, rng)
+    z = sample_z(spec, rng)
+    want, tiers = _per_start_multistart(spec, z, 7157, 3)
+    assert len(want) == 3 and tiers["deflation"]["added"] == 2
+    for chunk in (256, 16):
+        monkeypatch.setattr(spectrum, "_DEFLATION_CHUNK", chunk)
+        stats = {}
+        got = newton_multistart(spec, z, seed=7157, target_count=3, stats=stats)
+        for row in stats.values():
+            del row["seconds"]
+        assert stats == tiers, f"chunks of {chunk}"
+        ok, worst = match_point_sets([pt.t for pt in got], [tuple(t) for t in want], 1e-12)
+        assert ok, f"chunks of {chunk}: point sets differ by {worst}"
+
+
 def test_newton_determinism():
     spec, z = plane_setup()
     first = newton_multistart(spec, z, seed=9)
@@ -170,6 +350,21 @@ def test_match_point_sets_rejects():
     assert not ok
     ok, worst = match_point_sets([(0j,)], [(0.5 + 0j,)], tol=0.1)
     assert not ok and worst == 0.5
+
+
+def test_match_point_sets_reports_ambiguity():
+    # tol 0.6 is above half the separation of pa: greedy pairs 0 with 0.4
+    # and fails, though 0 <-> -0.5 and 1 <-> 0.4 match within tol
+    pa, pb = [(0j,), (1 + 0j,)], [(0.4 + 0j,), (-0.5 + 0j,)]
+    assert any(all(max(abs(u - v) for u, v in zip(x, pb[j])) <= 0.6 for x, j in zip(pa, perm))
+               for perm in itertools.permutations(range(2)))
+    ok, _ = match_point_sets(pa, pb, tol=0.6)
+    assert not ok
+    # every greedy pair lies within tol, but tol cannot tell the points apart
+    ok, worst = match_point_sets([(0j,), (1 + 0j,)], [(0.1 + 0j,), (0.9 + 0j,)], tol=0.6)
+    assert not ok and worst == pytest.approx(0.1)
+    ok, worst = match_point_sets([(0j,), (1 + 0j,)], [(0.1 + 0j,), (0.9 + 0j,)], tol=0.2)
+    assert ok and worst == pytest.approx(0.1)
 
 
 def test_hessian_oracles():
