@@ -217,13 +217,18 @@ class ArrangementSpec:
 
     @classmethod
     def from_config(cls, cfg):
-        try:
-            n, k = int(cfg["n"]), int(cfg["k"])
-            b = tuple(tuple(parse_rat(x) for x in row) for row in cfg["b"])
-            a = tuple(parse_rat(x) for x in cfg["a"])
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"config needs n, k, b, a: {exc}") from exc
-        return cls(n=n, k=k, b=b, a=a)
+        """The instance a config's "n", "k", "b", "a" describe; UsageError if malformed."""
+        for key in ("n", "k", "b", "a"):
+            if key not in cfg:
+                raise UsageError(f"config is missing required key {key!r}")
+        n, k, b, a = cfg["n"], cfg["k"], cfg["b"], cfg["a"]
+        if type(n) is not int or type(k) is not int:
+            raise UsageError("n and k must be integers")
+        seq = (list, tuple)
+        if not (isinstance(b, seq) and all(isinstance(row, seq) for row in b)
+                and isinstance(a, seq)):
+            raise UsageError("b must be a list of rows and a a list of weights")
+        return cls(n=n, k=k, b=b, a=tuple(parse_rat(x) for x in a))
 
     def to_config(self):
         return {

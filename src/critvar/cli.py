@@ -88,21 +88,6 @@ def _load_config(path):
     return raw
 
 
-def _spec_from_config(raw):
-    for key in ("n", "k", "b", "a"):
-        if key not in raw:
-            raise UsageError(f"config is missing required key {key!r}")
-    n, k = raw["n"], raw["k"]
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise UsageError("n and k must be integers")
-    try:
-        b = tuple(tuple(parse_rat(x) for x in row) for row in raw["b"])
-        a = tuple(parse_rat(x) for x in raw["a"])
-    except TypeError as exc:
-        raise UsageError(f"malformed coefficient table: {exc}") from exc
-    return ArrangementSpec(n, k, b, a)
-
-
 def _resolve_z(raw, spec, seed):
     z = raw.get("z")
     if z is None:
@@ -115,13 +100,7 @@ def _resolve_z(raw, spec, seed):
 
 
 def _config_echo(raw, spec, z, seed):
-    echo = {
-        "n": spec.n,
-        "k": spec.k,
-        "b": [[rat_str(x) for x in row] for row in spec.b],
-        "a": [rat_str(x) for x in spec.a],
-        "seed": seed,
-    }
+    echo = dict(spec.to_config(), seed=seed)
     if z is not None:
         echo["z"] = [rat_str(x) for x in z]
     elif "z" in raw:
@@ -194,7 +173,7 @@ def _finish(command, raw, spec, z, seed, checks, started, out_path, extra=None,
 def _cmd_verify(args):
     started = time.perf_counter()
     raw = _load_config(args.config)
-    spec = _spec_from_config(raw)
+    spec = ArrangementSpec.from_config(raw)
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     z = _resolve_z(raw, spec, seed)
     checks, stages = [], {}
@@ -288,7 +267,7 @@ def _cmd_verify(args):
 def _cmd_solve(args):
     started = time.perf_counter()
     raw = _load_config(args.config)
-    spec = _spec_from_config(raw)
+    spec = ArrangementSpec.from_config(raw)
     spec.require_rational_weights()
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     z = _resolve_z(raw, spec, seed)
@@ -364,7 +343,7 @@ def _cmd_solve(args):
 def _cmd_flows(args):
     started = time.perf_counter()
     raw = _load_config(args.config)
-    spec = _spec_from_config(raw)
+    spec = ArrangementSpec.from_config(raw)
     spec.require_rational_weights()
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     rng = random.Random(seed)
@@ -480,14 +459,7 @@ def _cmd_gen(args):
     rng = random.Random(seed)
     spec = random_generic(args.n, args.k, rng, coeff_bound=args.coeff_bound)
     z = sample_z(spec, rng)
-    config = {
-        "n": spec.n,
-        "k": spec.k,
-        "b": [[rat_str(x) for x in row] for row in spec.b],
-        "a": [rat_str(x) for x in spec.a],
-        "z": [rat_str(x) for x in z],
-        "seed": seed,
-    }
+    config = dict(spec.to_config(), z=[rat_str(x) for x in z], seed=seed)
     checks = [
         _check("generic_minors", True, None, len(list(k_subsets(spec.n, spec.k))), 0),
         _check("base_point_off_discriminant", spec.is_off_discriminant(z), None, 1, 0),

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arrangement import k_subsets
 from .errors import DomainError, GenerationError, UsageError
+from .spectrum import _det
 
 __all__ = [
     "chart_complete",
@@ -246,13 +246,7 @@ def projection_jacobian(spec, iset, z, p):
                 ) / (d_full * d_full)
             row.append(val)
         rows.append(row)
-    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        from . import ratmat
-
-        return ratmat.det(rows)
-    import numpy as np
-
-    return complex(np.linalg.det(np.array(rows, dtype=complex)))
+    return _det(rows)
 
 
 def projection_jacobian_fd(spec, iset, z, p, h=1e-6):

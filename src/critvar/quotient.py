@@ -17,9 +17,17 @@ Reduction to the basis is a terminating rewrite with three moves:
 
 Degrees below k climb with sum_j z_j p_j = |a|, so every monomial, and by
 linearity every polynomial, has a normal form.  Multiplication by p_j then
-becomes an exact rational matrix on the basis; these commuting operators
-carry the whole structure, and their joint spectrum recovers the critical
-points themselves (the numeric side of that lives in spectrum.py).
+becomes an exact rational matrix K_j on the basis; these commuting
+operators carry the whole structure, and their joint spectrum recovers the
+critical points themselves (the numeric side of that lives in spectrum.py).
+
+A Laurent polynomial in p is evaluated on the operators in one way only:
+its terms at z become (c, indices) pairs, an index -j standing for the
+cached K_j^-1, and _combination sums c K_I over them, either as a full
+matrix or applied to a start block.  multiplication_matrix, normal_form
+(applied to the unit) and the operator forms of the first-kind,
+second-kind and Euler relations, taken straight from relations.py, all go
+through it.
 
 The module also realizes the singular-vector model: inside the big
 coordinate space V with one axis v_I per k-subset I, the weighted
@@ -27,7 +35,8 @@ antisymmetrized sums cut out a subspace Sing V of the same dimension
 C(n-1, k), and the map sending the class of d_I p_I to the orthogonal
 projection of v_I (orthogonal for the diagonal form S with entries
 prod_{i in I} a_i) is a well-defined isomorphism independent of which
-k-subset represents it.  mu_consistency checks that exactly.
+k-subset represents it.  The projection is one exact matrix P, built once
+per algebra; mu_consistency checks the map on every axis of V at once.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import ratmat
+from . import ratmat, relations
 from .arrangement import _perm_sign, k_subsets, rat_str
 from .errors import CritvarError, DomainError, UsageError
 from .laurent import LaurentPoly
@@ -116,8 +125,7 @@ class QuotientAlgebra:
         self._inv_ops = {}
         self._one = None
         self._sing = None
-        self._gram_inv = None
-        self._mu = None
+        self._proj = None
 
     # -- rewriting to the monomial basis ------------------------------------
 
@@ -203,15 +211,11 @@ class QuotientAlgebra:
     def operators(self):
         return [self.bethe_operator(j) for j in range(1, self.spec.n + 1)]
 
-    def _op_power(self, j, e):
-        if e >= 0:
-            return _op_product(self, (j,) * e)
+    def _inverse_operator(self, j):
+        """K_j^-1, cached; p_j is invertible on the fiber, so K_j is too."""
         if j not in self._inv_ops:
             self._inv_ops[j] = ratmat.inverse(self.bethe_operator(j))
-        mat = ratmat.identity(self.dim)
-        for _ in range(-e):
-            mat = ratmat.mat_mul(mat, self._inv_ops[j])
-        return mat
+        return self._inv_ops[j]
 
     def element_one(self):
         """Coordinates of the unit: the empty monomial, rewritten onto the basis."""
@@ -221,20 +225,12 @@ class QuotientAlgebra:
 
     def multiplication_matrix(self, poly):
         """P(K_1..K_n) for a Laurent polynomial in p alone (z already frozen)."""
-        if not isinstance(poly, LaurentPoly) or poly.n != self.spec.n:
-            raise UsageError("expected a Laurent polynomial on the same n variables")
-        poly = poly.substitute_z(self.z)
-        total = ratmat.zeros(self.dim, self.dim)
-        for key, c in poly.terms.items():
-            mat = ratmat.mat_scale(c, ratmat.identity(self.dim))
-            for v, e in key:
-                mat = ratmat.mat_mul(mat, self._op_power(v - self.spec.n + 1, e))
-            total = ratmat.mat_add(total, mat)
-        return total
+        return _combination(self, _poly_terms(self, poly), None)
 
     def normal_form(self, poly):
         """Basis coordinates of the class of an arbitrary Laurent polynomial."""
-        return ratmat.mat_vec(self.multiplication_matrix(poly), self.element_one())
+        return [row[0] for row in _combination(self, _poly_terms(self, poly),
+                                               unit_column(self))]
 
     def is_zero_class(self, poly):
         return all(c == 0 for c in self.normal_form(poly))
@@ -268,63 +264,52 @@ class QuotientAlgebra:
         """The symmetric form S in the v_I basis: diagonal with prod_{i in I} a_i."""
         return [math.prod(self.spec.a[i - 1] for i in key) for key in self.all_subsets]
 
+    def projector(self):
+        """The S-orthogonal projection of V onto Sing V, P = B G^-1 B^T S.
+
+        B holds the singular basis as columns and G = B^T S B is the Gram
+        matrix of S on it; computed once and cached.
+        """
+        if self._proj is None:
+            basis = self.sing_basis()
+            bts = [[x * s for x, s in zip(bvec, self.s_diagonal())] for bvec in basis]
+            try:
+                gram_inv = ratmat.inverse(ratmat.mat_mul(bts, ratmat.transpose(basis)))
+            except DomainError:
+                raise DomainError("the form S degenerates on the singular subspace") from None
+            self._proj = ratmat.mat_mul(ratmat.transpose(basis), ratmat.mat_mul(gram_inv, bts))
+        return self._proj
+
     def s_perp(self, vec):
         """S-orthogonal projection of a vector of V onto the singular subspace."""
         if len(vec) != len(self.all_subsets):
             raise UsageError("vector does not live in the big coordinate space")
-        basis = self.sing_basis()
-        sdiag = self.s_diagonal()
-        if self._gram_inv is None:
-            gram = [
-                [sum(br[i] * sdiag[i] * bc[i] for i in range(len(sdiag))) for bc in basis]
-                for br in basis
-            ]
-            try:
-                self._gram_inv = ratmat.inverse(gram)
-            except DomainError:
-                raise DomainError("the form S degenerates on the singular subspace") from None
-        rhs = [sum(br[i] * sdiag[i] * vec[i] for i in range(len(sdiag))) for br in basis]
-        coeffs = ratmat.mat_vec(self._gram_inv, rhs)
-        out = [Fraction(0)] * len(vec)
-        for c, bvec in zip(coeffs, basis):
-            for i, x in enumerate(bvec):
-                out[i] += c * x
-        return out
+        return ratmat.mat_vec(self.projector(), vec)
+
+    def _scaled_axes(self, keys):
+        """Columns s_perp(v_J) / d_J of P for the k-subsets J in keys."""
+        proj = self.projector()
+        cols = [self.v_index[key] for key in keys]
+        dets = [self.spec.plucker(key) for key in keys]
+        return [[row[c] / d for c, d in zip(cols, dets)] for row in proj]
 
     def mu_matrix(self):
         """Coordinates in V of the image of each basis class d_I p_I -> s_perp(v_I)."""
-        if self._mu is None:
-            cols = []
-            for mono in self.basis:
-                e = [Fraction(0)] * len(self.all_subsets)
-                e[self.v_index[mono]] = Fraction(1)
-                proj = self.s_perp(e)
-                d = self.spec.plucker(mono)
-                cols.append([x / d for x in proj])
-            self._mu = [
-                [cols[c][r] for c in range(self.dim)] for r in range(len(self.all_subsets))
-            ]
-        return self._mu
+        return self._scaled_axes(self.basis)
 
     def mu_consistency(self):
         """Subsets where the defining recipe disagrees with the reduced class.
 
         For every k-subset J the image of the class of p_J must be
-        s_perp(v_J) / d_J no matter how J relates to the basis; an empty
-        list certifies the map is well defined on all of V's axes.
+        s_perp(v_J) / d_J no matter how J relates to the basis: column J
+        of mu R, with R holding the reduced p_J as columns, must equal
+        column J of P divided by d_J.  An empty list certifies the map is
+        well defined on all of V's axes.
         """
-        mu = self.mu_matrix()
-        bad = []
-        for key in self.all_subsets:
-            coords = self.reduce_monomial(key)
-            lhs = ratmat.mat_vec(mu, coords)
-            e = [Fraction(0)] * len(self.all_subsets)
-            e[self.v_index[key]] = Fraction(1)
-            d = self.spec.plucker(key)
-            rhs = [x / d for x in self.s_perp(e)]
-            if lhs != rhs:
-                bad.append(key)
-        return bad
+        reduced = ratmat.transpose([self.reduce_monomial(key) for key in self.all_subsets])
+        lhs = ratmat.mat_mul(self.mu_matrix(), reduced)
+        rhs = self._scaled_axes(self.all_subsets)
+        return [key for key, x, y in zip(self.all_subsets, zip(*lhs), zip(*rhs)) if x != y]
 
     def mu_is_isomorphism(self):
         return ratmat.rank(self.mu_matrix()) == self.dim
@@ -382,25 +367,19 @@ def unit_orbit(alg):
 
 def first_kind_operator_residual(alg, iset, start=None):
     """(sum_j d_{j,I} K_j) start for a (k-1)-subset I; the zero matrix."""
-    spec = alg.spec
-    return _combination(alg, [(spec.plucker((j,) + tuple(iset)), (j,))
-                              for j in range(1, spec.n + 1) if j not in iset], start)
+    poly = relations.first_kind(alg.spec, tuple(sorted(iset)))
+    return _combination(alg, _poly_terms(alg, poly), start)
 
 
 def second_kind_operator_residual(alg, jset, start=None):
     """f_J(z) K_{j_1}..K_{j_{k+1}} minus its expansion into k-fold products, on start."""
-    jset = tuple(sorted(jset))
-    spec = alg.spec
-    terms = [(spec.discriminant_value(jset, alg.z), jset)]
-    for m, j in enumerate(jset):
-        others = jset[:m] + jset[m + 1 :]
-        terms.append((-((-1) ** m) * spec.a[j - 1] * spec.plucker(others), others))
-    return _combination(alg, terms, start)
+    poly = relations.second_kind(alg.spec, tuple(sorted(jset)))
+    return _combination(alg, _poly_terms(alg, poly), start)
 
 
 def euler_operator_residual(alg, start=None):
     """(sum_j z_j K_j - |a| id) start; the unit relation in operator form."""
-    return _combination(alg, [(-alg.spec.weight_total, ())] + _euler_terms(alg), start)
+    return _combination(alg, _poly_terms(alg, relations.euler_relation(alg.spec)), start)
 
 
 def weighted_sum_operator_residual(alg, iset, start=None):
@@ -408,10 +387,9 @@ def weighted_sum_operator_residual(alg, iset, start=None):
     iset = tuple(sorted(iset))
     spec = alg.spec
     d = spec.plucker(iset)
-    terms = _euler_terms(alg) + [
-        (-_signed_disc(spec, (j,) + iset, alg.z) / d, (j,))
-        for j in range(1, spec.n + 1) if j not in iset
-    ]
+    terms = [(alg.z[j - 1], (j,)) for j in range(1, spec.n + 1) if alg.z[j - 1]]
+    terms += [(-_signed_disc(spec, (j,) + iset, alg.z) / d, (j,))
+              for j in range(1, spec.n + 1) if j not in iset]
     return _combination(alg, terms, start)
 
 
@@ -420,8 +398,18 @@ def commutator_residual(alg, i, j):
     return ratmat.mat_add(ratmat.mat_mul(ki, kj), ratmat.mat_scale(-1, ratmat.mat_mul(kj, ki)))
 
 
-def _euler_terms(alg):
-    return [(alg.z[j - 1], (j,)) for j in range(1, alg.spec.n + 1) if alg.z[j - 1]]
+def _poly_terms(alg, poly):
+    """(c, indices) for each term of a Laurent polynomial at z; index -j is K_j^-1."""
+    if not isinstance(poly, LaurentPoly) or poly.n != alg.spec.n:
+        raise UsageError("expected a Laurent polynomial on the same n variables")
+    offset = alg.spec.n - 1  # p_j has variable id n + j - 1
+    terms = []
+    for key, c in poly.substitute_z(alg.z).terms.items():
+        indices = ()
+        for v, e in key:
+            indices += (v - offset if e > 0 else offset - v,) * abs(e)
+        terms.append((c, indices))
+    return terms
 
 
 def _combination(alg, terms, start):
@@ -434,9 +422,9 @@ def _combination(alg, terms, start):
 
 
 def _op_product(alg, indices, start=None):
-    """K_{i_r}(..(K_{i_1} start)); start=None is the identity."""
+    """K_{i_r}(..(K_{i_1} start)), K_{-j} meaning K_j^-1; start=None is the identity."""
     mat = start
     for i in indices:
-        op = alg.bethe_operator(i)
+        op = alg.bethe_operator(i) if i > 0 else alg._inverse_operator(-i)
         mat = op if mat is None else ratmat.mat_mul(op, mat)
     return ratmat.identity(alg.dim) if mat is None else mat

@@ -189,9 +189,7 @@ def charpoly(a):
     m = len(a)
     if any(len(row) != m for row in a):
         raise UsageError("characteristic polynomial of a non-square matrix")
-    a = _copy(a)
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    ints = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    den, ints = _cleared(a)
     cols = list(zip(*ints))
     coeffs = [1]
     work = [[int(i == j) for j in range(m)] for i in range(m)]

@@ -28,7 +28,6 @@ pair and reports the offenders, if any.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangement import k_subsets
 from .errors import UsageError

@@ -160,14 +160,17 @@ def _exact_newton(ints, x):
 
 # -- the operator route -------------------------------------------------------
 
+_CLUSTER_TOL = 1e-6  # eigenvalues this close count as one cluster
+_REDRAWS = 5  # clustered draws before joint_spectrum gives up
 
-def joint_spectrum(alg, seed=0, cluster_tol=1e-6, redraws=5):
+
+def joint_spectrum(alg, seed=0):
     """Critical points as the joint spectrum of the multiplication operators.
 
     Draws an integer combination c, computes the exact characteristic
     polynomial of sum_j c_j K_j, and takes its roots.  Only a draw whose
-    eigenvalues sit within cluster_tol of each other is discarded; after
-    `redraws` such draws a NumericError reports the clustering, rather
+    eigenvalues sit within _CLUSTER_TOL of each other is discarded; after
+    _REDRAWS such draws a NumericError reports the clustering, rather
     than silently splitting a true multiple point.  Each eigenvector is the
     last right-singular vector of the combination minus its eigenvalue,
     every p_j is a Rayleigh quotient on it, and the t fitted to those
@@ -178,14 +181,14 @@ def joint_spectrum(alg, seed=0, cluster_tol=1e-6, redraws=5):
     dim = alg.dim
     kmats = [np.array(_to_complex(alg.bethe_operator(j))) for j in range(1, n + 1)]
     tried_gaps = []
-    for attempt in range(1, redraws + 1):
+    for attempt in range(1, _REDRAWS + 1):
         c = [int(x) for x in rng.integers(1, 10, size=n) * rng.choice([-1, 1], size=n)]
         comb = ratmat.zeros(dim, dim)
         for j, cj in enumerate(c, start=1):
             comb = ratmat.mat_add(comb, ratmat.mat_scale(Fraction(cj), alg.bethe_operator(j)))
         eigvals = poly_roots(ratmat.charpoly(comb))
         gap = _min_gap(eigvals)
-        if dim > 1 and gap <= cluster_tol:
+        if dim > 1 and gap <= _CLUSTER_TOL:
             tried_gaps.append(gap)
             continue
         cmat = np.array(_to_complex(comb))
@@ -203,7 +206,7 @@ def joint_spectrum(alg, seed=0, cluster_tol=1e-6, redraws=5):
             min_gap=gap,
         )
     raise NumericError(
-        f"every one of {redraws} draws had eigenvalues within {cluster_tol} of "
+        f"every one of {_REDRAWS} draws had eigenvalues within {_CLUSTER_TOL} of "
         f"each other (smallest gaps: {sorted(tried_gaps)}); the fiber looks degenerate"
     )
 
@@ -249,6 +252,8 @@ def _momenta_key(pt):
 # -- the direct route ---------------------------------------------------------
 
 _DEFLATION_CHUNK = 256  # starts run at once against one list of found points
+_STARTS_PER_POINT = 50  # a round draws this many starts per expected point
+_MAX_ITER = 80  # bilinear Newton steps per start (deflated starts get 40 more)
 
 
 def _apply(mat, rows):
@@ -436,10 +441,8 @@ def newton_multistart(
     spec,
     z,
     seed=0,
-    n_starts=None,
     tol=1e-12,
     dedup_tol=1e-7,
-    max_iter=80,
     target_count=None,
     homotopy=True,
     stats=None,
@@ -496,8 +499,7 @@ def newton_multistart(
     n, k = spec.n, spec.k
     if len(z) != n:
         raise UsageError("z has wrong length")
-    if n_starts is None:
-        n_starts = 50 * math.comb(n - 1, k)
+    n_starts = _STARTS_PER_POINT * math.comb(n - 1, k)
     rng = np.random.default_rng(seed)
     b = np.array([[complex(x) for x in row] for row in spec.b])
     a = np.array([complex(x) for x in spec.a])
@@ -555,7 +557,7 @@ def newton_multistart(
         started = time.perf_counter()
         before = len(found)
         t, s = draw(count, random_s)
-        iters = max_iter + 40 if deflate else max_iter
+        iters = _MAX_ITER + 40 if deflate else _MAX_ITER
         pos = converged = 0
         while pos < len(t):
             repel = np.array(found) if deflate else ()
@@ -587,10 +589,8 @@ def newton_multistart(
             spec,
             z0,
             seed=int(rng.integers(0, 2**31)),
-            n_starts=n_starts,
             tol=tol,
             dedup_tol=dedup_tol,
-            max_iter=max_iter,
             target_count=target_count,
             homotopy=False,
         )
@@ -677,6 +677,7 @@ def hessian_matrix(spec, z, t):
 
 
 def _det(rows):
+    """Exact determinant for int/Fraction entries, numpy's complex one otherwise."""
     if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
         return ratmat.det(rows)
     return complex(np.linalg.det(np.array(rows, dtype=complex)))

@@ -133,6 +133,10 @@ def test_config_round_trip():
     assert again == spec
     with pytest.raises(UsageError):
         ArrangementSpec.from_config({"n": 3, "k": 1})
+    # sizes must be integers, not numbers that round or parse to one
+    for n in (3.7, "3"):
+        with pytest.raises(UsageError):
+            ArrangementSpec.from_config(dict(spec.to_config(), n=n))
 
 
 def test_sampling_determinism():

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from critvar import quotient as qt
-from critvar import ratmat
+from critvar import ratmat, spectrum
 from critvar.cli import main
 
 
@@ -174,6 +174,30 @@ def test_usage_errors_give_exit_two(tmp_path, capsys):
     ))
     assert main(["verify", "--config", str(degenerate)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda cfg: cfg.pop("a"), "missing required key 'a'"),
+    (lambda cfg: cfg.update(n=3.5), "n and k must be integers"),
+    (lambda cfg: cfg["b"].__setitem__(1, "2"), "b must be a list of rows"),
+], ids=["missing-key", "fractional-n", "string-row"])
+def test_malformed_config_gives_exit_two(tmp_path, capsys, edit, reason):
+    cfg = {"n": 3, "k": 1, "b": [["1"], ["2"], ["-1"]], "a": ["1", "1", "2"]}
+    edit(cfg)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_numeric_failure_gives_exit_three(config_path, capsys, monkeypatch):
+    # every draw now counts as clustered, so route one runs out of redraws
+    monkeypatch.setattr(spectrum, "_CLUSTER_TOL", math.inf)
+    assert main(["solve", "--config", config_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: ")
+    assert f"every one of {spectrum._REDRAWS} draws" in captured.err
 
 
 def test_solve_requires_a_base_point(tmp_path, capsys):

@@ -211,6 +211,87 @@ def test_singular_subspace_and_mu():
         assert alg.mu_is_isomorphism()
 
 
+def _axis(alg, key):
+    e = [Fraction(0)] * len(alg.all_subsets)
+    e[alg.v_index[key]] = Fraction(1)
+    return e
+
+
+def _s_perp_by_gram(alg, vec):
+    """The projection one vector at a time: B c with G c = B^T S vec, G = B^T S B."""
+    basis, sdiag = alg.sing_basis(), alg.s_diagonal()
+    gram = [[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis]
+            for br in basis]
+    rhs = [sum(x * s * v for x, s, v in zip(br, sdiag, vec)) for br in basis]
+    coeffs = ratmat.solve(gram, rhs)
+    return [sum(c * bvec[i] for c, bvec in zip(coeffs, basis)) for i in range(len(vec))]
+
+
+def _scaled_axis(alg, key):
+    return [x / alg.spec.plucker(key) for x in _s_perp_by_gram(alg, _axis(alg, key))]
+
+
+def _mu_by_axes(alg):
+    return ratmat.transpose([_scaled_axis(alg, mono) for mono in alg.basis])
+
+
+def _mu_consistency_per_subset(alg):
+    """Subsets J whose reduced p_J maps elsewhere than s_perp(v_J) / d_J, one at a time."""
+    mu = _mu_by_axes(alg)
+    return [key for key in alg.all_subsets
+            if ratmat.mat_vec(mu, alg.reduce_monomial(key)) != _scaled_axis(alg, key)]
+
+
+def test_projector_matches_the_per_vector_projection():
+    # k = 1, k = n - 1 (dim 1), and excluded indices other than 1
+    for n, k, seed, j1 in [(4, 1, 71, 1), (4, 3, 72, 1), (4, 2, 73, 3), (5, 2, 74, 5),
+                           (5, 3, 75, 2)]:
+        alg = random_algebra(n, k, seed, j1=j1)
+        columns = [_s_perp_by_gram(alg, _axis(alg, key)) for key in alg.all_subsets]
+        assert alg.projector() == ratmat.transpose(columns)
+        rng = random.Random(seed)
+        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in alg.all_subsets]
+        assert alg.s_perp(vec) == _s_perp_by_gram(alg, vec)
+        assert alg.mu_matrix() == _mu_by_axes(alg)
+        assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == []
+
+
+def test_corrupted_reduction_gives_the_same_bad_subsets():
+    alg = random_algebra(5, 2, 76)
+    corrupt = {alg.all_subsets[0], alg.basis[2], alg.all_subsets[-1]}
+    honest = alg.reduce_monomial
+
+    def reduce_monomial(mono):
+        coords = honest(mono)
+        if tuple(sorted(mono)) in corrupt:
+            coords[0] += Fraction(1, 7)
+        return coords
+
+    alg.operators()  # built from the honest rewrite
+    alg.reduce_monomial = reduce_monomial
+    bad = [key for key in alg.all_subsets if key in corrupt]
+    assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == bad
+
+
+def test_normal_form_is_the_matrix_applied_to_the_unit():
+    for n, k, seed in [(4, 1, 81), (4, 2, 82), (5, 2, 83)]:
+        alg = random_algebra(n, k, seed)
+        p = [LaurentPoly.pvar(n, j) for j in range(1, n + 1)]
+        inv = [LaurentPoly.pvar(n, j, exp=-1) for j in range(1, n + 1)]
+        polys = [
+            inv[0],
+            inv[1] * inv[1] * p[2] - Fraction(3, 5),
+            LaurentPoly.zvar(n, 1) * p[0] * inv[2] + 2 * LaurentPoly.pvar(n, n, exp=-3),
+            g_comb(alg.spec, tuple(range(1, k + 2))),
+        ]
+        for poly in polys:
+            full = alg.multiplication_matrix(poly)
+            assert alg.normal_form(poly) == ratmat.mat_vec(full, alg.element_one())
+        assert alg.multiplication_matrix(inv[0]) == ratmat.inverse(alg.bethe_operator(1))
+        assert alg.multiplication_matrix(p[0] * p[1]) == ratmat.mat_mul(
+            alg.bethe_operator(1), alg.bethe_operator(2))
+
+
 def test_constructor_validation():
     spec = ArrangementSpec(n=3, k=2, b=((1, 0), (0, 1), (1, 1)), a=(1, 1, 1))
     with pytest.raises(DomainError):
