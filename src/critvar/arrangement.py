@@ -160,14 +160,19 @@ class ArrangementSpec:
     def is_off_discriminant(self, z, tol=1e-12):
         """True when every (k+1)-fold intersection is empty at this z.
 
-        Exact for rational z; within |.| > tol for floating point z.
+        Exact for rational z.  A float value v counts as zero when |v| <=
+        tol * sum_m |d_{J minus j_m} z_{j_m}|, the size of the terms it sums.
         """
         if len(z) != self.n:
             raise UsageError("z has wrong length")
         exact = all(isinstance(v, (int, Fraction)) for v in z)
         for iseq in k_subsets(self.n, self.k + 1):
             v = self.discriminant_value(iseq, z)
-            if (v == 0) if exact else (abs(v) <= tol):
+            if exact:
+                if v == 0:
+                    return False
+            elif abs(v) <= tol * sum(abs(self.plucker(iseq[:m] + iseq[m + 1 :]) * z[i - 1])
+                                     for m, i in enumerate(iseq)):
                 return False
         return True
 

@@ -88,6 +88,16 @@ def _load_config(path):
     return raw
 
 
+def _seed(args, raw):
+    """--seed if given, else the config's "seed" (default 0), which must be an int."""
+    if args.seed is not None:
+        return args.seed
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise UsageError(f'"seed" must be an integer, got {seed!r}')
+    return seed
+
+
 def _resolve_z(raw, spec, seed):
     z = raw.get("z")
     if z is None:
@@ -174,7 +184,7 @@ def _cmd_verify(args):
     started = time.perf_counter()
     raw = _load_config(args.config)
     spec = ArrangementSpec.from_config(raw)
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    seed = _seed(args, raw)
     z = _resolve_z(raw, spec, seed)
     checks, stages = [], {}
     last = time.perf_counter()
@@ -269,7 +279,7 @@ def _cmd_solve(args):
     raw = _load_config(args.config)
     spec = ArrangementSpec.from_config(raw)
     spec.require_rational_weights()
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    seed = _seed(args, raw)
     z = _resolve_z(raw, spec, seed)
     if z is None:
         raise UsageError('solve needs "z" in the config (a vector or "sample")')
@@ -345,7 +355,7 @@ def _cmd_flows(args):
     raw = _load_config(args.config)
     spec = ArrangementSpec.from_config(raw)
     spec.require_rational_weights()
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    seed = _seed(args, raw)
     rng = random.Random(seed)
     checks = []
 
@@ -359,6 +369,7 @@ def _cmd_flows(args):
 
     rels = build_relations(spec)
     euler = euler_relation(spec)
+    singles = [g_single(spec, j) for j in range(1, spec.n + 1)]
 
     def member(z, p):
         if not rels.all_vanish_at(z, p):
@@ -434,11 +445,8 @@ def _cmd_flows(args):
             except DomainError:
                 continue
             ok_flow = ok_flow and member(z2, p2)
-            for j in range(1, spec.n + 1):
-                ok_flow = ok_flow and (
-                    g_single(spec, j).evaluate(z2, p2)
-                    == g_single(spec, j).evaluate(zz, pp)
-                )
+            for gj in singles:
+                ok_flow = ok_flow and gj.evaluate(z2, p2) == gj.evaluate(zz, pp)
             count += 1
         z2, p2 = lag.scale_action(Fraction(-5, 3), zz, pp)
         ok_flow = ok_flow and member(z2, p2)

@@ -192,8 +192,6 @@ def transition_expected(spec, iset_from, iset_to):
 
 def transition_jacobian_fd(spec, iset_from, iset_to, z, p, h=1e-6):
     """Central-difference determinant of the chart-I to chart-I' change."""
-    import numpy as np
-
     iset_from = _check_chart(spec, iset_from)
     iset_to = _check_chart(spec, iset_to)
     z_part, p_part = chart_coords(spec, iset_from, z, p)
@@ -202,7 +200,7 @@ def transition_jacobian_fd(spec, iset_from, iset_to, z, p, h=1e-6):
 
     def to_vector(coords):
         zf, pf = chart_complete(spec, iset_from, coords[:kk], coords[kk:])
-        return np.array(chart_vector(spec, iset_to, zf, pf), dtype=complex)
+        return chart_vector(spec, iset_to, zf, pf)
 
     cols = []
     order = []
@@ -217,8 +215,8 @@ def transition_jacobian_fd(spec, iset_from, iset_to, z, p, h=1e-6):
         bump[pos] += h
         dip = list(base)
         dip[pos] -= h
-        cols.append((to_vector(bump) - to_vector(dip)) / (2 * h))
-    return complex(np.linalg.det(np.array(cols).T))
+        cols.append([(u - v) / (2 * h) for u, v in zip(to_vector(bump), to_vector(dip))])
+    return _det(list(zip(*cols)))
 
 
 def projection_jacobian(spec, iset, z, p):
@@ -251,8 +249,6 @@ def projection_jacobian(spec, iset, z, p):
 
 def projection_jacobian_fd(spec, iset, z, p, h=1e-6):
     """The same determinant by central differences of the completion."""
-    import numpy as np
-
     iset = _check_chart(spec, iset)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     z_part, p_part = chart_coords(spec, iset, z, p)
@@ -265,7 +261,7 @@ def projection_jacobian_fd(spec, iset, z, p, h=1e-6):
         zb, _ = chart_complete(spec, iset, z_part, bump)
         zd, _ = chart_complete(spec, iset, z_part, dip)
         cols.append([(zb[j - 1] - zd[j - 1]) / (2 * h) for j in comp])
-    return complex(np.linalg.det(np.array(cols, dtype=complex).T))
+    return _det(list(zip(*cols)))
 
 
 # -- flows ----------------------------------------------------------------------

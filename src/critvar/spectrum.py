@@ -13,7 +13,8 @@ with the analytic Jacobian, then deduplication.
 Both routes should produce the same C(n-1, k) points; the test suite and
 the verify command insist on it.  The closed forms for the Hessian and
 for the Jacobian of the coordinate projection live here too, next to the
-direct determinants they are checked against.
+direct determinants they are checked against.  numpy is imported inside
+the functions that use it, so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import ratmat
 from .arrangement import k_subsets
@@ -176,6 +175,7 @@ def joint_spectrum(alg, seed=0):
     every p_j is a Rayleigh quotient on it, and the t fitted to those
     momenta is polished by Newton at z (see _point_from_momenta).
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     n = alg.spec.n
     dim = alg.dim
@@ -217,6 +217,7 @@ def _to_complex(mat):
 
 def _min_gap(values):
     """Smallest distance between two entries: numbers, or points by largest coordinate."""
+    import numpy as np
     if len(values) < 2:
         return math.inf
     arr = np.array(values, dtype=complex).reshape(len(values), -1)
@@ -230,6 +231,7 @@ def _point_from_momenta(spec, z, p):
     Newton at z then polishes t; when it converges, p becomes a / f at the
     polished t, and otherwise the given momenta stand.
     """
+    import numpy as np
     b = np.array([[complex(x) for x in row] for row in spec.b])
     a = np.array([complex(x) for x in spec.a])
     zc = np.array([complex(v) for v in z])
@@ -269,6 +271,7 @@ def _apply(mat, rows):
 
 def _solve_rows(mats, rhs):
     """np.linalg.solve on a stack; a row whose matrix is singular comes back NaN."""
+    import numpy as np
     try:
         return np.linalg.solve(mats, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -298,6 +301,7 @@ def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
     polish never sees the deflation, so repelling cannot invent a
     solution that was not already there.
     """
+    import numpy as np
     k = t.shape[1]
     t, s = t.copy(), s.copy()
     solved = np.zeros(len(t), dtype=bool)
@@ -349,6 +353,7 @@ def _polish(b, a, zc, t, sweeps, gtol):
     way.  The (B, k, k) Hessians -sum_j a_j b^m_j b^l_j / f_j^2 go through
     one batched solve per sweep.
     """
+    import numpy as np
     t = np.array(t, dtype=complex)
     done = np.zeros(len(t), dtype=bool)
     live = np.arange(len(t))
@@ -380,12 +385,12 @@ def _gradient_floor(b, a, f):
     this scale (which is O(1) at comfortable roots).  f holds one row of
     hyperplane values per point.
     """
-    return 1.0 + _apply(np.abs(b).T, np.abs(a) / np.abs(f))
+    return 1.0 + _apply(abs(b).T, abs(a) / abs(f))
 
 
 def _correct_at(b, a, zt, t, sweeps=15, gtol=1e-10):
     """Newton on the bare critical equations at fixed z; corrected t or None."""
-    out, ok = _polish(b, a, zt, np.asarray(t)[None], sweeps, gtol)
+    out, ok = _polish(b, a, zt, [t], sweeps, gtol)
     return out[0] if ok[0] else None
 
 
@@ -398,6 +403,7 @@ def _track_paths(b, a, z_from, z_to, roots):
     likely hopped onto a neighboring path, so the step is rejected the
     same way; a path that cannot be continued is dropped, never guessed.
     """
+    import numpy as np
     dz = z_to - z_from
     survivors = []
     for start in roots:
@@ -496,6 +502,7 @@ def newton_multistart(
     "deflation", "continuation") is stored in it as {"starts",
     "converged", "added", "seconds"}, summed over the tier's rounds.
     """
+    import numpy as np
     n, k = spec.n, spec.k
     if len(z) != n:
         raise UsageError("z has wrong length")
@@ -677,10 +684,22 @@ def hessian_matrix(spec, z, t):
 
 
 def _det(rows):
-    """Exact determinant for int/Fraction entries, numpy's complex one otherwise."""
+    """Exact determinant for int/Fraction entries, else complex LU, partial pivoting."""
     if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
         return ratmat.det(rows)
-    return complex(np.linalg.det(np.array(rows, dtype=complex)))
+    m = [[complex(x) for x in row] for row in rows]
+    det = 1 + 0j
+    for c in range(len(m)):
+        piv = max(range(c, len(m)), key=lambda r: abs(m[r][c]))
+        if m[piv][c] == 0:
+            return 0j
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
 
 
 def hessian_direct(spec, z, t):

@@ -112,6 +112,9 @@ def test_off_discriminant():
     assert not spec.is_off_discriminant([1, 1, 2])  # triple point: z3 = z1 + z2
     assert not spec.is_off_discriminant([1.0, 1.0, 2.0 + 1e-15])
     assert spec.is_off_discriminant([1.0, 1.0, 2.5])
+    # the float test is relative to the terms' size: scaling z keeps the answer
+    assert spec.is_off_discriminant([1e-13, 1e-13, 2.5e-13])
+    assert not spec.is_off_discriminant([1e8, 1e8, 2e8 + 3e-8])  # one ulp off
 
 
 def test_momenta_and_gradient_at_known_critical_point():

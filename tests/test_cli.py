@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import critvar
 from critvar import quotient as qt
 from critvar import ratmat, spectrum
 from critvar.cli import main
@@ -180,7 +186,9 @@ def test_usage_errors_give_exit_two(tmp_path, capsys):
     (lambda cfg: cfg.pop("a"), "missing required key 'a'"),
     (lambda cfg: cfg.update(n=3.5), "n and k must be integers"),
     (lambda cfg: cfg["b"].__setitem__(1, "2"), "b must be a list of rows"),
-], ids=["missing-key", "fractional-n", "string-row"])
+    (lambda cfg: cfg.update(seed=1.5), '"seed" must be an integer'),
+    (lambda cfg: cfg.update(seed="7"), '"seed" must be an integer'),
+], ids=["missing-key", "fractional-n", "string-row", "fractional-seed", "string-seed"])
 def test_malformed_config_gives_exit_two(tmp_path, capsys, edit, reason):
     cfg = {"n": 3, "k": 1, "b": [["1"], ["2"], ["-1"]], "a": ["1", "1", "2"]}
     edit(cfg)
@@ -217,3 +225,25 @@ def test_sampled_base_point_is_accepted(tmp_path, capsys):
     assert rc == 0
     assert len(report["points"]) == 2
     assert len(report["config"]["z"]) == 3
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    # gen, verify and flows are exact arithmetic; only solve needs numpy
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from critvar.cli import main
+        cfg = sys.argv[1]
+        runs = [["gen", "--n", "4", "--k", "2", "--seed", "3", "--out", cfg],
+                ["verify", "--config", cfg], ["flows", "--config", cfg]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+            before = "numpy" in sys.modules
+            codes.append(main(["solve", "--config", cfg]))
+        print(json.dumps([codes, before, "numpy" in sys.modules]))
+    """)
+    src = str(Path(critvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "cfg.json")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [[0, 0, 0, 0], False, True]

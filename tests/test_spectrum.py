@@ -12,6 +12,7 @@ from critvar.errors import UsageError
 from critvar.quotient import QuotientAlgebra
 from critvar.spectrum import (
     _bilinear_batch,
+    _det,
     hessian_direct,
     hessian_formula,
     jacobian_formula,
@@ -365,6 +366,23 @@ def test_match_point_sets_reports_ambiguity():
     assert not ok and worst == pytest.approx(0.1)
     ok, worst = match_point_sets([(0j,), (1 + 0j,)], [(0.1 + 0j,), (0.9 + 0j,)], tol=0.2)
     assert ok and worst == pytest.approx(0.1)
+
+
+def test_float_det_matches_numpy():
+    # |difference| within 1e-12 of the Hadamard bound, the product of row norms
+    rng = np.random.default_rng(21)
+    mats = [rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for m in range(1, 9)]
+    swap = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    swap[0, 0] = 0  # elimination must exchange rows before its first step
+    singular = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    singular[3] = 2 * singular[1] - 1j * singular[4]
+    for mat in mats + [swap, singular]:
+        got = _det(mat.tolist())
+        assert isinstance(got, complex)
+        bound = np.prod(np.linalg.norm(mat, axis=1))
+        assert abs(got - np.linalg.det(mat)) <= 1e-12 * bound
+    assert _det([[0j, 1], [1, 0]]) == -1
+    assert _det([[1.0, 2.0], [2.0, 4.0]]) == 0
 
 
 def test_hessian_oracles():
