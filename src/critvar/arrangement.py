@@ -126,6 +126,12 @@ class ArrangementSpec:
             return Fraction(0)
         return _perm_sign(seq) * self._minors[tuple(sorted(seq))]
 
+    def discriminant_coeffs(self, iseq):
+        """(i_m, (-1)^(m-1) d_{iseq minus i_m}) for k+1 indices i_1 < .. < i_{k+1}."""
+        iseq = self._check_subset(iseq, self.k + 1)
+        return [(i, (-1) ** m * self.plucker(iseq[:m] + iseq[m + 1 :]))
+                for m, i in enumerate(iseq)]
+
     def discriminant_form(self, iseq):
         """The z-linear form attached to k+1 hyperplanes i_1 < .. < i_{k+1}.
 
@@ -133,27 +139,20 @@ class ArrangementSpec:
         k indices; the arrangement has a nonempty intersection of the k+1
         planes exactly on the zero set of this form.
         """
-        iseq = self._check_subset(iseq, self.k + 1)
         poly = LaurentPoly.zero(self.n)
-        for m, i in enumerate(iseq):
-            rest = iseq[:m] + iseq[m + 1 :]
-            poly = poly + (-1) ** m * self.plucker(rest) * LaurentPoly.zvar(self.n, i)
+        for i, c in self.discriminant_coeffs(iseq):
+            poly = poly + c * LaurentPoly.zvar(self.n, i)
         return poly
 
     def discriminant_value(self, iseq, z):
         """discriminant_form evaluated at z, without building a polynomial."""
-        iseq = self._check_subset(iseq, self.k + 1)
-        total = 0
-        for m, i in enumerate(iseq):
-            rest = iseq[:m] + iseq[m + 1 :]
-            total += (-1) ** m * self.plucker(rest) * z[i - 1]
-        return total
+        return sum(c * z[i - 1] for i, c in self.discriminant_coeffs(iseq))
 
     def _check_subset(self, seq, size):
         seq = tuple(seq)
         if len(seq) != size or list(seq) != sorted(set(seq)):
             raise UsageError(f"expected {size} strictly increasing indices, got {seq}")
-        if seq[-1] > self.n or seq[0] < 1:
+        if seq and (seq[0] < 1 or seq[-1] > self.n):
             raise UsageError(f"indices {seq} out of range 1..{self.n}")
         return seq
 
@@ -167,12 +166,9 @@ class ArrangementSpec:
             raise UsageError("z has wrong length")
         exact = all(isinstance(v, (int, Fraction)) for v in z)
         for iseq in k_subsets(self.n, self.k + 1):
-            v = self.discriminant_value(iseq, z)
-            if exact:
-                if v == 0:
-                    return False
-            elif abs(v) <= tol * sum(abs(self.plucker(iseq[:m] + iseq[m + 1 :]) * z[i - 1])
-                                     for m, i in enumerate(iseq)):
+            terms = [c * z[i - 1] for i, c in self.discriminant_coeffs(iseq)]
+            v = sum(terms)
+            if (v == 0) if exact else abs(v) <= tol * sum(map(abs, terms)):
                 return False
         return True
 
@@ -181,9 +177,8 @@ class ArrangementSpec:
         rows = []
         for iseq in k_subsets(self.n, self.k + 1):
             row = [Fraction(0)] * self.n
-            for m, i in enumerate(iseq):
-                rest = iseq[:m] + iseq[m + 1 :]
-                row[i - 1] = (-1) ** m * self.plucker(rest)
+            for i, c in self.discriminant_coeffs(iseq):
+                row[i - 1] = c
             rows.append(row)
         return ratmat.rank(rows)
 

@@ -23,7 +23,10 @@ expected), and timing; verify's timing also has "stages", the seconds
 spent on each check, keyed by check name in run order.  solve's stages
 are the spectral route and each Newton tier that ran ("newton_plain",
 ...), and its "diagnostics.newton" gives each such tier's starts,
-converged runs and distinct points added.  Complex numbers are
+converged runs and distinct points added; verify's
+"diagnostics.verify" gives the path its operator identities took
+("unit_orbit", "full_matrix", or null without a base point) and the
+identities checked out of the total.  Complex numbers are
 [re, im] pairs.  Exit status:
 0 all checks passed, 1 at least one failed, 2 bad usage or bad input
 data, 3 a numeric procedure gave up.
@@ -213,6 +216,11 @@ def _cmd_verify(args):
     bad = [r for r in reports if not r.ok]
     record(_check("generator_brackets", not bad, None, len(reports), 0))
 
+    # operator identities: commutator pairs, first kind, second kind, Euler, weighted sums
+    n, k = spec.n, spec.k
+    diag = {"path": None, "identities_checked": 0,
+            "identities_total": math.comb(n, 2) + math.comb(n, k - 1)
+            + math.comb(n, k + 1) + 1 + math.comb(n, k)}
     if z is None:
         for name in ("quotient_dimension", "operator_commutators", "unit_vector_cyclic",
                      "first_kind_operators", "second_kind_operators",
@@ -220,7 +228,7 @@ def _cmd_verify(args):
                      "special_vector_map"):
             checks.append(_skip(name, 'needs "z" in the config'))
         return _finish("verify", raw, spec, z, seed, checks, started, args.out,
-                       stages=stages)
+                       {"diagnostics": {"verify": diag}}, stages)
 
     alg = qt.QuotientAlgebra(spec, z)
     dim = alg.dim
@@ -234,33 +242,28 @@ def _cmd_verify(args):
             pairs += 1
     record(_check("operator_commutators", worst == 0, worst, pairs, 0))
     commute = worst == 0
+    diag["identities_checked"] += pairs
 
     # With commuting operators and a cyclic unit, P(K) = 0 iff P(K) u = 0
     # (see qt.unit_orbit); otherwise every identity is checked in full.
     rank = ratmat.rank(qt.unit_orbit(alg))
     record(_check("unit_vector_cyclic", rank == dim, None, rank, dim))
     start = qt.unit_column(alg) if commute and rank == dim else None
+    diag["path"] = "full_matrix" if start is None else "unit_orbit"
 
-    worst, count = 0.0, 0
-    for iset in k_subsets(spec.n, spec.k - 1):
-        worst = max(worst, _mat_residual(qt.first_kind_operator_residual(alg, iset, start)))
-        count += 1
-    record(_check("first_kind_operators", worst == 0, worst, count, 0))
-
-    worst, count = 0.0, 0
-    for jset in k_subsets(spec.n, spec.k + 1):
-        worst = max(worst, _mat_residual(qt.second_kind_operator_residual(alg, jset, start)))
-        count += 1
-    record(_check("second_kind_operators", worst == 0, worst, count, 0))
-
-    worst = _mat_residual(qt.euler_operator_residual(alg, start))
-    record(_check("euler_operator", worst == 0, worst, 1, 0))
-
-    worst, count = 0.0, 0
-    for iset in k_subsets(spec.n, spec.k):
-        worst = max(worst, _mat_residual(qt.weighted_sum_operator_residual(alg, iset, start)))
-        count += 1
-    record(_check("weighted_sum_operators", worst == 0, worst, count, 0))
+    families = [
+        ("first_kind_operators", qt.first_kind_operator_residual, k_subsets(n, k - 1)),
+        ("second_kind_operators", qt.second_kind_operator_residual, k_subsets(n, k + 1)),
+        ("euler_operator", lambda a, _, s: qt.euler_operator_residual(a, s), [None]),
+        ("weighted_sum_operators", qt.weighted_sum_operator_residual, k_subsets(n, k)),
+    ]
+    for name, residual, subsets in families:
+        worst, count = 0.0, 0
+        for sub in subsets:
+            worst = max(worst, _mat_residual(residual(alg, sub, start)))
+            count += 1
+        record(_check(name, worst == 0, worst, count, 0))
+        diag["identities_checked"] += count
 
     bad_subsets = alg.mu_consistency()
     ok = not bad_subsets and alg.mu_is_isomorphism()
@@ -268,7 +271,8 @@ def _cmd_verify(args):
                   len(alg.all_subsets) - len(bad_subsets),
                   len(alg.all_subsets)))
 
-    return _finish("verify", raw, spec, z, seed, checks, started, args.out, stages=stages)
+    return _finish("verify", raw, spec, z, seed, checks, started, args.out,
+                   {"diagnostics": {"verify": diag}}, stages)
 
 
 # -- solve ------------------------------------------------------------------------
@@ -372,12 +376,7 @@ def _cmd_flows(args):
     singles = [g_single(spec, j) for j in range(1, spec.n + 1)]
 
     def member(z, p):
-        if not rels.all_vanish_at(z, p):
-            return False
-        for jset in k_subsets(spec.n, spec.k + 1):
-            if rels.g[jset].evaluate(z, p) != 0:
-                return False
-        return euler.evaluate(z, p) == 0
+        return rels.all_vanish_at(z, p, [*rels.g.values(), euler])
 
     good = sum(1 for _, (zz, pp) in samples if member(zz, pp))
     checks.append(_check("chart_membership", good == len(samples),

@@ -12,11 +12,12 @@ Values are immutable; every operation returns a new polynomial.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
 
-__all__ = ["LaurentPoly", "poisson"]
+__all__ = ["LaurentPoly", "poisson", "vanish_at"]
 
 
 def _as_fraction(c):
@@ -303,6 +304,41 @@ class LaurentPoly:
         for key in self.terms:
             used.update(v for v, _ in key)
         return used
+
+
+def vanish_at(polys, zvals, pvals):
+    """True when every polynomial is exactly 0 at a rational point; stops at the first not.
+
+    One power table per point maps (var_id, exp) to x^exp as an integer
+    pair (top, bottom).  A term is c times its pairs' product, dropped at
+    the first zero coordinate in its key or raising DomainError there at a
+    pole, as evaluate does; a polynomial vanishes iff the integer sum of
+    the tops over the lcm of the bottoms does.
+    """
+    vals = [_as_fraction(v) for v in (*zvals, *pvals)]
+    table = {}
+    for poly in polys:
+        if len(zvals) != poly.n or len(pvals) != poly.n:
+            raise UsageError("point dimension does not match variable count")
+        terms = []
+        for key, c in poly.terms.items():
+            top, bottom = c.numerator, c.denominator
+            for pair in key:
+                if pair not in table:
+                    x, e = vals[pair[0]], pair[1]
+                    table[pair] = ((x.numerator ** e, x.denominator ** e) if e > 0
+                                   else (x.denominator ** -e, x.numerator ** -e))
+                num, den = table[pair]
+                if not den:
+                    raise DomainError(f"pole: variable id {pair[0]} is 0 with exponent {pair[1]}")
+                top, bottom = top * num, bottom * den
+                if not num:
+                    break
+            terms.append((top, bottom))
+        common = math.lcm(*(b for _, b in terms))
+        if sum(t * (common // b) for t, b in terms):
+            return False
+    return True
 
 
 def poisson(m, other):

@@ -22,12 +22,16 @@ operators carry the whole structure, and their joint spectrum recovers the
 critical points themselves (the numeric side of that lives in spectrum.py).
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
-its terms at z become (c, indices) pairs, an index -j standing for the
-cached K_j^-1, and _combination sums c K_I over them, either as a full
-matrix or applied to a start block.  multiplication_matrix, normal_form
+its terms at z become (c, indices) pairs, an index -j standing for
+K_j^-1, and _combination sums c K_I start over them as one integer sum of
+orbit-table columns.  Each K_j^(+-1) is cleared to A_j / D_j once; the
+table entry for I is K_I start, one A_j applied in int to the entry one
+index shorter.  Each start block's table is kept per algebra (start=None
+is the identity, giving full matrices); the unit's holds K_I u = e_I,
+the certificate unit_orbit reads.  multiplication_matrix, normal_form
 (applied to the unit) and the operator forms of the first-kind,
-second-kind and Euler relations, taken straight from relations.py, all go
-through it.
+second-kind and Euler relations, taken straight from relations.py, all
+go through it.
 
 The module also realizes the singular-vector model: inside the big
 coordinate space V with one axis v_I per k-subset I, the weighted
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import ratmat, relations
@@ -122,7 +127,8 @@ class QuotientAlgebra:
         self.all_subsets = tuple(k_subsets(spec.n, spec.k))
         self.v_index = {key: r for r, key in enumerate(self.all_subsets)}
         self._ops = {}
-        self._inv_ops = {}
+        self._int_ops = {}
+        self._orbits = {}
         self._one = None
         self._sing = None
         self._proj = None
@@ -178,10 +184,9 @@ class QuotientAlgebra:
         for j in jset:
             rest.remove(j)
         fj = self.spec.discriminant_value(jset, self.z)
-        for m, j in enumerate(jset):
-            others = jset[:m] + jset[m + 1 :]
-            c = (-1) ** m * self.spec.a[j - 1] * self.spec.plucker(others) / fj
-            _bump(work, tuple(sorted(rest + list(others))), coeff * c)
+        for j, d in self.spec.discriminant_coeffs(jset):
+            others = [v for v in jset if v != j]
+            _bump(work, tuple(sorted(rest + others)), coeff * self.spec.a[j - 1] * d / fj)
 
     def _split_repeat(self, work, key, coeff, support):
         i = next(v for v in support if key.count(v) > 1)
@@ -211,11 +216,12 @@ class QuotientAlgebra:
     def operators(self):
         return [self.bethe_operator(j) for j in range(1, self.spec.n + 1)]
 
-    def _inverse_operator(self, j):
-        """K_j^-1, cached; p_j is invertible on the fiber, so K_j is too."""
-        if j not in self._inv_ops:
-            self._inv_ops[j] = ratmat.inverse(self.bethe_operator(j))
-        return self._inv_ops[j]
+    def int_operator(self, j):
+        """(D, A) with K_j = A / D in int, cached; j < 0 gives K_|j|^-1 (p_j is a unit)."""
+        if j not in self._int_ops:
+            op = self.bethe_operator(abs(j))
+            self._int_ops[j] = ratmat._cleared(op if j > 0 else ratmat.inverse(op))
+        return self._int_ops[j]
 
     def element_one(self):
         """Coordinates of the unit: the empty monomial, rewritten onto the basis."""
@@ -358,11 +364,12 @@ def unit_orbit(alg):
     K_I u = [p_I] = e_I: W is the identity matrix.  When the K_j commute
     and W has full rank (u is cyclic), P(K) u = 0 gives
     P(K) K^alpha u = K^alpha P(K) u = 0 for every alpha; the K^alpha u
-    span the algebra, so P(K) = 0.
+    span the algebra, so P(K) = 0.  The columns are read off the unit's
+    orbit table, the one the identity families sum.
     """
-    start = unit_column(alg)
-    cols = [_op_product(alg, mono, start) for mono in alg.basis]
-    return [[col[r][0] for col in cols] for r in range(alg.dim)]
+    table = _orbit_table(alg, unit_column(alg))
+    cols = [_orbit_entry(alg, table, mono) for mono in alg.basis]
+    return [[Fraction(col[0][r], den) for den, col in cols] for r in range(alg.dim)]
 
 
 def first_kind_operator_residual(alg, iset, start=None):
@@ -394,8 +401,11 @@ def weighted_sum_operator_residual(alg, iset, start=None):
 
 
 def commutator_residual(alg, i, j):
-    ki, kj = alg.bethe_operator(i), alg.bethe_operator(j)
-    return ratmat.mat_add(ratmat.mat_mul(ki, kj), ratmat.mat_scale(-1, ratmat.mat_mul(kj, ki)))
+    """K_i K_j - K_j K_i, from the cached integer operators."""
+    (di, ai), (dj, aj) = alg.int_operator(i), alg.int_operator(j)
+    ci, cj = list(zip(*ai)), list(zip(*aj))
+    return [[Fraction(sum(map(operator.mul, ri, y)) - sum(map(operator.mul, rj, x)), di * dj)
+             for x, y in zip(ci, cj)] for ri, rj in zip(ai, aj)]
 
 
 def _poly_terms(alg, poly):
@@ -413,18 +423,33 @@ def _poly_terms(alg, poly):
 
 
 def _combination(alg, terms, start):
-    """sum of c K_I start over the (c, I) in terms."""
-    cols = alg.dim if start is None else len(start[0])
-    total = ratmat.zeros(alg.dim, cols)
-    for c, indices in terms:
-        total = ratmat.mat_add(total, ratmat.mat_scale(c, _op_product(alg, indices, start)))
-    return total
+    """sum of c K_I start over the (c, I) in terms, one integer sum of table columns."""
+    table = _orbit_table(alg, start)
+    entries = [(c, _orbit_entry(alg, table, indices)) for c, indices in terms]
+    den = math.lcm(*(c.denominator * d for c, (d, _) in entries))
+    sums = [[0] * alg.dim for _ in table[()][1]]
+    for c, (d, cols) in entries:
+        scale = c.numerator * (den // (c.denominator * d))
+        for acc, col in zip(sums, cols):
+            acc[:] = [x + scale * y for x, y in zip(acc, col)]
+    return [[Fraction(col[r], den) for col in sums] for r in range(alg.dim)]
 
 
-def _op_product(alg, indices, start=None):
-    """K_{i_r}(..(K_{i_1} start)), K_{-j} meaning K_j^-1; start=None is the identity."""
-    mat = start
-    for i in indices:
-        op = alg.bethe_operator(i) if i > 0 else alg._inverse_operator(-i)
-        mat = op if mat is None else ratmat.mat_mul(op, mat)
-    return ratmat.identity(alg.dim) if mat is None else mat
+def _orbit_table(alg, start):
+    """index tuple -> (den, int columns) of K_I start, kept per algebra and start."""
+    key = None if start is None else tuple(map(tuple, start))
+    if key not in alg._orbits:
+        den, ints = ratmat._cleared(ratmat.identity(alg.dim) if start is None else start)
+        alg._orbits[key] = {(): (den, [list(col) for col in zip(*ints)])}
+    return alg._orbits[key]
+
+
+def _orbit_entry(alg, table, indices):
+    """K_I start as (den, int columns): K_{i_r} applied to the entry for I minus i_r."""
+    if indices not in table:
+        den, cols = _orbit_entry(alg, table, indices[:-1])
+        dj, op = alg.int_operator(indices[-1])
+        cols = [[sum(map(operator.mul, row, col)) for row in op] for col in cols]
+        g = math.gcd(den * dj, *(x for col in cols for x in col))
+        table[indices] = (den * dj // g, [[x // g for x in col] for col in cols])
+    return table[indices]

@@ -20,8 +20,6 @@ __all__ = [
     "transpose",
     "mat_mul",
     "mat_vec",
-    "mat_add",
-    "mat_scale",
     "rref",
     "rank",
     "solve",
@@ -69,14 +67,6 @@ def mat_vec(a, v):
     if len(a[0]) != len(v):
         raise UsageError(f"shape mismatch: {len(a)}x{len(a[0])} times vector of length {len(v)}")
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def rref(mat):

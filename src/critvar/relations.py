@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .arrangement import k_subsets
 from .errors import UsageError
-from .laurent import LaurentPoly, poisson
+from .laurent import LaurentPoly, poisson, vanish_at
 
 __all__ = [
     "first_kind",
@@ -48,7 +48,7 @@ __all__ = [
 
 def first_kind(spec, iset):
     """F_I for a (k-1)-subset I; terms with j in I drop out on their own."""
-    iset = _inc_tuple(spec, iset, spec.k - 1)
+    iset = spec._check_subset(iset, spec.k - 1)
     poly = LaurentPoly.zero(spec.n)
     for j in range(1, spec.n + 1):
         if j in iset:
@@ -60,16 +60,16 @@ def first_kind(spec, iset):
 def second_kind(spec, jset):
     """F_J for a (k+1)-subset J."""
     spec.require_rational_weights()
-    jset = _inc_tuple(spec, jset, spec.k + 1)
+    jset = spec._check_subset(jset, spec.k + 1)
     n = spec.n
     poly = spec.discriminant_form(jset)
     for j in jset:
         poly = poly * LaurentPoly.pvar(n, j)
-    for m, j in enumerate(jset):
-        rest = jset[:m] + jset[m + 1 :]
-        mono = LaurentPoly.const(n, -((-1) ** m) * spec.a[j - 1] * spec.plucker(rest))
-        for l in rest:
-            mono = mono * LaurentPoly.pvar(n, l)
+    for j, d in spec.discriminant_coeffs(jset):
+        mono = LaurentPoly.const(n, -spec.a[j - 1] * d)
+        for l in jset:
+            if l != j:
+                mono = mono * LaurentPoly.pvar(n, l)
         poly = poly + mono
     return poly
 
@@ -85,11 +85,9 @@ def g_single(spec, j):
 
 def g_comb(spec, jset):
     """G_J = sum_m (-1)^(m-1) d_{J minus j_m} G_{j_m} over a (k+1)-subset."""
-    jset = _inc_tuple(spec, jset, spec.k + 1)
     poly = LaurentPoly.zero(spec.n)
-    for m, j in enumerate(jset):
-        rest = jset[:m] + jset[m + 1 :]
-        poly = poly + (-1) ** m * spec.plucker(rest) * g_single(spec, j)
+    for j, c in spec.discriminant_coeffs(jset):
+        poly = poly + c * g_single(spec, j)
     return poly
 
 
@@ -103,15 +101,6 @@ def euler_relation(spec):
     return poly
 
 
-def _inc_tuple(spec, seq, size):
-    seq = tuple(seq)
-    if len(seq) != size or list(seq) != sorted(set(seq)):
-        raise UsageError(f"expected {size} strictly increasing indices, got {seq}")
-    if seq and (seq[0] < 1 or seq[-1] > spec.n):
-        raise UsageError(f"indices {seq} out of range 1..{spec.n}")
-    return seq
-
-
 @dataclass(frozen=True)
 class RelationSet:
     """Every generator of one instance, keyed by its subset."""
@@ -121,12 +110,10 @@ class RelationSet:
     second: dict  # (k+1)-subset -> F_J
     g: dict  # (k+1)-subset -> G_J
 
-    def all_vanish_at(self, z, p):
-        """Exact membership test for a rational phase-space point."""
-        for poly in list(self.first.values()) + list(self.second.values()):
-            if poly.evaluate(z, p) != 0:
-                return False
-        return True
+    def all_vanish_at(self, z, p, extra=()):
+        """Exact membership test for a rational point: the first- and second-kind
+        generators, then the polynomials in extra, in order (laurent.vanish_at)."""
+        return vanish_at([*self.first.values(), *self.second.values(), *extra], z, p)
 
 
 def build_relations(spec):

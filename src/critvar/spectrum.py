@@ -179,13 +179,13 @@ def joint_spectrum(alg, seed=0):
     rng = np.random.default_rng(seed)
     n = alg.spec.n
     dim = alg.dim
-    kmats = [np.array(_to_complex(alg.bethe_operator(j))) for j in range(1, n + 1)]
+    ops = alg.operators()
+    kmats = [np.array(_to_complex(op)) for op in ops]
     tried_gaps = []
     for attempt in range(1, _REDRAWS + 1):
         c = [int(x) for x in rng.integers(1, 10, size=n) * rng.choice([-1, 1], size=n)]
-        comb = ratmat.zeros(dim, dim)
-        for j, cj in enumerate(c, start=1):
-            comb = ratmat.mat_add(comb, ratmat.mat_scale(Fraction(cj), alg.bethe_operator(j)))
+        comb = [[sum(cj * op[r][s] for cj, op in zip(c, ops)) for s in range(dim)]
+                for r in range(dim)]
         eigvals = poly_roots(ratmat.charpoly(comb))
         gap = _min_gap(eigvals)
         if dim > 1 and gap <= _CLUSTER_TOL:
@@ -225,6 +225,9 @@ def _min_gap(values):
     return float(gaps[np.triu_indices(len(arr), 1)].min())
 
 
+_POLISH = (20, 1e-12)  # sweeps and gradient tolerance of both routes' final polish
+
+
 def _point_from_momenta(spec, z, p):
     """Rebuild t from momenta by least squares on f_j = a_j / p_j = z_j + (b t)_j.
 
@@ -236,7 +239,7 @@ def _point_from_momenta(spec, z, p):
     a = np.array([complex(x) for x in spec.a])
     zc = np.array([complex(v) for v in z])
     t, *_ = np.linalg.lstsq(b, a / np.array(p) - zc, rcond=None)
-    polished = _correct_at(b, a, zc, t)
+    polished = _correct_at(b, a, zc, t, *_POLISH)
     if polished is not None:
         t = polished
         p = a / (zc + b @ t)
@@ -340,7 +343,7 @@ def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
         live = live[finite]
         t[live], s[live] = tl[finite], sl[finite]
     rows = np.flatnonzero(solved)
-    t[rows], solved[rows] = _polish(b, a, zc, t[rows], 20, tol)
+    t[rows], solved[rows] = _polish(b, a, zc, t[rows], _POLISH[0], tol)
     return t, solved
 
 
@@ -447,7 +450,7 @@ def newton_multistart(
     spec,
     z,
     seed=0,
-    tol=1e-12,
+    tol=_POLISH[1],
     dedup_tol=1e-7,
     target_count=None,
     homotopy=True,

@@ -50,6 +50,9 @@ def test_verify_reports_every_identity(config_path, capsys):
     assert cyclic["count"] == cyclic["expected"] == 3
     # one entry per check, in run order
     assert list(report["timing"]["stages"]) == [c["name"] for c in report["checks"]]
+    # 6 commutator pairs, 4 + 4 first and second kind, 1 Euler, 6 weighted sums
+    assert report["diagnostics"] == {"verify": {
+        "path": "unit_orbit", "identities_checked": 21, "identities_total": 21}}
 
 
 @pytest.mark.parametrize("attr, fake, failing", [
@@ -74,6 +77,8 @@ def test_uncertified_unit_vector_falls_back_to_full_matrices(config_path, capsys
     assert rc == 1
     assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == [failing]
     assert starts and all(start is None for start in starts)
+    assert report["diagnostics"]["verify"] == {
+        "path": "full_matrix", "identities_checked": 21, "identities_total": 21}
 
 
 def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
@@ -88,6 +93,9 @@ def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
     assert statuses["unit_vector_cyclic"] == "skipped"
     assert list(report["timing"]["stages"]) == [
         "minor_relations", "discriminant_span_rank", "generator_brackets"]
+    # 3 commutator pairs, 1 + 3 first and second kind, 1 Euler, 3 weighted sums
+    assert report["diagnostics"]["verify"] == {
+        "path": None, "identities_checked": 0, "identities_total": 11}
 
 
 def test_verify_checks_every_minor_relation_pair(tmp_path, capsys):
@@ -122,6 +130,34 @@ def test_solve_finds_and_cross_checks_critical_points(config_path, capsys):
         assert row["starts"] >= row["converged"] >= row["added"]
         assert f"newton_{tier}" in report["timing"]["stages"]
     assert "joint_spectrum" in report["timing"]["stages"]
+
+
+def _generated(tmp_path, capsys, n, k, seed):
+    path = tmp_path / f"gen_{n}_{k}_{seed}.json"
+    assert main(["gen", "--n", str(n), "--k", str(k), "--seed", str(seed),
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def test_both_routes_polish_alike(tmp_path, capsys):
+    # route one used to stop its polish at gtol 1e-10 where route two goes
+    # on to 1e-12, and the two then differed by 5.0e-9 here
+    rc, report = run_json(capsys, ["solve", "--config", _generated(tmp_path, capsys, 7, 3, 5)])
+    match = next(c for c in report["checks"] if c["name"] == "spectral_newton_match")
+    assert match["status"] == "pass" and match["residual"] < 1e-10
+    assert rc == 0
+
+
+@pytest.mark.parametrize("n, k, seed", [(6, 3, 800004), (6, 2, 827000)])
+def test_fd_jacobians_survive_rounding_and_truncation(tmp_path, capsys, n, k, seed):
+    # the projection Jacobian missed --tol-fd 1e-6 by rounding with one
+    # central difference at h = 1e-6 (1.6e-6 on 800004), and by truncation
+    # with extrapolated ones from h = 1e-3 (4.2e-6 on 827000)
+    rc, report = run_json(capsys, ["flows", "--config", _generated(tmp_path, capsys, n, k, seed)])
+    assert rc == 0 and all(c["status"] == "pass" for c in report["checks"])
+    fd = {c["name"]: c["residual"] for c in report["checks"] if c["name"].endswith("_fd")}
+    assert fd["projection_jacobian_fd"] < 1e-7 and fd["transition_jacobian_fd"] < 1e-7
 
 
 def test_solve_is_deterministic_modulo_timing(config_path, capsys):

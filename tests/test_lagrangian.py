@@ -24,12 +24,7 @@ def plane_triple():
 def on_variety(spec, z, p):
     """Exact check of every defining relation at a rational point."""
     rels = build_relations(spec)
-    if not rels.all_vanish_at(z, p):
-        return False
-    for jset in k_subsets(spec.n, spec.k + 1):
-        if rels.g[jset].evaluate(z, p) != 0:
-            return False
-    return euler_relation(spec).evaluate(z, p) == 0
+    return rels.all_vanish_at(z, p, [*rels.g.values(), euler_relation(spec)])
 
 
 def test_completion_matches_known_critical_points():

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from critvar import lagrangian as lag
+from critvar.arrangement import k_subsets, random_generic
 from critvar.errors import DomainError, UsageError
-from critvar.laurent import LaurentPoly, poisson
+from critvar.laurent import LaurentPoly, poisson, vanish_at
+from critvar.relations import build_relations, euler_relation
 
 
 def zv(j, n=3):
@@ -69,6 +74,85 @@ def test_negative_exponents():
     assert inv.evaluate([0, 0], [Fraction(1, 3), 1]) == 3
     with pytest.raises(DomainError):
         inv.evaluate([0, 0], [0, 1])
+
+
+def _verdicts(poly, zs, ps):
+    """(evaluate(...) == 0, vanish_at) at one point, a pole reading as DomainError."""
+    out = []
+    for decide in (lambda: poly.evaluate(zs, ps) == 0, lambda: vanish_at([poly], zs, ps)):
+        try:
+            out.append(decide())
+        except DomainError:
+            out.append(DomainError)
+    return out
+
+
+def test_vanish_at_agrees_with_evaluate():
+    rng = random.Random(41)
+    cases = []
+    for n, k, seed in [(4, 2, 1), (5, 3, 2), (4, 1, 3)]:
+        spec = random_generic(n, k, random.Random(seed))
+        rels = build_relations(spec)
+        polys = [*rels.first.values(), *rels.second.values(), *rels.g.values(),
+                 euler_relation(spec)]
+        for iset in list(k_subsets(n, k))[:2]:
+            z, p = lag.sample_chart_point(spec, iset, rng)
+            nudged = (p[0] + Fraction(1, 97),) + p[1:]
+            cases += [(poly, z, p) for poly in polys] + [(poly, z, nudged) for poly in polys]
+            assert vanish_at(polys, z, p) and not vanish_at(polys, z, nudged)
+    n = 2
+    zero_z = [Fraction(0), Fraction(3, 2)]
+    p = [Fraction(-1, 3), Fraction(0)]
+    cases += [
+        (zv(1, n) * pv(1, n) + 3, zero_z, p),  # a zero coordinate, positive exponent
+        (zv(1, n) * pv(1, n) ** 2, zero_z, p),
+        (LaurentPoly.zero(n), zero_z, p),  # the zero polynomial
+        (LaurentPoly.pvar(n, 2, exp=-1), zero_z, p),  # a pole
+        # the first zero coordinate in the key decides, as in evaluate
+        (zv(1, n) * LaurentPoly.pvar(n, 2, exp=-1), zero_z, p),
+        (LaurentPoly.zvar(n, 1, exp=-1) * pv(2, n), zero_z, p),
+    ]
+    verdicts = [_verdicts(poly, zs, ps) for poly, zs, ps in cases]
+    assert all(a == b for a, b in verdicts)
+    assert {a for a, _ in verdicts} == {True, False, DomainError}
+    # polynomials are decided in order: a nonzero one stops before a pole
+    pole = LaurentPoly.pvar(n, 2, exp=-1)
+    assert not vanish_at([LaurentPoly.one(n), pole], zero_z, p)
+    with pytest.raises(DomainError):
+        vanish_at([LaurentPoly.zero(n), pole], zero_z, p)
+    with pytest.raises(UsageError):
+        vanish_at([pole], zero_z, p + p)
+    with pytest.raises(UsageError):
+        vanish_at([pole], [0.5, 1.0], p)
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def _poly_and_point(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.lists(st.tuples(st.integers(0, 2 * n - 1), st.integers(-2, 2)), max_size=3)
+    terms = draw(st.lists(st.tuples(exps, _rationals), max_size=5))
+    poly = sum((LaurentPoly(n, {tuple(dict(key).items()): c}) for key, c in terms),
+               LaurentPoly.zero(n))
+    zs = draw(st.lists(_rationals, min_size=n, max_size=n))
+    ps = draw(st.lists(_rationals, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # shift by the value, when there is one, so that it vanishes
+        try:
+            poly = poly - poly.evaluate(zs, ps)
+        except DomainError:
+            pass
+    return poly, zs, ps
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_poly_and_point())
+def test_vanish_at_property(case):
+    poly, zs, ps = case
+    expected, got = _verdicts(poly, zs, ps)
+    assert expected == got
 
 
 def test_derivatives():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from critvar import quotient as qt
 from critvar import ratmat
 from critvar.arrangement import ArrangementSpec, k_subsets, random_generic, sample_z
 from critvar.errors import DomainError, UsageError
@@ -137,6 +138,86 @@ def test_corrupted_operator_fails_on_the_unit_column():
             assert on_unit == [ratmat.mat_mul(res, unit) for res in family(None)], name
             if name != "euler" or alg.z[j - 1] != 0:  # z_j = 0 drops K_j from Euler
                 assert any(x != 0 for res in on_unit for row in res for x in row), name
+
+
+def _combination_by_products(alg, terms):
+    """sum of c K_{i_r}..K_{i_1} over (c, indices), by Fraction matrix products."""
+    total = ratmat.zeros(alg.dim, alg.dim)
+    for c, indices in terms:
+        mat = ratmat.identity(alg.dim)
+        for i in indices:
+            op = alg.bethe_operator(abs(i))
+            mat = ratmat.mat_mul(op if i > 0 else ratmat.inverse(op), mat)
+        total = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(total, mat)]
+    return total
+
+
+def test_table_residuals_match_full_matrices():
+    # k = 1, k = n - 1 (dim 1), and two middle cases
+    for n, k, seed in [(4, 1, 91), (4, 3, 92), (5, 2, 93), (6, 3, 94)]:
+        alg = random_algebra(n, k, seed)
+        unit = unit_column(alg)
+        zero = ratmat.zeros(alg.dim, alg.dim)
+        for name, family in _identity_families(alg).items():
+            full = family(None)
+            assert all(res == zero for res in full), name
+            assert family(unit) == [ratmat.mat_mul(res, unit) for res in full], name
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                ki, kj = alg.bethe_operator(i), alg.bethe_operator(j)
+                assert commutator_residual(alg, i, j) == zero == [
+                    [x - y for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(ratmat.mat_mul(ki, kj), ratmat.mat_mul(kj, ki))]
+        assert unit_orbit(alg) == ratmat.identity(alg.dim)
+        # the relations as matrices, against Fraction products
+        rels = build_relations(alg.spec)
+        for poly in [*rels.first.values(), *rels.second.values(), euler_relation(alg.spec)]:
+            assert alg.multiplication_matrix(poly) == _combination_by_products(
+                alg, qt._poly_terms(alg, poly)) == zero
+
+
+def test_table_follows_the_operators_not_the_rewrite():
+    # corrupted, non-commuting operators: the table and the Fraction products
+    # still agree entry for entry, and the unit's table never calls the rewrite
+    alg = random_algebra(5, 2, 95)
+    unit = unit_column(alg)
+    alg.operators()
+    alg._ops[3][1][2] += Fraction(2, 9)
+    alg._ops[4][0][5] -= 1
+
+    def no_rewrite(mono):
+        raise AssertionError("the orbit table read reduce_monomial")
+
+    alg.reduce_monomial = no_rewrite
+    p = [LaurentPoly.pvar(5, j) for j in range(1, 6)]
+    inv = LaurentPoly.pvar(5, 4, exp=-1)
+    for poly in [p[2] * p[3] - p[3] * p[4], p[2] * inv * p[1] + 3, p[3] * p[2] * p[2]]:
+        terms = qt._poly_terms(alg, poly)
+        full = _combination_by_products(alg, terms)
+        assert alg.multiplication_matrix(poly) == full
+        assert alg.normal_form(poly) == ratmat.mat_vec(full, alg.element_one())
+    assert unit_orbit(alg) != ratmat.identity(alg.dim)
+    for name, family in _identity_families(alg).items():
+        assert family(unit) == [ratmat.mat_mul(res, unit) for res in family(None)], name
+
+
+def test_corrupted_integer_operator_makes_table_residuals_nonzero():
+    # the table reads the cached integer operators: corrupting one of those,
+    # with the Fraction operators intact, must show in every table check
+    for j, (r, c) in [(2, (0, 0)), (3, (4, 1)), (5, (2, 5))]:
+        alg = random_algebra(5, 2, 96)
+        unit = unit_column(alg)
+        den, ints = alg.int_operator(j)
+        ints[r][c] += den
+        zero = ratmat.zeros(alg.dim, 1)
+        assert any(commutator_residual(alg, j, i) != ratmat.zeros(alg.dim, alg.dim)
+                   for i in range(1, 6) if i != j)
+        assert unit_orbit(alg) != ratmat.identity(alg.dim)
+        for name, family in _identity_families(alg).items():
+            if name != "euler" or alg.z[j - 1] != 0:  # z_j = 0 drops K_j from Euler
+                assert any(res != zero for res in family(unit)), name
+        # the Fraction operators themselves are untouched
+        assert alg.bethe_operator(j) == random_algebra(5, 2, 96).bethe_operator(j)
 
 
 def _unit_by_solve(alg):
