@@ -243,6 +243,8 @@ def random_generic(n, k, rng, coeff_bound=9, tries=500):
     """Sample a generic instance with small integer data, retrying on collisions."""
     if not 1 <= k < n:
         raise UsageError(f"need 1 <= k < n, got n={n}, k={k}")
+    if coeff_bound < 1:
+        raise UsageError(f"need coeff_bound >= 1, got {coeff_bound}")
     for _ in range(tries):
         b = tuple(
             tuple(Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(k))

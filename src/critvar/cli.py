@@ -22,8 +22,9 @@ one entry per check (name, status pass/fail/skipped, residual, count,
 expected), and timing; verify's timing also has "stages", the seconds
 spent on each check, keyed by check name in run order.  solve's stages
 are the spectral route and each Newton tier that ran ("newton_plain",
-...), and its "diagnostics.newton" gives each such tier's starts,
-converged runs and distinct points added; verify's
+"newton_random_s", "newton_monodromy"), and its "diagnostics.newton"
+gives each such tier's starts, converged runs and distinct points added,
+plus the loops monodromy ran; verify's
 "diagnostics.verify" gives the path its operator identities took
 ("unit_orbit", "full_matrix", or null without a base point) and the
 identities checked out of the total.  Complex numbers are

@@ -8,7 +8,8 @@ hand back every coordinate p_j through Rayleigh quotients.
 
 Route two never sees the algebra: plain Newton iteration on the critical
 equations sum_j a_j b^m_j / f_j = 0 from many random starts in a disk,
-with the analytic Jacobian, then deduplication.
+with the analytic Jacobian, then deduplication; points the starts miss
+are reached by monodromy loops of z that carry the found ones along.
 
 Both routes should produce the same C(n-1, k) points; the test suite and
 the verify command insist on it.  The closed forms for the Hessian and
@@ -239,9 +240,9 @@ def _point_from_momenta(spec, z, p):
     a = np.array([complex(x) for x in spec.a])
     zc = np.array([complex(v) for v in z])
     t, *_ = np.linalg.lstsq(b, a / np.array(p) - zc, rcond=None)
-    polished = _correct_at(b, a, zc, t, *_POLISH)
-    if polished is not None:
-        t = polished
+    polished, ok = _polish(b, a, zc, [t], *_POLISH)
+    if ok[0]:
+        t = polished[0]
         p = a / (zc + b @ t)
     return CriticalPoint(
         t=tuple(complex(x) for x in t),
@@ -256,9 +257,10 @@ def _momenta_key(pt):
 
 # -- the direct route ---------------------------------------------------------
 
-_DEFLATION_CHUNK = 256  # starts run at once against one list of found points
 _STARTS_PER_POINT = 50  # a round draws this many starts per expected point
-_MAX_ITER = 80  # bilinear Newton steps per start (deflated starts get 40 more)
+_MAX_ITER = 80  # bilinear Newton steps per start
+_STALL_LOOPS = 12  # monodromy loops in a row that add no point before the tier stops
+_MIN_STEP = 1e-4  # smallest share of a segment that path tracking steps by
 
 
 def _apply(mat, rows):
@@ -266,8 +268,9 @@ def _apply(mat, rows):
 
     numpy takes each product in turn with the routine it uses for one
     vector, so a row comes out bit for bit as a single-start run would
-    compute it; one matrix product over the stack rounds differently, and
-    the deflated iteration amplifies that into different limits.
+    compute it; one matrix product over the stack rounds differently.
+    The per-start reference in the tests relies on this to pin the
+    batched kernel start by start.
     """
     return (mat @ rows[..., None])[..., 0]
 
@@ -287,7 +290,7 @@ def _solve_rows(mats, rhs):
         return out
 
 
-def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
+def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol):
     """Every start of a round at once: bilinear solve, then rational polish.
 
     Rows of t (B, k) and s (B, n - k) are independent starts.  Returns
@@ -296,13 +299,6 @@ def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
     numbers, or that runs out of iterations has ok[i] false.  Each Newton
     step stacks the live rows' Jacobians [b w | N f] into one batched
     solve, and rows drop out as they converge or fail.
-
-    With repel nonempty the residual is multiplied by the deflation factor
-    prod_r (1 + 1 / |t - r|^2), which turns every known root into a pole
-    of the iteration so fresh starts get pushed toward the roots not yet
-    seen.  Convergence is still judged on the bare residual, and the
-    polish never sees the deflation, so repelling cannot invent a
-    solution that was not already there.
     """
     import numpy as np
     k = t.shape[1]
@@ -313,30 +309,13 @@ def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
         tl, sl = t[live], s[live]
         f = zc + _apply(b, tl)
         w = _apply(kernel, sl)
-        base = f * w - a
-        done = np.abs(base).max(axis=1) < 1e-13 * scale
+        resid = f * w - a
+        done = np.abs(resid).max(axis=1) < 1e-13 * scale
         solved[live[done]] = True
-        live, tl, sl, f, w, base = (x[~done] for x in (live, tl, sl, f, w, base))
-        jac = np.concatenate([b * w[:, :, None], kernel * f[:, :, None]], axis=2)
-        resid = base
-        if len(repel):
-            factor = np.ones(len(live))
-            grad_log = np.zeros((len(live), k), dtype=complex)
-            on_root = np.zeros(len(live), dtype=bool)  # such a start fails
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for r in repel:
-                    d = tl - r
-                    # |d|^2 rounded as np.vdot rounds it for one start
-                    q = (np.conj(d)[:, None, :] @ d[:, :, None])[:, 0, 0].real
-                    on_root |= q == 0.0
-                    factor *= 1.0 + 1.0 / q
-                    grad_log += -(1.0 / (q * (q + 1.0)))[:, None] * np.conj(d)
-            resid = base * factor[:, None]
-            jac = jac * factor[:, None, None]
-            jac[:, :, :k] += resid[:, :, None] * grad_log[:, None, :]
-            live, tl, sl, resid, jac = (x[~on_root] for x in (live, tl, sl, resid, jac))
+        live, tl, sl, f, w, resid = (x[~done] for x in (live, tl, sl, f, w, resid))
         if not live.size:
             break
+        jac = np.concatenate([b * w[:, :, None], kernel * f[:, :, None]], axis=2)
         step = _solve_rows(jac, -resid)
         tl, sl = tl + step[:, :k], sl + step[:, k:]
         finite = np.isfinite(tl).all(axis=1) & np.isfinite(sl).all(axis=1)
@@ -391,59 +370,44 @@ def _gradient_floor(b, a, f):
     return 1.0 + _apply(abs(b).T, abs(a) / abs(f))
 
 
-def _correct_at(b, a, zt, t, sweeps=15, gtol=1e-10):
-    """Newton on the bare critical equations at fixed z; corrected t or None."""
-    out, ok = _polish(b, a, zt, [t], sweeps, gtol)
-    return out[0] if ok[0] else None
+def _track(b, a, z_from, z_to, t):
+    """Carry critical points at z_from along the segment to z_to, all at once.
 
-
-def _track_paths(b, a, z_from, z_to, roots):
-    """Follow critical points along the segment z_from -> z_to.
-
-    Euler predictor from the in-path derivative, a short Newton corrector
-    at each step, step size halved on trouble and grown back on success.
-    A corrected point that lands far from where the predictor aimed has
-    likely hopped onto a neighboring path, so the step is rejected the
-    same way; a path that cannot be continued is dropped, never guessed.
+    Every row of t is one path, and all paths share one step in the
+    segment parameter: an Euler predictor from the stacked Hessians, then
+    _polish at the new z as the corrector.  A corrected point that lands
+    far from where the predictor aimed has likely hopped onto a
+    neighbouring path, so that counts as a failure, like a corrector that
+    does not converge.  A failure halves the shared step and retries it;
+    at the floor step _MIN_STEP the failing paths are dropped, never
+    guessed, and the rest go on.  The step grows back after a success.
+    Returns (t at z_to, ok).
     """
     import numpy as np
     dz = z_to - z_from
-    survivors = []
-    for start in roots:
-        tau, dtau = 0.0, 0.1
-        cur = np.array(start)
-        while True:
-            if tau >= 1.0:
-                survivors.append(cur)
-                break
-            ahead = min(1.0, tau + dtau)
-            f = z_from + tau * dz + b @ cur
-            jac = -(b.T * (a / f**2)) @ b
-            rhs = b.T @ ((a / f**2) * dz)
-            try:
-                velocity = np.linalg.solve(jac, rhs)
-            except np.linalg.LinAlgError:
-                velocity = None
-            corrected = None
-            if velocity is not None and np.isfinite(velocity).all():
-                predicted_move = velocity * (ahead - tau)
-                guess = cur + predicted_move
-                corrected = _correct_at(
-                    b, a, z_from + ahead * dz, guess, sweeps=6
-                )
-                if corrected is not None:
-                    drift = float(np.abs(corrected - guess).max())
-                    allowance = 0.5 * float(np.abs(predicted_move).max()) + 1e-8
-                    if drift > allowance:
-                        corrected = None
-            if corrected is None:
-                dtau *= 0.5
-                if dtau < 1e-4:
-                    break
-                continue
-            cur, tau = corrected, ahead
-            dtau = min(0.25, dtau * 1.4)
-    return survivors
+    t = np.array(t, dtype=complex)
+    live = np.arange(len(t))
+    tau, dtau = 0.0, 0.1
+    while tau < 1.0 and live.size:
+        ahead = min(1.0, tau + dtau)
+        tl = t[live]
+        w = a / (z_from + tau * dz + _apply(b, tl)) ** 2
+        velocity = _solve_rows(-(b.T * w[:, None, :]) @ b, _apply(b.T, w * dz))
+        move = velocity * (ahead - tau)
+        guess = tl + move
+        fixed, good = _polish(b, a, z_from + ahead * dz, guess, 6, 1e-10)
+        drift = np.abs(fixed - guess).max(axis=1)
+        good &= drift <= 0.5 * np.abs(move).max(axis=1) + 1e-8
+        if not good.all() and dtau / 2 >= _MIN_STEP:
+            dtau /= 2
+            continue
+        live = live[good]
+        t[live] = fixed[good]
+        tau = ahead
+        dtau = min(0.25, dtau * 1.4)
+    ok = np.zeros(len(t), dtype=bool)
+    ok[live] = True
+    return t, ok
 
 
 def newton_multistart(
@@ -453,7 +417,6 @@ def newton_multistart(
     tol=_POLISH[1],
     dedup_tol=1e-7,
     target_count=None,
-    homotopy=True,
     stats=None,
 ):
     """All critical points of the master function at fixed z, by multistart.
@@ -483,27 +446,28 @@ def newton_multistart(
     starts still running.  The round's limits are then absorbed in start
     order, so the first start to reach a point is the one that keeps it.
 
-    When the caller knows how many points exist, target_count arms three
-    escalations, each skipped once the count is reached: extra rounds of
-    starts with s drawn at random instead of by least squares (basins
-    seen from random s are markedly wider); rounds that deflate the
-    residual by every point already found, which digs out roots hiding
-    next to hyperplane intersections where uniform starts essentially
-    never land; and finally continuation, which solves the same family
-    at a fresh random base point, carries that root set through the
-    exact scaling equivariance (critical points at g z are g times those
-    at z), and tracks it along a complex segment to the requested z.
-    A deflated start repels every point found before it, so deflation
-    runs speculative chunks of starts against the current list: when a
-    start of the chunk adds a point, the starts after it are discarded and
-    run again against the longer list.  Candidates from every tier pass
-    the same polish and filters at the target, so none of this can invent
-    a point.  Runs that never needed help are unchanged, and a short
-    result after all rounds is returned as-is for the caller to judge.
+    Route two runs plain -> random-s -> monodromy.  When the caller knows
+    how many points exist, target_count arms the two escalations, each
+    skipped once the count is reached.  First, up to two rounds of starts
+    with s drawn at random instead of by least squares (basins seen from
+    random s are markedly wider).  Then monodromy: the critical variety is
+    irreducible, so loops of z around the discriminant permute a generic
+    fiber transitively (Duff, Hill, Jensen, Lee, Leykin & Sommars, IMA J.
+    Numer. Anal. 2019).  Each loop draws two random complex base points
+    z1, z2 and carries every point found so far around the triangle
+    z -> z1 -> z2 -> z as one batch (_track).  A path may come back as
+    a point not yet seen.  The tier stops at target_count, or after
+    _STALL_LOOPS loops in a row that add nothing.  Returning paths pass
+    the same polish and filters at z as every start, so a loop cannot
+    invent a point.  Runs that never needed help are unchanged, and a
+    short result after all rounds is returned as-is for the caller to
+    judge.
 
     If stats is a dict, each tier that ran ("plain", "random_s",
-    "deflation", "continuation") is stored in it as {"starts",
-    "converged", "added", "seconds"}, summed over the tier's rounds.
+    "monodromy") is stored in it as {"starts", "converged", "added",
+    "seconds"}, summed over the tier's rounds.  For monodromy, starts are
+    the paths sent around, converged those that came back and passed the
+    polish, and an extra "loops" counts the loops run.
     """
     import numpy as np
     n, k = spec.n, spec.k
@@ -537,9 +501,9 @@ def newton_multistart(
             rows = rows[np.abs(limits[rows] - limits[rows[0]]).max(axis=1) >= dedup_tol]
         return kept
 
-    def draw(count, random_s):
+    def draw(random_s):
         ts, ss = [], []
-        for _ in range(count):
+        for _ in range(n_starts):
             mag = radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
             ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
             t = mag * np.exp(1j * ang)
@@ -554,79 +518,57 @@ def newton_multistart(
         rhs = a / (zc + _apply(b, t))
         return t, np.linalg.lstsq(kernel, rhs.T, rcond=None)[0].T
 
-    def record(tier, started, starts, converged, added):
+    def keep(limits):
+        """Add the limits that absorb keeps to found; how many that was."""
+        kept = absorb(limits)
+        found.extend(tuple(complex(x) for x in limits[i]) for i in kept)
+        return len(kept)
+
+    def record(tier, started, **counts):
         row = tiers.setdefault(
             tier, dict.fromkeys(("starts", "converged", "added", "seconds"), 0)
         )
-        row["starts"] += starts
-        row["converged"] += converged
-        row["added"] += added
+        for key, value in counts.items():
+            row[key] = row.get(key, 0) + value
         row["seconds"] += time.perf_counter() - started
 
-    def harvest(count, tier, random_s=False, deflate=False):
+    def harvest(tier, random_s=False):
+        started = time.perf_counter()
+        t, s = draw(random_s)
+        limits, ok = _bilinear_batch(b, a, zc, kernel, scale, t, s, _MAX_ITER, tol)
+        limits = limits[ok]
+        record(tier, started, starts=len(t), converged=len(limits), added=keep(limits))
+
+    def monodromy():
         started = time.perf_counter()
         before = len(found)
-        t, s = draw(count, random_s)
-        iters = _MAX_ITER + 40 if deflate else _MAX_ITER
-        pos = converged = 0
-        while pos < len(t):
-            repel = np.array(found) if deflate else ()
-            end = pos + _DEFLATION_CHUNK if deflate else len(t)
-            limits, ok = _bilinear_batch(
-                b, a, zc, kernel, scale, t[pos:end], s[pos:end], iters, tol, repel
-            )
-            rows = np.flatnonzero(ok)
-            kept = absorb(limits[rows])
-            if deflate and kept:
-                # the starts after the first new point must repel it too
-                rows, kept = rows[: kept[0] + 1], kept[:1]
-                end = pos + int(rows[-1]) + 1
-            converged += len(rows)
-            found.extend(tuple(complex(x) for x in limits[i]) for i in rows[kept])
-            pos = end
-        record(tier, started, len(t), converged, len(found) - before)
+        loops = idle = sent = back = 0
+        size = radius / 2.0
+        while len(found) < target_count and idle < _STALL_LOOPS:
+            z1, z2 = (size * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                      for _ in range(2))
+            t = np.array(found, dtype=complex).reshape(-1, k)
+            sent += len(t)
+            for z_from, z_to in ((zc, z1), (z1, z2), (z2, zc)):
+                t, ok = _track(b, a, z_from, z_to, t)
+                t = t[ok]
+            # the tracker's corrector stops at gradient 1e-10; one full Newton
+            # step at z first brings a path as close as a fresh start gets
+            t, _ = _polish(b, a, zc, t, 1, 0.0)
+            t, ok = _polish(b, a, zc, t, _POLISH[0], tol)
+            back += int(ok.sum())
+            loops += 1
+            idle = 0 if keep(t[ok]) else idle + 1
+        record("monodromy", started, starts=sent, converged=back,
+               added=len(found) - before, loops=loops)
 
-    def continuation_round():
-        started = time.perf_counter()
-        before = len(found)
-        for _ in range(200):
-            z0 = tuple(Fraction(int(v)) for v in rng.integers(-9, 10, size=n))
-            if spec.is_off_discriminant(z0):
-                break
-        else:
-            return
-        base = newton_multistart(
-            spec,
-            z0,
-            seed=int(rng.integers(0, 2**31)),
-            tol=tol,
-            dedup_tol=dedup_tol,
-            target_count=target_count,
-            homotopy=False,
-        )
-        gamma = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        z0c = np.array([complex(v) for v in z0])
-        starts = [gamma * np.array(pt.t) for pt in base]
-        ends = np.array(_track_paths(b, a, gamma * z0c, zc, starts)).reshape(-1, k)
-        ends, ok = _polish(b, a, zc, ends, 25, tol)
-        ends = ends[ok]
-        found.extend(tuple(complex(x) for x in ends[i]) for i in absorb(ends))
-        record("continuation", started, len(starts), len(ends), len(found) - before)
-
-    harvest(n_starts, "plain")
+    harvest("plain")
     if target_count is not None:
-        rounds = 0
-        while len(found) < target_count and rounds < 2:
-            harvest(n_starts, "random_s", random_s=True)
-            rounds += 1
-        rounds = 0
-        while len(found) < target_count and rounds < 3:
-            harvest(n_starts, "deflation", deflate=True)
-            rounds += 1
-        rounds = 0
-        while homotopy and len(found) < target_count and rounds < 3:
-            continuation_round()
-            rounds += 1
+        for _ in range(2):
+            if len(found) < target_count:
+                harvest("random_s", random_s=True)
+        if len(found) < target_count:
+            monodromy()
     if stats is not None:
         stats.update(tiers)
     points = []

@@ -216,6 +216,10 @@ def test_usage_errors_give_exit_two(tmp_path, capsys):
     ))
     assert main(["verify", "--config", str(degenerate)]) == 2
     capsys.readouterr()
+    # a bound below 1 leaves no nonzero weight to draw
+    for bound in ("-3", "0"):
+        assert main(["gen", "--n", "4", "--k", "1", "--coeff-bound", bound]) == 2
+        assert f"need coeff_bound >= 1, got {bound}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit, reason", [

@@ -162,7 +162,7 @@ def test_route_one_points_satisfy_the_hessian_identity():
     assert worst <= 1e-8
 
 
-def _bilinear_attempt(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
+def _bilinear_attempt(b, a, zc, kernel, scale, t, s, max_iter, tol):
     """One start of the bilinear solve plus rational polish; limit t or None.
 
     The per-start loop the batched kernel replaced, kept as its reference.
@@ -172,25 +172,11 @@ def _bilinear_attempt(b, a, zc, kernel, scale, t, s, max_iter, tol, repel=()):
     for _ in range(max_iter):
         f = zc + b @ t
         w = kernel @ s
-        base = f * w - a
-        if np.abs(base).max() < 1e-13 * scale:
+        resid = f * w - a
+        if np.abs(resid).max() < 1e-13 * scale:
             solved = True
             break
         jac = np.hstack([b * w[:, None], kernel * f[:, None]])
-        resid = base
-        if len(repel):
-            factor = 1.0
-            grad_log = np.zeros(k, dtype=complex)
-            for r in repel:
-                d = t - r
-                q = float(np.real(np.vdot(d, d)))
-                if q == 0.0:
-                    return None
-                factor *= 1.0 + 1.0 / q
-                grad_log += -(1.0 / (q * (q + 1.0))) * np.conj(d)
-            resid = base * factor
-            jac = jac * factor
-            jac[:, :k] += np.outer(resid, grad_log)
         try:
             step = np.linalg.solve(jac, -resid)
         except np.linalg.LinAlgError:
@@ -255,26 +241,21 @@ def test_batched_kernel_matches_the_per_start_reference(n, k, seed):
     spec = random_generic(n, k, rng)
     z = sample_z(spec, rng)
     b, a, zc, kernel, scale, radius = _direct_setup(spec, z)
-    known = np.array([pt.t for pt in newton_multistart(spec, z, seed=seed)])
     draws = np.random.default_rng(seed)
-    cases = [
-        (_draw_starts(draws, 40, b, a, zc, kernel, radius, False), 80, ()),
-        (_draw_starts(draws, 40, b, a, zc, kernel, radius, True), 80, ()),
-        (_draw_starts(draws, 40, b, a, zc, kernel, radius, False), 120, known[:-1]),
-    ]
-    # a zero s makes the first Jacobian exactly singular, the deflation
-    # factor is undefined at a repelled point, and a start at 1e300 overflows
-    for starts, _, _ in cases:
+    cases = [_draw_starts(draws, 40, b, a, zc, kernel, radius, random_s)
+             for random_s in (False, True)]
+    # a zero s makes the first Jacobian exactly singular, and a start at
+    # 1e300 overflows (or, from one random s, comes back to a root)
+    for starts in cases:
         starts.append((starts[0][0], np.zeros(kernel.shape[1], dtype=complex)))
         starts.append((np.full(k, 1e300 + 0j), starts[1][1]))
-    cases[2][0].append((known[0].copy(), cases[2][0][0][1]))
     nones = 0
-    for starts, iters, repel in cases:
+    for starts in cases:
         t = np.array([st[0] for st in starts])
         s = np.array([st[1] for st in starts])
         with np.errstate(over="ignore", invalid="ignore"):  # the start at 1e300
-            limits, ok = _bilinear_batch(b, a, zc, kernel, scale, t, s, iters, 1e-12, repel)
-            want = [_bilinear_attempt(b, a, zc, kernel, scale, t0, s0, iters, 1e-12, repel)
+            limits, ok = _bilinear_batch(b, a, zc, kernel, scale, t, s, 80, 1e-12)
+            want = [_bilinear_attempt(b, a, zc, kernel, scale, t0, s0, 80, 1e-12)
                     for t0, s0 in starts]
         for i, limit in enumerate(want):
             assert ok[i] == (limit is not None), f"start {i}: reference gave {limit}"
@@ -286,7 +267,7 @@ def test_batched_kernel_matches_the_per_start_reference(n, k, seed):
 
 
 def _per_start_multistart(spec, z, seed, target):
-    """newton_multistart's plain, random-s and deflation tiers, one start at a time.
+    """newton_multistart's plain and random-s tiers, one start at a time.
 
     Returns the points and, per tier that ran, its stats row without seconds.
     """
@@ -294,12 +275,10 @@ def _per_start_multistart(spec, z, seed, target):
     rng = np.random.default_rng(seed)
     found, tiers = [], {}
 
-    def harvest(tier, random_s=False, deflate=False):
+    def harvest(tier, random_s):
         row = tiers.setdefault(tier, {"starts": 0, "converged": 0, "added": 0})
         for t, s in _draw_starts(rng, 50 * target, b, a, zc, kernel, radius, random_s):
-            repel = np.array(found) if deflate else ()
-            limit = _bilinear_attempt(b, a, zc, kernel, scale, t, s,
-                                      120 if deflate else 80, 1e-12, repel)
+            limit = _bilinear_attempt(b, a, zc, kernel, scale, t, s, 80, 1e-12)
             row["starts"] += 1
             if limit is None:
                 continue
@@ -311,32 +290,70 @@ def _per_start_multistart(spec, z, seed, target):
                 found.append(limit)
                 row["added"] += 1
 
-    harvest("plain")
-    for tier, rounds in [("random_s", 2), ("deflation", 3)]:
-        for _ in range(rounds):
-            if len(found) < target:
-                harvest(tier, random_s=tier == "random_s", deflate=tier == "deflation")
+    harvest("plain", False)
+    for _ in range(2):
+        if len(found) < target:
+            harvest("random_s", True)
     return found, tiers
 
 
-def test_multistart_matches_one_start_at_a_time(monkeypatch):
-    # `critvar gen --n 4 --k 1 --seed 7157`: one deflation round adds the
-    # last two points, so the speculative chunks must restart after each;
-    # chunks of 16 also cross chunk boundaries within the round
+def test_multistart_matches_one_start_at_a_time():
+    # `critvar gen --n 4 --k 1 --seed 7157`: plain and random-s starts find
+    # one of the three points, and monodromy adds the other two
     rng = random.Random(7157)
     spec = random_generic(4, 1, rng)
     z = sample_z(spec, rng)
     want, tiers = _per_start_multistart(spec, z, 7157, 3)
-    assert len(want) == 3 and tiers["deflation"]["added"] == 2
-    for chunk in (256, 16):
-        monkeypatch.setattr(spectrum, "_DEFLATION_CHUNK", chunk)
-        stats = {}
-        got = newton_multistart(spec, z, seed=7157, target_count=3, stats=stats)
-        for row in stats.values():
-            del row["seconds"]
-        assert stats == tiers, f"chunks of {chunk}"
-        ok, worst = match_point_sets([pt.t for pt in got], [tuple(t) for t in want], 1e-12)
-        assert ok, f"chunks of {chunk}: point sets differ by {worst}"
+    assert len(want) == 1
+    stats = {}
+    got = newton_multistart(spec, z, seed=7157, target_count=3, stats=stats)
+    loops = stats["monodromy"].pop("loops")
+    for row in stats.values():
+        del row["seconds"]
+    assert {tier: stats[tier] for tier in tiers} == tiers
+    assert stats["monodromy"]["added"] == 2 and loops < spectrum._STALL_LOOPS
+    assert len(got) == 3
+    assert any(np.abs(np.array(pt.t) - want[0]).max() <= 1e-12 for pt in got)
+    ok, worst = match_point_sets(
+        [pt.p for pt in joint_spectrum(QuotientAlgebra(spec, z), seed=7157).points],
+        [pt.p for pt in got], 1e-9)
+    assert ok, f"monodromy points differ from route one's by {worst}"
+
+
+# `critvar gen` instances on which plain and random-s starts come back short;
+# the last one reached the continuation tier that monodromy replaced
+@pytest.mark.parametrize("n,k,seed", [
+    (4, 1, 7157), (5, 1, 955102), (5, 1, 955124), (4, 2, 954206),
+    (4, 2, 954232), (5, 2, 955203), (6, 1, 956109), (7, 1, 901008),
+])
+def test_monodromy_completes_short_fibers(n, k, seed):
+    rng = random.Random(seed)
+    spec = random_generic(n, k, rng)
+    z = sample_z(spec, rng)
+    want = math.comb(n - 1, k)
+    stats = {}
+    got = newton_multistart(spec, z, seed=seed, target_count=want, stats=stats)
+    assert stats["monodromy"]["added"] >= 1
+    assert len(got) == want
+    ok, worst = match_point_sets(
+        [pt.p for pt in joint_spectrum(QuotientAlgebra(spec, z), seed=seed).points],
+        [pt.p for pt in got], 1e-9)
+    assert ok, f"route two differs from route one by {worst}"
+
+
+def test_monodromy_stops_after_idle_loops():
+    # `critvar gen --n 5 --k 2 --seed 5`: plain starts find all six points,
+    # so asking for a seventh runs monodromy until the stall rule ends it
+    rng = random.Random(5)
+    spec = random_generic(5, 2, rng)
+    z = sample_z(spec, rng)
+    stats = {}
+    got = newton_multistart(spec, z, seed=5, target_count=7, stats=stats)
+    assert len(got) == 6 and stats["plain"]["added"] == 6
+    row = stats["monodromy"]
+    assert row["loops"] == spectrum._STALL_LOOPS and row["added"] == 0
+    assert row["starts"] == 6 * spectrum._STALL_LOOPS
+    assert got == newton_multistart(spec, z, seed=5, target_count=6)
 
 
 def test_newton_determinism():
