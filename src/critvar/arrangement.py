@@ -64,9 +64,24 @@ def _perm_sign(seq):
     return sign
 
 
+def _signed_minor(minors, seq):
+    """The minor on a sequence of distinct indices, from a table keyed by sorted subsets."""
+    return _perm_sign(seq) * minors[tuple(sorted(seq))]
+
+
 @dataclass(frozen=True)
 class ArrangementSpec:
-    """Matrix b, weights a, and the cached minor table of a generic instance."""
+    """Matrix b, weights a, and the cached minor table of a generic instance.
+
+    Next to the exact tables the constructor keeps one float image of a,
+    b and the minors (a complex weight stays complex); tables() hands it
+    to callers with float input.  A Fraction meeting a complex number is
+    converted to complex(float(x)), so an image entry rounds exactly as
+    that mixed arithmetic did, once per instance instead of once per
+    operation.  Arithmetic among entries alone (a product of two minors)
+    rounds per operation on the image, and only at the end on the exact
+    tables.
+    """
 
     n: int
     k: int
@@ -95,6 +110,12 @@ class ArrangementSpec:
                 raise UsageError(f"degenerate instance: minor on rows {key} vanishes")
             minors[key] = d
         object.__setattr__(self, "_minors", minors)
+        object.__setattr__(self, "_exact", (self.a, b, minors))
+        object.__setattr__(self, "_image", (
+            tuple(x if isinstance(x, complex) else float(x) for x in self.a),
+            tuple(tuple(map(float, row)) for row in b),
+            {key: float(d) for key, d in minors.items()},
+        ))
 
     @property
     def rational_weights(self):
@@ -103,6 +124,16 @@ class ArrangementSpec:
     @property
     def weight_total(self):
         return sum(self.a)
+
+    def tables(self, *values):
+        """(a, b, minors) for arithmetic with these sequences of values.
+
+        minors maps each increasing k-subset to its minor, in lex order.
+        The exact tables when every value is an int or a Fraction, so the
+        result stays exact; otherwise the float image.
+        """
+        exact = all(isinstance(v, (int, Fraction)) for seq in values for v in seq)
+        return self._exact if exact else self._image
 
     def require_rational_weights(self):
         if not self.rational_weights:
@@ -124,7 +155,7 @@ class ArrangementSpec:
                 raise UsageError(f"hyperplane index {i} out of range 1..{self.n}")
         if len(set(seq)) < self.k:
             return Fraction(0)
-        return _perm_sign(seq) * self._minors[tuple(sorted(seq))]
+        return _signed_minor(self._minors, seq)
 
     def discriminant_coeffs(self, iseq):
         """(i_m, (-1)^(m-1) d_{iseq minus i_m}) for k+1 indices i_1 < .. < i_{k+1}."""
@@ -199,7 +230,8 @@ class ArrangementSpec:
         """All f_j(z, t) = z_j + sum_m b^m_j t_m."""
         if len(z) != self.n or len(t) != self.k:
             raise UsageError("point dimensions do not match n, k")
-        return [z[j] + sum(bm * tm for bm, tm in zip(self.b[j], t)) for j in range(self.n)]
+        b = self.tables(z, t)[1]
+        return [z[j] + sum(bm * tm for bm, tm in zip(b[j], t)) for j in range(self.n)]
 
     def momenta(self, z, t):
         """p_j = a_j / f_j(z, t); these are the natural coordinates on fibers."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .arrangement import _signed_minor
 from .errors import DomainError, GenerationError, UsageError
 from .spectrum import _det
 
@@ -73,9 +74,12 @@ def _derivative(fun, base, pos, h):
     return [(4 * fine - coarse) / 3 for coarse, fine in zip(central(h), central(h / 2))]
 
 
-def _front_minor(spec, j, rest):
-    """Minor on the sequence (j, rest...) with rest an increasing tuple."""
-    return spec.plucker((j,) + tuple(rest))
+def _front_minor(minors, j, rest):
+    """Minor on the sequence (j, rest...), rest an increasing tuple without j.
+
+    minors is one of the spec's tables(): exact, or its float image.
+    """
+    return _signed_minor(minors, (j,) + rest)
 
 
 def _check_chart(spec, iset):
@@ -90,20 +94,22 @@ def _check_chart(spec, iset):
 def chart_complete(spec, iset, z_part, p_part):
     """Full (z, p) from chart-I data (z_i for i in I, p_j for j outside I).
 
-    Exact on rational input; any numeric type flows through untouched.
+    Exact on rational input; other input computes with the spec's float
+    image, which rounds every minor and weight as mixing it in would.
     """
     spec.require_rational_weights()
     iset = _check_chart(spec, iset)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     if len(z_part) != len(iset) or len(p_part) != len(comp):
         raise UsageError("chart data has wrong lengths")
-    d_full = spec.plucker(iset)
+    a, _, minors = spec.tables(z_part, p_part)
+    d_full = minors[iset]
     p = [None] * spec.n
     for j, val in zip(comp, p_part):
         p[j - 1] = val
     for m, i in enumerate(iset):
         rest = iset[:m] + iset[m + 1 :]
-        acc = sum(_front_minor(spec, j, rest) * p[j - 1] for j in comp)
+        acc = sum(_front_minor(minors, j, rest) * p[j - 1] for j in comp)
         p[i - 1] = (-1) ** (m + 1) * acc / d_full
     z = [None] * spec.n
     for i, val in zip(iset, z_part):
@@ -112,14 +118,14 @@ def chart_complete(spec, iset, z_part, p_part):
     for i in iset:
         if p[i - 1] == 0:
             raise DomainError(f"chart degenerates: completed p_{i} vanishes")
-        gvals.append(z[i - 1] - spec.a[i - 1] / p[i - 1])
+        gvals.append(z[i - 1] - a[i - 1] / p[i - 1])
     for j in comp:
         if p[j - 1] == 0:
             raise DomainError(f"momentum p_{j} must be nonzero in this chart")
-        acc = spec.a[j - 1] / p[j - 1]
+        acc = a[j - 1] / p[j - 1]
         for m, i in enumerate(iset):
             rest = iset[:m] + iset[m + 1 :]
-            acc = acc + (-1) ** m * _front_minor(spec, j, rest) * gvals[m] / d_full
+            acc = acc + (-1) ** m * _front_minor(minors, j, rest) * gvals[m] / d_full
         z[j - 1] = acc
     return tuple(z), tuple(p)
 
@@ -148,13 +154,14 @@ def generating_map(spec, iset, z_part, p_part):
     iset = _check_chart(spec, iset)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     z, p = chart_complete(spec, iset, z_part, p_part)
+    a, _, minors = spec.tables(z_part, p_part)
     out = []
     for j in comp:
-        val = spec.a[j - 1] / p[j - 1]
+        val = a[j - 1] / p[j - 1]
         for m, i in enumerate(iset):
             rest = iset[:m] + iset[m + 1 :]
-            dpdp = (-1) ** (m + 1) * _front_minor(spec, j, rest) / spec.plucker(iset)
-            val = val + (spec.a[i - 1] / p[i - 1] - z[i - 1]) * dpdp
+            dpdp = (-1) ** (m + 1) * _front_minor(minors, j, rest) / minors[iset]
+            val = val + (a[i - 1] / p[i - 1] - z[i - 1]) * dpdp
         out.append(val)
     return out
 
@@ -233,18 +240,19 @@ def projection_jacobian(spec, iset, z, p):
     iset = _check_chart(spec, iset)
     spec.require_rational_weights()
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
-    d_full = spec.plucker(iset)
+    a, _, minors = spec.tables(p)
+    d_full = minors[iset]
     rows = []
     for j in comp:
         row = []
         for l in comp:
-            val = -spec.a[j - 1] / (p[j - 1] * p[j - 1]) if j == l else 0
+            val = -a[j - 1] / (p[j - 1] * p[j - 1]) if j == l else 0
             for m, i in enumerate(iset):
                 rest = iset[:m] + iset[m + 1 :]
                 val = val - (
-                    _front_minor(spec, j, rest)
-                    * _front_minor(spec, l, rest)
-                    * spec.a[i - 1]
+                    _front_minor(minors, j, rest)
+                    * _front_minor(minors, l, rest)
+                    * a[i - 1]
                     / (p[i - 1] * p[i - 1])
                 ) / (d_full * d_full)
             row.append(val)
@@ -277,7 +285,7 @@ def flow_f(spec, iset, s, z, p):
     if len(iset) != spec.k - 1 or list(iset) != sorted(set(iset)):
         raise UsageError(f"need a (k-1)-subset, got {iset}")
     z_new = [
-        z[j - 1] + _front_minor(spec, j, iset) * s for j in range(1, spec.n + 1)
+        z[j - 1] + spec.plucker((j,) + iset) * s for j in range(1, spec.n + 1)
     ]
     return tuple(z_new), tuple(p)
 

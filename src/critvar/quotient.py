@@ -6,7 +6,7 @@ generators specialized at z, form an algebra of dimension C(n-1, k).
 A monomial basis: the products p_I over the k-subsets I of {1..n} that
 avoid one chosen index j1 (the smallest hyperplane index by default).
 
-Reduction to the basis is a terminating rewrite with three moves:
+Reduction to the basis is a rewrite with three moves:
 
   * a repeated factor p_i is traded for fresh variables through a
     first-kind relation whose index set contains the rest of the support,
@@ -16,10 +16,25 @@ Reduction to the basis is a terminating rewrite with three moves:
     again, landing on basis monomials.
 
 Degrees below k climb with sum_j z_j p_j = |a|, so every monomial, and by
-linearity every polynomial, has a normal form.  Multiplication by p_j then
-becomes an exact rational matrix K_j on the basis; these commuting
-operators carry the whole structure, and their joint spectrum recovers the
-critical points themselves (the numeric side of that lives in spectrum.py).
+linearity every polynomial, has a normal form.  Which move applies
+depends on the monomial alone, and each move writes it as a fixed
+rational combination of other monomials.  So the normal form of a
+monomial is that combination of its children's normal forms, whatever
+order a worklist would expand them in: the rewrite is linear and the
+arithmetic exact, so sharing a child's normal form between its parents
+gives the same Fractions as expanding it afresh under each (a worklist
+that skips a monomial whose merged coefficient cancels to zero skips a
+zero term).  reduce_monomial is that recursion, memoised per algebra as
+(den, sparse int coordinates) per monomial and combined in int over one
+lcm, so the dim * n products behind the operators share every
+intermediate monomial.  A monomial met again while its own children are
+being reduced would make the rewrite cycle; that raises DomainError
+naming it.
+
+Multiplication by p_j then becomes an exact rational matrix K_j on the
+basis; these commuting operators carry the whole structure, and their
+joint spectrum recovers the critical points themselves (the numeric side
+of that lives in spectrum.py).
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
 its terms at z become (c, indices) pairs, an index -j standing for
@@ -52,7 +67,7 @@ from fractions import Fraction
 
 from . import ratmat, relations
 from .arrangement import _perm_sign, k_subsets, rat_str
-from .errors import CritvarError, DomainError, UsageError
+from .errors import DomainError, UsageError
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -66,6 +81,9 @@ __all__ = [
     "unit_column",
     "unit_orbit",
 ]
+
+
+_ZERO = Fraction(0)  # shared by every zero coordinate; Fractions are immutable
 
 
 def eliminate_first_kind(spec, j, forbidden=()):
@@ -126,6 +144,7 @@ class QuotientAlgebra:
         assert self.dim == math.comb(spec.n - 1, spec.k)
         self.all_subsets = tuple(k_subsets(spec.n, spec.k))
         self.v_index = {key: r for r, key in enumerate(self.all_subsets)}
+        self._nf = {}
         self._ops = {}
         self._int_ops = {}
         self._orbits = {}
@@ -141,66 +160,88 @@ class QuotientAlgebra:
         for i in mono:
             if not 1 <= i <= self.spec.n:
                 raise UsageError(f"hyperplane index {i} out of range")
-        out = [Fraction(0)] * self.dim
-        work = {mono: Fraction(1)}
-        steps = 0
-        while work:
-            steps += 1
-            if steps > 200000:
-                raise CritvarError("monomial rewrite exceeded its step budget")
-            key, coeff = work.popitem()
-            if coeff == 0:
-                continue
-            size = len(key)
-            if size < self.spec.k:
-                self._raise_degree(work, key, coeff)
-            elif size > self.spec.k:
-                support = sorted(set(key))
-                if len(support) > self.spec.k:
-                    self._drop_by_second_kind(work, key, coeff, support)
-                else:
-                    self._split_repeat(work, key, coeff, support)
-            else:
-                support = sorted(set(key))
-                if len(support) < size:
-                    self._split_repeat(work, key, coeff, support)
-                elif self.j1 in key:
-                    self._shed_j1(work, key, coeff)
-                else:
-                    out[self.index[key]] += coeff
+        den, coords = self._normal_form(mono)
+        out = [_ZERO] * self.dim
+        for r, x in coords.items():
+            out[r] = Fraction(x, den)
         return out
 
-    def _raise_degree(self, work, key, coeff):
+    def _normal_form(self, key):
+        """(den, {basis position: int}) of a sorted monomial, its children combined.
+
+        Memoised per algebra; a key stays marked None while its children
+        are being reduced, so meeting it again means the rewrite cycles.
+        """
+        memo = self._nf
+        if key in memo:
+            if memo[key] is None:
+                raise DomainError(f"the monomial rewrite returns to p{list(key)}, "
+                                  "so it cannot terminate on this instance")
+            return memo[key]
+        memo[key] = None
+        try:
+            terms = [(c, self._normal_form(child)) for c, child in self._move(key)]
+        except BaseException:
+            del memo[key]
+            raise
+        if not terms:  # a basis monomial
+            memo[key] = (1, {self.index[key]: 1})
+            return memo[key]
+        den = math.lcm(*(c.denominator * d for c, (d, _) in terms))
+        acc = {}
+        for c, (d, coords) in terms:
+            scale = c.numerator * (den // (c.denominator * d))
+            for r, x in coords.items():
+                acc[r] = acc.get(r, 0) + scale * x
+        acc = {r: x for r, x in acc.items() if x}
+        g = math.gcd(den, *acc.values())
+        memo[key] = (den // g, {r: x // g for r, x in acc.items()})
+        return memo[key]
+
+    def _move(self, key):
+        """One rewrite step on a sorted monomial: (coefficient, monomial) pairs.
+
+        Empty exactly on the basis monomials.
+        """
+        k = self.spec.k
+        support = sorted(set(key))
+        if len(key) < k:
+            return self._raise_degree(key)
+        if len(support) > k:
+            return self._drop_by_second_kind(key, support)
+        if len(support) < len(key):
+            return self._split_repeat(key, support)
+        if self.j1 in key:
+            return self._shed_j1(key)
+        return []
+
+    def _raise_degree(self, key):
         # 1 = (1/|a|) sum_j z_j p_j on the fiber
         atot = self.spec.weight_total
-        for j in range(1, self.spec.n + 1):
-            zj = self.z[j - 1]
-            if zj:
-                _bump(work, tuple(sorted(key + (j,))), coeff * zj / atot)
+        return [(zj / atot, tuple(sorted(key + (j,))))
+                for j, zj in enumerate(self.z, start=1) if zj]
 
-    def _drop_by_second_kind(self, work, key, coeff, support):
+    def _drop_by_second_kind(self, key, support):
         jset = tuple(support[: self.spec.k + 1])
         rest = list(key)
         for j in jset:
             rest.remove(j)
         fj = self.spec.discriminant_value(jset, self.z)
-        for j, d in self.spec.discriminant_coeffs(jset):
-            others = [v for v in jset if v != j]
-            _bump(work, tuple(sorted(rest + others)), coeff * self.spec.a[j - 1] * d / fj)
+        return [(self.spec.a[j - 1] * d / fj,
+                 tuple(sorted(rest + [v for v in jset if v != j])))
+                for j, d in self.spec.discriminant_coeffs(jset)]
 
-    def _split_repeat(self, work, key, coeff, support):
+    def _split_repeat(self, key, support):
         i = next(v for v in support if key.count(v) > 1)
         shorter = list(key)
         shorter.remove(i)
-        for l, c in eliminate_first_kind(
-            self.spec, i, [s for s in support if s != i]
-        ).items():
-            _bump(work, tuple(sorted(shorter + [l])), coeff * c)
+        repl = eliminate_first_kind(self.spec, i, [s for s in support if s != i])
+        return [(c, tuple(sorted(shorter + [l]))) for l, c in repl.items()]
 
-    def _shed_j1(self, work, key, coeff):
+    def _shed_j1(self, key):
         shorter = [v for v in key if v != self.j1]
-        for l, c in eliminate_first_kind(self.spec, self.j1, shorter).items():
-            _bump(work, tuple(sorted(shorter + [l])), coeff * c)
+        repl = eliminate_first_kind(self.spec, self.j1, shorter)
+        return [(c, tuple(sorted(shorter + [l]))) for l, c in repl.items()]
 
     # -- multiplication operators --------------------------------------------
 
@@ -335,14 +376,6 @@ class QuotientAlgebra:
                 for j in range(1, self.spec.n + 1)
             },
         }
-
-
-def _bump(work, key, coeff):
-    s = work.get(key, Fraction(0)) + coeff
-    if s == 0:
-        work.pop(key, None)
-    else:
-        work[key] = s
 
 
 # -- identities the operators satisfy, as exact residual matrices -------------

@@ -133,14 +133,40 @@ def nullspace(a):
 
 
 def inverse(a):
+    """Exact inverse by fraction-free Gauss-Jordan in int.
+
+    Row i of A is cleared once by the lcm r_i of its denominators, so
+    M = diag(r) A is an integer matrix, and [M | I] is eliminated by
+    integer row operations: a row with a nonzero entry in the pivot
+    column becomes (pivot * row - entry * pivot row) over their gcds,
+    then is divided by its content; a row with a zero there is left
+    alone, so sparse rows stay cheap.  That ends at [diag(d) | B] with
+    M^-1 = diag(d)^-1 B, so A^-1 = M^-1 diag(r) has entries B_is r_s / d_i.
+    """
     m = len(a)
     if any(len(row) != m for row in a):
         raise UsageError("inverse of a non-square matrix")
-    aug = [[Fraction(x) for x in row] + ident_row for row, ident_row in zip(a, identity(m))]
-    red, pivots = rref(aug)
-    if pivots != list(range(m)):
-        raise DomainError("matrix is singular")
-    return [row[m:] for row in red]
+    scales, aug = [], []
+    for i, row in enumerate(a):
+        r, ints = _cleared([row])
+        scales.append(r)
+        aug.append(ints[0] + [int(i == j) for j in range(m)])
+    for c in range(m):
+        pivot = next((i for i in range(c, m) if aug[i][c]), None)
+        if pivot is None:
+            raise DomainError("matrix is singular")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        prow = aug[c]
+        for i in range(m):
+            f = aug[i][c]
+            if f and i != c:
+                g = math.gcd(prow[c], f)
+                p, q = prow[c] // g, f // g
+                row = [p * x - q * y for x, y in zip(aug[i], prow)]
+                h = math.gcd(*row)
+                aug[i] = [x // h for x in row]
+    return [[Fraction(x * r, row[i]) for x, r in zip(row[m:], scales)]
+            for i, row in enumerate(aug)]
 
 
 def det(mat):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,31 +169,37 @@ def joint_spectrum(alg, seed=0):
     """Critical points as the joint spectrum of the multiplication operators.
 
     Draws an integer combination c, computes the exact characteristic
-    polynomial of sum_j c_j K_j, and takes its roots.  Only a draw whose
-    eigenvalues sit within _CLUSTER_TOL of each other is discarded; after
-    _REDRAWS such draws a NumericError reports the clustering, rather
-    than silently splitting a true multiple point.  Each eigenvector is the
-    last right-singular vector of the combination minus its eigenvalue,
-    every p_j is a Rayleigh quotient on it, and the t fitted to those
-    momenta is polished by Newton at z (see _point_from_momenta).
+    polynomial of sum_j c_j K_j, and takes its roots.  The combination is
+    summed in int over the cleared operators (int_operator), which also
+    give the float operators, each entry rounded once from A_j / D_j.
+    Only a draw whose eigenvalues sit within _CLUSTER_TOL of each other is
+    discarded; after _REDRAWS such draws a NumericError reports the
+    clustering, rather than silently splitting a true multiple point.
+    Each eigenvector is the last right-singular vector of the combination
+    minus its eigenvalue, every p_j is a Rayleigh quotient on it, and the
+    t fitted to those momenta is polished by Newton at z (see
+    _point_from_momenta).
     """
     import numpy as np
     rng = np.random.default_rng(seed)
     n = alg.spec.n
     dim = alg.dim
-    ops = alg.operators()
-    kmats = [np.array(_to_complex(op)) for op in ops]
+    ops = [alg.int_operator(j) for j in range(1, n + 1)]
+    kmats = [_to_complex(den, op) for den, op in ops]
+    den = math.lcm(*(d for d, _ in ops))
     tried_gaps = []
     for attempt in range(1, _REDRAWS + 1):
         c = [int(x) for x in rng.integers(1, 10, size=n) * rng.choice([-1, 1], size=n)]
-        comb = [[sum(cj * op[r][s] for cj, op in zip(c, ops)) for s in range(dim)]
-                for r in range(dim)]
-        eigvals = poly_roots(ratmat.charpoly(comb))
+        scales = [cj * (den // d) for cj, (d, _) in zip(c, ops)]
+        ints = [[sum(map(operator.mul, scales, entries)) for entries in zip(*rows)]
+                for rows in zip(*(op for _, op in ops))]
+        eigvals = poly_roots(ratmat.charpoly([[Fraction(x, den) for x in row]
+                                              for row in ints]))
         gap = _min_gap(eigvals)
         if dim > 1 and gap <= _CLUSTER_TOL:
             tried_gaps.append(gap)
             continue
-        cmat = np.array(_to_complex(comb))
+        cmat = _to_complex(den, ints)
         points = []
         for lam in eigvals:
             vec = np.linalg.svd(cmat - lam * np.eye(dim))[2][-1].conj()
@@ -212,8 +219,10 @@ def joint_spectrum(alg, seed=0):
     )
 
 
-def _to_complex(mat):
-    return [[complex(x) for x in row] for row in mat]
+def _to_complex(den, ints):
+    """The complex array of ints / den; int / int rounds once, as complex(Fraction) does."""
+    import numpy as np
+    return np.array([[x / den for x in row] for row in ints], dtype=complex)
 
 
 def _min_gap(values):
@@ -236,8 +245,8 @@ def _point_from_momenta(spec, z, p):
     polished t, and otherwise the given momenta stand.
     """
     import numpy as np
-    b = np.array([[complex(x) for x in row] for row in spec.b])
-    a = np.array([complex(x) for x in spec.a])
+    a, b, _ = spec.tables(p)
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
     zc = np.array([complex(v) for v in z])
     t, *_ = np.linalg.lstsq(b, a / np.array(p) - zc, rcond=None)
     polished, ok = _polish(b, a, zc, [t], *_POLISH)
@@ -475,9 +484,9 @@ def newton_multistart(
         raise UsageError("z has wrong length")
     n_starts = _STARTS_PER_POINT * math.comb(n - 1, k)
     rng = np.random.default_rng(seed)
-    b = np.array([[complex(x) for x in row] for row in spec.b])
-    a = np.array([complex(x) for x in spec.a])
     zc = np.array([complex(v) for v in z])
+    a, b, _ = spec.tables(zc)
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
     bt_exact = [[Fraction(spec.b[j][m]) for j in range(n)] for m in range(k)]
     kernel = np.array(
         [[complex(v[j]) for v in ratmat.nullspace(bt_exact)] for j in range(n)]
@@ -615,17 +624,10 @@ def match_point_sets(pa, pb, tol):
 
 def hessian_matrix(spec, z, t):
     """The k x k matrix of second t-derivatives of the master function."""
+    a, b, _ = spec.tables(z, t)
     fs = spec.hyperplane_values(z, t)
-    rows = []
-    for m in range(spec.k):
-        row = []
-        for l in range(spec.k):
-            row.append(-sum(
-                spec.a[j] * spec.b[j][m] * spec.b[j][l] / (fs[j] * fs[j])
-                for j in range(spec.n)
-            ))
-        rows.append(row)
-    return rows
+    return [[-sum(a[j] * b[j][m] * b[j][l] / (fs[j] * fs[j]) for j in range(spec.n))
+             for l in range(spec.k)] for m in range(spec.k)]
 
 
 def _det(rows):
@@ -657,11 +659,12 @@ def hessian_formula(spec, p):
     Agrees with the direct determinant exactly on the critical set; the sum
     runs over momenta alone, which is what makes it a function on the fiber.
     """
+    a, _, minors = spec.tables(p)
     total = 0
-    for iset in k_subsets(spec.n, spec.k):
-        term = spec.plucker(iset) ** 2
+    for iset, d in minors.items():
+        term = d * d
         for i in iset:
-            term = term * p[i - 1] * p[i - 1] / spec.a[i - 1]
+            term = term * p[i - 1] * p[i - 1] / a[i - 1]
         total = total + term
     return (-1) ** spec.k * total
 
@@ -672,13 +675,14 @@ def jacobian_formula(spec, p):
     (-1)^(n-k) sum over (n-k)-subsets L of d_{L complement}^2
     prod_{j in L} a_j / p_j^2; independent of which chart M is projected.
     """
+    a, _, minors = spec.tables(p)
     total = 0
     universe = set(range(1, spec.n + 1))
     for lset in k_subsets(spec.n, spec.n - spec.k):
-        comp = tuple(sorted(universe - set(lset)))
-        term = spec.plucker(comp) ** 2
+        d = minors[tuple(sorted(universe - set(lset)))]
+        term = d * d
         for j in lset:
-            term = term * spec.a[j - 1] / (p[j - 1] * p[j - 1])
+            term = term * a[j - 1] / (p[j - 1] * p[j - 1])
         total = total + term
     return (-1) ** (spec.n - spec.k) * total
 
@@ -690,17 +694,15 @@ def smoothness_witness(spec, z, t, iset):
     the closed form never vanishes off the hyperplanes, which is the local
     smoothness certificate for the critical-point equations.
     """
+    a, b, minors = spec.tables(z, t)
     iset = tuple(sorted(iset))
-    if len(iset) != spec.k:
-        raise UsageError(f"need a k-subset, got {iset}")
+    if iset not in minors:
+        raise UsageError(f"need a k-subset of 1..{spec.n}, got {iset}")
     fs = spec.hyperplane_values(z, t)
-    rows = []
-    for l in range(spec.k):
-        rows.append([
-            -spec.a[j - 1] * spec.b[j - 1][l] / (fs[j - 1] * fs[j - 1]) for j in iset
-        ])
+    rows = [[-a[j - 1] * b[j - 1][l] / (fs[j - 1] * fs[j - 1]) for j in iset]
+            for l in range(spec.k)]
     direct = _det(rows)
-    closed = (-1) ** spec.k * spec.plucker(iset)
+    closed = (-1) ** spec.k * minors[iset]
     for j in iset:
-        closed = closed * spec.a[j - 1] / (fs[j - 1] * fs[j - 1])
+        closed = closed * a[j - 1] / (fs[j - 1] * fs[j - 1])
     return direct, closed

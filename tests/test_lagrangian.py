@@ -175,3 +175,53 @@ def test_sampling_is_deterministic_given_a_seed():
     one = lag.sample_chart_point(spec, (1, 2), random.Random(99))
     two = lag.sample_chart_point(spec, (1, 2), random.Random(99))
     assert one == two
+
+
+def _rational_instance(n, k, seed):
+    """A generic instance whose b has non-dyadic entries, so its float image rounds."""
+    spec = random_generic(n, k, random.Random(seed))
+    b = tuple(tuple(x / (3 + r) for x in row) for r, row in enumerate(spec.b))
+    return ArrangementSpec(n, k, b, spec.a)
+
+
+def _fd_values(spec, rng):
+    """Every float figure the flows checks compute from completions, at one point."""
+    charts = list(k_subsets(spec.n, spec.k))[:3]
+    z, p = lag.sample_chart_point(spec, charts[0], rng)
+    zc, pc = [complex(v) + 0.25j for v in z], [complex(v) - 0.5j for v in p]
+    z_part, p_part = lag.chart_coords(spec, charts[1], zc, pc)
+    return [
+        lag.chart_complete(spec, charts[1], z_part, p_part),
+        [lag.transition_jacobian_fd(spec, charts[0], dst, z, p) for dst in charts[1:]],
+        [lag.generating_fd_residual(spec, iset, z, p) for iset in charts],
+        [lag.projection_jacobian_fd(spec, iset, z, p) for iset in charts],
+    ]
+
+
+def test_fd_checks_on_the_float_image_are_bit_identical(monkeypatch):
+    # the image rounds each minor as the Fraction-complex fallback did, so
+    # with the exact tables forced back in the same floats come out
+    for spec in [random_generic(5, 2, random.Random(31)), random_generic(6, 3, random.Random(32)),
+                 _rational_instance(5, 2, 33), _rational_instance(4, 1, 34)]:
+        fast = _fd_values(spec, random.Random(35))
+        with monkeypatch.context() as m:
+            m.setattr(ArrangementSpec, "tables", lambda self, *values: self._exact)
+            assert _fd_values(spec, random.Random(35)) == fast
+
+
+def test_generating_map_on_the_float_image(monkeypatch):
+    rng = random.Random(36)
+    for spec in [random_generic(5, 2, random.Random(37)), _rational_instance(5, 3, 38)]:
+        iset = (2, 4) if spec.k == 2 else (1, 3, 4)
+        z, p = lag.sample_chart_point(spec, iset, rng)
+        z_part, p_part = lag.chart_coords(spec, iset, z, p)
+        z_part = [complex(v) + 0.5j for v in z_part]
+        p_part = [complex(v) for v in p_part]
+        fast = lag.generating_map(spec, iset, z_part, p_part)
+        with monkeypatch.context() as m:
+            m.setattr(ArrangementSpec, "tables", lambda self, *values: self._exact)
+            slow = lag.generating_map(spec, iset, z_part, p_part)
+        assert all(abs(u - v) <= 1e-14 * abs(v) for u, v in zip(fast, slow))
+        zf, _ = lag.chart_complete(spec, iset, z_part, p_part)
+        comp = [j for j in range(1, spec.n + 1) if j not in iset]
+        assert all(abs(u - zf[j - 1]) <= 1e-12 * abs(u) for u, j in zip(fast, comp))

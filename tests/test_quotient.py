@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,8 +7,9 @@ import pytest
 
 from critvar import quotient as qt
 from critvar import ratmat
-from critvar.arrangement import ArrangementSpec, k_subsets, random_generic, sample_z
-from critvar.errors import DomainError, UsageError
+from critvar.arrangement import ArrangementSpec, k_subsets, random_generic, rat_str, sample_z
+from critvar.cli import main
+from critvar.errors import CritvarError, DomainError, UsageError
 from critvar.laurent import LaurentPoly
 from critvar.quotient import (
     QuotientAlgebra,
@@ -72,6 +74,124 @@ def test_basis_classes_reduce_to_unit_vectors():
     for r, mono in enumerate(alg.basis):
         coords = alg.reduce_monomial(mono)
         assert coords == [Fraction(1) if i == r else Fraction(0) for i in range(alg.dim)]
+
+
+def _reduce_by_worklist(alg, mono):
+    """The rewrite as a worklist of (monomial, coefficient), popped until empty.
+
+    The reference for the memoised recursion: each monomial popped is
+    expanded by the same three moves and degree raising, but nothing is
+    shared between calls and coefficients merge in Fraction.
+    """
+    spec, k = alg.spec, alg.spec.k
+    out = [Fraction(0)] * alg.dim
+    work = {tuple(sorted(mono)): Fraction(1)}
+
+    def bump(key, coeff):
+        key = tuple(sorted(key))
+        total = work.get(key, Fraction(0)) + coeff
+        if total == 0:
+            work.pop(key, None)
+        else:
+            work[key] = total
+
+    def eliminate(key, i, forbidden):
+        shorter = list(key)
+        shorter.remove(i)
+        for l, c in eliminate_first_kind(spec, i, forbidden).items():
+            bump(shorter + [l], coeff * c)
+
+    while work:
+        key, coeff = work.popitem()
+        support = sorted(set(key))
+        if len(key) < k:
+            for j in range(1, spec.n + 1):
+                if alg.z[j - 1]:
+                    bump(key + (j,), coeff * alg.z[j - 1] / spec.weight_total)
+        elif len(support) > k:
+            jset = tuple(support[: k + 1])
+            rest = list(key)
+            for j in jset:
+                rest.remove(j)
+            fj = spec.discriminant_value(jset, alg.z)
+            for j, d in spec.discriminant_coeffs(jset):
+                bump(rest + [v for v in jset if v != j], coeff * spec.a[j - 1] * d / fj)
+        elif len(support) < len(key):
+            i = next(v for v in support if key.count(v) > 1)
+            eliminate(key, i, [s for s in support if s != i])
+        elif alg.j1 in key:
+            eliminate(key, alg.j1, [v for v in key if v != alg.j1])
+        else:
+            out[alg.index[key]] += coeff
+    return out
+
+
+def test_memoised_rewrite_matches_the_worklist():
+    # k = 1, k = n - 1 (dim 1), (6,3) and (7,3), one with j1 other than 1
+    for n, k, seed, j1 in [(5, 1, 101, 1), (5, 4, 102, 1), (6, 3, 103, 4), (7, 3, 104, 1)]:
+        alg = random_algebra(n, k, seed, j1=j1)
+        ops = [[_reduce_by_worklist(alg, mono + (j,)) for mono in alg.basis]
+               for j in range(1, n + 1)]
+        ops = [ratmat.transpose(cols) for cols in ops]
+        assert alg.operators() == ops
+        assert alg.element_one() == _reduce_by_worklist(alg, ())
+        for key in alg.all_subsets:
+            assert alg.reduce_monomial(key) == _reduce_by_worklist(alg, key)
+        described = alg.describe()["operators"]
+        assert described == {str(j): [[rat_str(x) for x in row] for row in op]
+                             for j, op in enumerate(ops, start=1)}
+
+
+def test_reduce_monomial_returns_a_fresh_list():
+    alg = random_algebra(5, 2, 105)
+    key = alg.all_subsets[0]
+    first = alg.reduce_monomial(key)
+    want = list(first)
+    first[0] += 1
+    first[-1] = Fraction(7)
+    assert alg.reduce_monomial(key) == want
+    assert alg.element_one() == alg.reduce_monomial(())
+
+
+def _cycling_shed(alg, pair):
+    """A broken move: each monomial of the pair sheds j1 onto the other."""
+    honest = alg._shed_j1
+
+    def shed(key):
+        return [(Fraction(2), pair[1 - pair.index(key)])] if key in pair else honest(key)
+
+    return shed
+
+
+def test_a_cycling_rewrite_raises_naming_the_monomial(monkeypatch):
+    alg = random_algebra(5, 2, 106)
+    pair = ((1, 2), (1, 3))
+    monkeypatch.setattr(alg, "_shed_j1", _cycling_shed(alg, pair))
+    with pytest.raises(CritvarError, match=r"rewrite returns to p\[1, 2\]"):
+        alg.reduce_monomial((1, 2))
+    with pytest.raises(DomainError, match=r"p\[1, 3\]"):
+        alg.reduce_monomial((3, 1))
+    # a self-loop is caught as well, and nothing half-done stays in the memo
+    monkeypatch.setattr(alg, "_shed_j1", lambda key: [(Fraction(1), key)])
+    with pytest.raises(DomainError, match=r"p\[1, 4\]"):
+        alg.reduce_monomial((1, 4))
+    monkeypatch.undo()
+    assert all(v is not None for v in alg._nf.values())
+    assert alg.operators() == random_algebra(5, 2, 106).operators()
+
+
+def test_a_cycling_rewrite_exits_two_from_the_cli(tmp_path, capsys, monkeypatch):
+    rng = random.Random(107)
+    spec = random_generic(5, 2, rng, coeff_bound=4)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**spec.to_config(),
+                                "z": [rat_str(v) for v in sample_z(spec, rng, bound=6)]}))
+    move = QuotientAlgebra._shed_j1
+    monkeypatch.setattr(QuotientAlgebra, "_shed_j1",
+                        lambda self, key: [(Fraction(1), key)] if key == (1, 2)
+                        else move(self, key))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "rewrite returns to p[1, 2]" in capsys.readouterr().err
 
 
 def test_eliminate_first_kind():

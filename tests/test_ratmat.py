@@ -164,3 +164,37 @@ def test_rref_idempotent():
     red, piv = ratmat.rref(a)
     red2, piv2 = ratmat.rref(red)
     assert red == red2 and piv == piv2
+
+
+def _inverse_by_rref(a):
+    """Reference: Gauss-Jordan over Fraction on [A | I]."""
+    m = len(a)
+    red, pivots = ratmat.rref([list(row) + ident for row, ident in zip(a, ratmat.identity(m))])
+    if pivots != list(range(m)):
+        raise DomainError("singular")
+    return [row[m:] for row in red]
+
+
+def test_inverse_against_fraction_rref():
+    rng = random.Random(61)
+    mats = [rand_mat(rng, m, m) for m in range(1, 8) for _ in range(4)]
+    sparse = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2**40 + 7]))
+               if rng.random() < 0.3 else Fraction(0) for _ in range(6)] for _ in range(6)]
+    swap = [[0, 2, 1], [3, 0, 0], [1, 1, 0]]  # zero first pivot: rows must swap
+    for a in mats + [sparse, swap, [[Fraction(5, 3)]], [[2, 1], [1, 1]]]:
+        try:
+            want = _inverse_by_rref(a)
+        except DomainError:
+            with pytest.raises(DomainError):
+                ratmat.inverse(a)
+            continue
+        got = ratmat.inverse(a)
+        assert got == want
+        assert ratmat.mat_mul(got, a) == ratmat.identity(len(a))
+    assert ratmat.inverse([]) == []
+    with pytest.raises(DomainError):
+        ratmat.inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    with pytest.raises(DomainError):
+        ratmat.inverse([[Fraction(0)]])
+    with pytest.raises(UsageError):
+        ratmat.inverse([[1, 2]])

@@ -15,6 +15,7 @@ from critvar.spectrum import (
     _det,
     hessian_direct,
     hessian_formula,
+    hessian_matrix,
     jacobian_formula,
     joint_spectrum,
     match_point_sets,
@@ -448,3 +449,52 @@ def test_smoothness_witness_is_an_identity():
             direct, closed = smoothness_witness(spec, z, t, iset)
             assert direct == closed
             assert closed != 0
+
+
+def _second_order(spec, z, t, p):
+    """Every second-order figure at one point, in a flat list."""
+    iset = tuple(range(1, spec.k + 1))
+    return [*(x for row in hessian_matrix(spec, z, t) for x in row),
+            hessian_direct(spec, z, t), hessian_formula(spec, p), jacobian_formula(spec, p),
+            *smoothness_witness(spec, z, t, iset)]
+
+
+@pytest.mark.parametrize("n, k, integral", [(5, 2, True), (6, 3, True), (5, 2, False),
+                                            (4, 3, False)])
+def test_second_order_on_the_float_image(monkeypatch, n, k, integral):
+    # complex input runs on the spec's float image: within 1e-14 of the Fraction
+    # path, and bit for bit on integer data, where products of entries round
+    # nowhere; rational input stays exact either way
+    rng = random.Random(40 + n + k)
+    spec = random_generic(n, k, rng, coeff_bound=4)
+    if not integral:
+        b = tuple(tuple(x / (3 + r) for x in row) for r, row in enumerate(spec.b))
+        spec = ArrangementSpec(n, k, b, tuple(x / 7 for x in spec.a))
+    z = sample_z(spec, rng, bound=6)
+    t = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k)]
+    p = spec.momenta(z, t)
+    tc = [complex(v) + 0.3j for v in t]
+    pc = spec.momenta(z, tc)
+    fast, exact = _second_order(spec, z, tc, pc), _second_order(spec, z, t, p)
+    with monkeypatch.context() as m:
+        m.setattr(ArrangementSpec, "tables", lambda self, *values: self._exact)
+        slow = _second_order(spec, z, tc, pc)
+        assert _second_order(spec, z, t, p) == exact
+    assert all(isinstance(x, Fraction) for x in exact)
+    assert all(isinstance(x, complex) for x in fast)
+    assert all(abs(u - v) <= 1e-14 * abs(v) for u, v in zip(fast, slow))
+    if integral:
+        assert fast == slow
+
+
+def test_combination_from_the_integer_operators_is_the_fraction_sum():
+    # joint_spectrum sums the cleared integer operators; the charpoly it
+    # takes must be that of sum_j c_j K_j over Fraction
+    rng = random.Random(63)
+    spec = random_generic(6, 2, rng, coeff_bound=4)
+    alg = QuotientAlgebra(spec, sample_z(spec, rng, bound=6))
+    res = joint_spectrum(alg, seed=4)
+    ops = alg.operators()
+    comb = [[sum(c * op[r][s] for c, op in zip(res.combination, ops))
+             for s in range(alg.dim)] for r in range(alg.dim)]
+    assert res.eigenvalues == tuple(poly_roots(ratmat.charpoly(comb)))
