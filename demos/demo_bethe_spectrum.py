@@ -3,9 +3,9 @@
 At a fixed generic translation z the functions on the critical set form an
 algebra of dimension C(n-1, k).  Multiplication by each momentum class gives
 a commuting family of matrices; their joint eigenvalues are the momenta of
-the critical points.  A multistart Newton solve on the original equations
-must land on the same points — and the Hessian at each point must match the
-closed momentum formula.
+the critical points.  A homotopy on the original equations, started from
+the real chambers of the arrangement, must land on the same points — and
+the Hessian at each point must match the closed momentum formula.
 """
 
 import math
@@ -43,7 +43,7 @@ def main():
     ok, worst = match_point_sets([pt.p for pt in sp.points], [pt.p for pt in nw], 1e-8)
     print(f"\nspectral route found {len(sp.points)} points "
           f"(separating combination c = {sp.combination})")
-    print(f"newton route found   {len(nw)} points")
+    print(f"homotopy route found {len(nw)} points")
     print(f"the point sets match: {ok}  (worst momentum gap {worst:.2e})")
 
     print("\nper-point checks:")

@@ -11,8 +11,8 @@ family.  From it everything else is derived:
   set at a fixed translation, its multiplication operators, and the special
   vector map onto the singular part of a symmetric tensor power;
 * ``spectrum`` — two independent routes to the critical points (simultaneous
-  diagonalisation and multistart Newton) and the Hessian/Jacobian formulas
-  that tie them together;
+  diagonalisation, and a homotopy from the real chambers) and the
+  Hessian/Jacobian formulas that tie them together;
 * ``lagrangian`` — rational charts on the variety, its generating function,
   transition and projection Jacobians, and the commuting flows.
 """

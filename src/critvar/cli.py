@@ -7,8 +7,8 @@ verify   algebraic identity battery for one instance (minor relations,
          when a base point is supplied, the full operator algebra; its
          identities are proved on the certified cyclic unit vector).
 solve    critical points of one instance two ways (commuting-operator
-         spectra and multistart root finding), cross-checked against each
-         other and the determinant identities.
+         spectra, and a homotopy from the real chambers), cross-checked
+         against each other and the determinant identities.
 flows    chart completion, transitions, generating-function derivatives,
          projection Jacobians and the closed-form flows on sampled points.
 gen      draw a fresh generic instance and write it as a config file.
@@ -21,14 +21,15 @@ Every run emits a report_v1 JSON document: command, the resolved config,
 one entry per check (name, status pass/fail/skipped, residual, count,
 expected), and timing; verify's timing also has "stages", the seconds
 spent on each check, keyed by check name in run order.  solve's stages
-are the spectral route and each Newton tier that ran ("newton_plain",
-"newton_random_s", "newton_monodromy"), and its "diagnostics.newton"
-gives each such tier's starts, converged runs and distinct points added,
-plus the loops monodromy ran; verify's
+are the spectral route ("joint_spectrum") and route two ("newton"), and
+its "diagnostics.newton" gives route two's counts: vertex starts, chambers
+of the real fiber, redraws, tracked and retracked paths; verify's
 "diagnostics.verify" gives the path its operator identities took
 ("unit_orbit", "full_matrix", or null without a base point) and the
 identities checked out of the total.  Complex numbers are
-[re, im] pairs.  Exit status:
+[re, im] pairs.  Each command takes only the tolerances it reads: flows
+--tol-fd; solve --tol-newton, --tol-spectral, --tol-hessian, --tol-dedup.
+Exit status:
 0 all checks passed, 1 at least one failed, 2 bad usage or bad input
 data, 3 a numeric procedure gave up.
 """
@@ -57,6 +58,7 @@ from .arrangement import (
 from .errors import DomainError, NumericError, UsageError
 from .relations import euler_relation, g_single, involution_suite
 from .spectrum import (
+    _POLISH,
     hessian_direct,
     hessian_formula,
     jacobian_formula,
@@ -67,12 +69,10 @@ from .spectrum import (
 
 __all__ = ["main"]
 
-_TOL_DEFAULTS = {
-    "newton": 1e-12,
-    "spectral": 1e-9,
-    "hessian": 1e-8,
-    "fd": 1e-6,
-    "dedup": 1e-7,
+_TOLERANCES = {
+    "verify": {},
+    "flows": {"fd": 1e-6},
+    "solve": {"newton": _POLISH[1], "spectral": 1e-9, "hessian": 1e-8, "dedup": 1e-7},
 }
 
 
@@ -296,13 +296,12 @@ def _cmd_solve(args):
     mark = time.perf_counter()
     spectral = joint_spectrum(qt.QuotientAlgebra(spec, z), seed=seed)
     stages = {"joint_spectrum": round(time.perf_counter() - mark, 6)}
-    tiers = {}
+    mark = time.perf_counter()
+    counts = {}
     newton = newton_multistart(spec, z, seed=seed, tol=args.tol_newton,
                                dedup_tol=args.tol_dedup, target_count=expected,
-                               stats=tiers)
-    # seconds go to timing, so the rest of the report repeats under a seed
-    for tier, row in tiers.items():
-        stages[f"newton_{tier}"] = round(row.pop("seconds"), 6)
+                               stats=counts)
+    stages["newton"] = round(time.perf_counter() - mark, 6)
     checks.append(_check("critical_count_spectral", len(spectral.points) == expected,
                          None, len(spectral.points), expected))
     checks.append(_check("critical_count_newton", len(newton) == expected,
@@ -346,7 +345,7 @@ def _cmd_solve(args):
         "points": points,
         "eigenvalue_combination": [int(c) for c in spectral.combination],
         "eigenvalues": [_c_pair(v) for v in spectral.eigenvalues],
-        "diagnostics": {"newton": tiers},
+        "diagnostics": {"newton": counts},
     }
     return _finish("solve", raw, spec, z, seed, checks, started, args.out, extra,
                    stages=stages)
@@ -503,21 +502,16 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=None,
                         help="seed overriding the config")
     common.add_argument("--out", default=None, help="write the report here")
-    for name, default in _TOL_DEFAULTS.items():
-        common.add_argument(f"--tol-{name}", dest=f"tol_{name}",
-                            type=float, default=default)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the identity battery for one instance")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("solve", parents=[common],
-                       help="find and cross-check the critical points")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("flows", parents=[common],
-                       help="exercise charts, Jacobians and flows")
-    p.set_defaults(func=_cmd_flows)
+    for command, func, text in (
+        ("verify", _cmd_verify, "run the identity battery for one instance"),
+        ("solve", _cmd_solve, "find and cross-check the critical points"),
+        ("flows", _cmd_flows, "exercise charts, Jacobians and flows"),
+    ):
+        p = sub.add_parser(command, parents=[common], help=text)
+        for name, default in _TOLERANCES[command].items():
+            p.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=default)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="draw a random generic instance")
     p.add_argument("--n", type=int, default=None)

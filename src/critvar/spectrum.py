@@ -6,10 +6,11 @@ multiplication operators has an exact characteristic polynomial; its roots
 of that combination at the critical points, and the joint eigenvectors
 hand back every coordinate p_j through Rayleigh quotients.
 
-Route two never sees the algebra: plain Newton iteration on the critical
-equations sum_j a_j b^m_j / f_j = 0 from many random starts in a disk,
-with the analytic Jacobian, then deduplication; points the starts miss
-are reached by monodromy loops of z that carry the found ones along.
+Route two never sees the algebra: for real z and positive weights the
+critical points of sum_j a_j log f_j are the maxima of its bounded real
+chambers, found by one ascent each, and a parameter homotopy carries
+that fiber to the given weights and z, solving the critical equations
+sum_j a_j b^m_j / f_j = 0 with their analytic Jacobian along the way.
 
 Both routes should produce the same C(n-1, k) points; the test suite and
 the verify command insist on it.  The closed forms for the Hessian and
@@ -21,9 +22,9 @@ the functions that use it, so the exact commands never load it.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,7 +163,7 @@ def _exact_newton(ints, x):
 # -- the operator route -------------------------------------------------------
 
 _CLUSTER_TOL = 1e-6  # eigenvalues this close count as one cluster
-_REDRAWS = 5  # clustered draws before joint_spectrum gives up
+_REDRAWS = 5  # draws before a route gives up: clustered spectra, or short real fibers
 
 
 def joint_spectrum(alg, seed=0):
@@ -266,20 +267,17 @@ def _momenta_key(pt):
 
 # -- the direct route ---------------------------------------------------------
 
-_STARTS_PER_POINT = 50  # a round draws this many starts per expected point
-_MAX_ITER = 80  # bilinear Newton steps per start
-_STALL_LOOPS = 12  # monodromy loops in a row that add no point before the tier stops
+_ASCENT_STEPS = 100  # damped Newton steps a chamber's start gets to reach its maximum
+_RETRACKS = 2  # rounds that retrack lost or merged paths, each with steps a quarter as long
+_MAX_STEP = 0.25  # largest share of a segment that path tracking steps by
 _MIN_STEP = 1e-4  # smallest share of a segment that path tracking steps by
 
 
 def _apply(mat, rows):
-    """mat @ row for every row of a stack.
+    """mat @ row for every row of a stack, each rounded as that single product is.
 
-    numpy takes each product in turn with the routine it uses for one
-    vector, so a row comes out bit for bit as a single-start run would
-    compute it; one matrix product over the stack rounds differently.
-    The per-start reference in the tests relies on this to pin the
-    batched kernel start by start.
+    One matrix product over the stack rounds differently; this way a point
+    takes the same polish steps alone (route one) as in a batch (route two).
     """
     return (mat @ rows[..., None])[..., 0]
 
@@ -297,42 +295,6 @@ def _solve_rows(mats, rhs):
             except np.linalg.LinAlgError:
                 pass
         return out
-
-
-def _bilinear_batch(b, a, zc, kernel, scale, t, s, max_iter, tol):
-    """Every start of a round at once: bilinear solve, then rational polish.
-
-    Rows of t (B, k) and s (B, n - k) are independent starts.  Returns
-    (limits, ok): row i of limits is start i's limit where ok[i] holds;
-    a start whose Jacobian turns singular, whose iterate leaves the finite
-    numbers, or that runs out of iterations has ok[i] false.  Each Newton
-    step stacks the live rows' Jacobians [b w | N f] into one batched
-    solve, and rows drop out as they converge or fail.
-    """
-    import numpy as np
-    k = t.shape[1]
-    t, s = t.copy(), s.copy()
-    solved = np.zeros(len(t), dtype=bool)
-    live = np.arange(len(t))
-    for _ in range(max_iter):
-        tl, sl = t[live], s[live]
-        f = zc + _apply(b, tl)
-        w = _apply(kernel, sl)
-        resid = f * w - a
-        done = np.abs(resid).max(axis=1) < 1e-13 * scale
-        solved[live[done]] = True
-        live, tl, sl, f, w, resid = (x[~done] for x in (live, tl, sl, f, w, resid))
-        if not live.size:
-            break
-        jac = np.concatenate([b * w[:, :, None], kernel * f[:, :, None]], axis=2)
-        step = _solve_rows(jac, -resid)
-        tl, sl = tl + step[:, :k], sl + step[:, k:]
-        finite = np.isfinite(tl).all(axis=1) & np.isfinite(sl).all(axis=1)
-        live = live[finite]
-        t[live], s[live] = tl[finite], sl[finite]
-    rows = np.flatnonzero(solved)
-    t[rows], solved[rows] = _polish(b, a, zc, t[rows], _POLISH[0], tol)
-    return t, solved
 
 
 def _polish(b, a, zc, t, sweeps, gtol):
@@ -379,41 +341,91 @@ def _gradient_floor(b, a, f):
     return 1.0 + _apply(abs(b).T, abs(a) / abs(f))
 
 
-def _track(b, a, z_from, z_to, t):
-    """Carry critical points at z_from along the segment to z_to, all at once.
+def _real_fiber(b, a, z):
+    """The maximum of sum_j a_j log|f_j| on every bounded chamber, for real z and a >= 1.
 
-    Every row of t is one path, and all paths share one step in the
-    segment parameter: an Euler predictor from the stacked Hessians, then
-    _polish at the new z as the corrector.  A corrected point that lands
-    far from where the predictor aimed has likely hopped onto a
-    neighbouring path, so that counts as a failure, like a corrector that
-    does not converge.  A failure halves the shared step and retries it;
-    at the floor step _MIN_STEP the failing paths are dropped, never
-    guessed, and the rest go on.  The step grows back after a success.
-    Returns (t at z_to, ok).
+    The planes of a k-subset I meet in the vertex v = -b_I^-1 z_I, and
+    v + eps b_I^-1 sigma, for sigma in {-1, 1}^k, lies in the orthant sigma
+    of those planes; eps, half the smallest |f_j(v)| / |b_j b_I^-1|_1 over
+    the other planes, keeps every other f_j on its side.  Every bounded
+    chamber has a vertex, so the starts reach them all, and the first start
+    of each sign vector stands for its chamber.  Each climbs by the damped
+    Newton step d / (1 + delta), delta = sqrt(g . d): with weights >= 1 the
+    negated function is a self-concordant barrier of the chamber, so the
+    step keeps the chamber and raises the function (Nesterov & Nemirovski
+    1994), and once delta < 1/4 _polish converges quadratically without
+    leaving it.  A start that leaves the box of the vertices is in an
+    unbounded chamber, which has no maximum, and is dropped, as is one
+    still climbing after _ASCENT_STEPS steps.  Returns (maxima, number of
+    vertex starts).
     """
     import numpy as np
-    dz = z_to - z_from
+    n, k = b.shape
+    subsets = np.array(list(k_subsets(n, k))) - 1
+    inv = np.linalg.inv(b[subsets])
+    vertices = -_apply(inv, z[subsets])
+    ratio = np.abs(z + _apply(b, vertices)) / np.abs(b @ inv).sum(axis=2)
+    np.put_along_axis(ratio, subsets, np.inf, axis=1)
+    orthants = np.array(list(itertools.product((-1.0, 1.0), repeat=k))) @ inv.transpose(0, 2, 1)
+    starts = (vertices[:, None] + 0.5 * ratio.min(axis=1)[:, None, None] * orthants).reshape(-1, k)
+    f = z + _apply(b, starts)
+    off = (f != 0).all(axis=1)  # a start on a plane only where z is not generic
+    _, first = np.unique(f[off] > 0, axis=0, return_index=True)
+    t = starts[off][np.sort(first)]
+    ready, live = np.zeros(len(t), dtype=bool), np.arange(len(t))
+    for _ in range(_ASCENT_STEPS):
+        f = z + _apply(b, t[live])
+        g = _apply(b.T, a / f)
+        d = _solve_rows((b.T * (a / f**2)[:, None, :]) @ b, g)
+        delta = np.sqrt((g * d).sum(axis=1))
+        ready[live[delta < 0.25]] = True
+        climb = delta >= 0.25
+        live, tl = live[climb], t[live[climb]] + d[climb] / (1.0 + delta[climb, None])
+        inside = ((tl >= vertices.min(axis=0)) & (tl <= vertices.max(axis=0))).all(axis=1)
+        live = live[inside]
+        t[live] = tl[inside]
+        if not live.size:
+            break
+    t, ok = _polish(b, a, z, t[ready], *_POLISH)
+    return t[ok], len(starts)
+
+
+def _track(b, a_from, a_to, z_from, z_to, t, shrink=1.0):
+    """Carry critical points at (a_from, z_from) along the segment to (a_to, z_to).
+
+    Every row of t is one path, and all paths share one step in the
+    segment parameter s: an Euler predictor dt/ds = H^-1 b^T (a dz / f^2
+    - da / f), H the stacked Hessians, then _polish at the new (a, z) as
+    the corrector.  A corrected point far from where the predictor aimed
+    has likely hopped onto a neighbouring path, so that fails the step,
+    like a corrector that does not converge.  A failure halves the shared
+    step; at the floor _MIN_STEP * shrink the failing paths are dropped,
+    never guessed, and the rest go on.  A success grows the step back, up
+    to _MAX_STEP * shrink.  Returns (t at the end, ok).
+    """
+    import numpy as np
+    da, dz = a_to - a_from, z_to - z_from
     t = np.array(t, dtype=complex)
     live = np.arange(len(t))
-    tau, dtau = 0.0, 0.1
+    tau, dtau = 0.0, 0.1 * shrink
     while tau < 1.0 and live.size:
         ahead = min(1.0, tau + dtau)
         tl = t[live]
-        w = a / (z_from + tau * dz + _apply(b, tl)) ** 2
-        velocity = _solve_rows(-(b.T * w[:, None, :]) @ b, _apply(b.T, w * dz))
+        f = z_from + tau * dz + _apply(b, tl)
+        w = (a_from + tau * da) / f**2
+        velocity = _solve_rows(-(b.T * w[:, None, :]) @ b, _apply(b.T, w * dz - da / f))
         move = velocity * (ahead - tau)
         guess = tl + move
-        fixed, good = _polish(b, a, z_from + ahead * dz, guess, 6, 1e-10)
+        fixed, good = _polish(b, a_from + ahead * da, z_from + ahead * dz, guess, 6, 1e-10)
         drift = np.abs(fixed - guess).max(axis=1)
         good &= drift <= 0.5 * np.abs(move).max(axis=1) + 1e-8
-        if not good.all() and dtau / 2 >= _MIN_STEP:
+        if not good.all() and dtau / 2 >= _MIN_STEP * shrink:
             dtau /= 2
             continue
         live = live[good]
         t[live] = fixed[good]
         tau = ahead
-        dtau = min(0.25, dtau * 1.4)
+        dtau = min(_MAX_STEP * shrink, dtau * 1.4)
     ok = np.zeros(len(t), dtype=bool)
     ok[live] = True
     return t, ok
@@ -428,166 +440,84 @@ def newton_multistart(
     target_count=None,
     stats=None,
 ):
-    """All critical points of the master function at fixed z, by multistart.
+    """All critical points of the master function at z, carried from a real fiber.
 
-    Starts are uniform in the polydisk of radius 2 (max_j |z_j| + 1).  Raw
-    Newton on the rational equations sum_j a_j b^m_j / f_j = 0 has two
-    failure modes: points sitting close to a hyperplane get minuscule
-    basins, and runs drifting to t = infinity watch the equations flatten
-    to zero.  So each start first solves the equivalent bilinear system
+    For real z and positive weights the critical points are real, one in
+    each bounded chamber (Varchenko, Compositio Math. 1995), and there are
+    C(n-1, k) of those (Zaslavsky 1975).  So the route takes z_r = Re z
+    and weights a_r in [1, 2] drawn from the seed, and finds that fiber by
+    one ascent per chamber (_real_fiber).  When fewer than target_count
+    (default C(n-1, k)) chambers reach a maximum it redraws z_r, moved at
+    random, up to _REDRAWS draws in all; the last draw goes on regardless.
 
-        f_j(z, t) (N s)_j = a_j,   j = 1..n,
+    A coefficient-parameter homotopy (Morgan & Sommese, Appl. Math.
+    Comput. 1989) then carries the fiber in one batch along (a_r, z_r) ->
+    (a_m, z_m) -> (a, z) (_track).  a_m is random complex, and so is z_m
+    after a redraw, so the path misses the discriminant with probability
+    one and distinct starts end at distinct points; for real z on the
+    first draw, z stays put.  Two full Newton steps at z and the _POLISH
+    polish every route ends with (down to tol relative to _gradient_floor)
+    finish each path.  Paths lost, or ending within dedup_tol of another,
+    are retracked on the same segments with shorter steps, up to
+    _RETRACKS times.  A count still short of target_count raises
+    NumericError with the counts; a short list is never returned.
 
-    where the columns of N span the exact kernel of b^T: the momentum
-    vector p = N s satisfies the critical linear relations by construction,
-    no denominators appear, and f_j = 0 is impossible at a solution because
-    no a_j vanishes.  The initial s is the least-squares fit of a / f at
-    the start, from one lstsq call with a column per start of the round.
-    Solutions are then polished on the rational form with its analytic
-    Jacobian -sum_j a_j b^i_j b^l_j / f_j^2 down to tol relative to the
-    componentwise term scale (see _gradient_floor), cross-checked against
-    the unit relation sum_j z_j p_j = |a|, and deduplicated at dedup_tol;
-    survivors come back sorted by momenta.
-
-    A round draws its starts one by one, always in the same order from the
-    seeded generator, and then advances all of them at once
-    (_bilinear_batch): every Newton step is one batched solve over the
-    starts still running.  The round's limits are then absorbed in start
-    order, so the first start to reach a point is the one that keeps it.
-
-    Route two runs plain -> random-s -> monodromy.  When the caller knows
-    how many points exist, target_count arms the two escalations, each
-    skipped once the count is reached.  First, up to two rounds of starts
-    with s drawn at random instead of by least squares (basins seen from
-    random s are markedly wider).  Then monodromy: the critical variety is
-    irreducible, so loops of z around the discriminant permute a generic
-    fiber transitively (Duff, Hill, Jensen, Lee, Leykin & Sommars, IMA J.
-    Numer. Anal. 2019).  Each loop draws two random complex base points
-    z1, z2 and carries every point found so far around the triangle
-    z -> z1 -> z2 -> z as one batch (_track).  A path may come back as
-    a point not yet seen.  The tier stops at target_count, or after
-    _STALL_LOOPS loops in a row that add nothing.  Returning paths pass
-    the same polish and filters at z as every start, so a loop cannot
-    invent a point.  Runs that never needed help are unchanged, and a
-    short result after all rounds is returned as-is for the caller to
-    judge.
-
-    If stats is a dict, each tier that ran ("plain", "random_s",
-    "monodromy") is stored in it as {"starts", "converged", "added",
-    "seconds"}, summed over the tier's rounds.  For monodromy, starts are
-    the paths sent around, converged those that came back and passed the
-    polish, and an extra "loops" counts the loops run.
+    Points come back sorted by momenta.  If stats is a dict it receives
+    "vertex_starts" (summed over draws), "chambers" (on the last draw),
+    "redraws", "paths" and "retracked" (summed over rounds).
     """
     import numpy as np
     n, k = spec.n, spec.k
     if len(z) != n:
         raise UsageError("z has wrong length")
-    n_starts = _STARTS_PER_POINT * math.comb(n - 1, k)
+    want = math.comb(n - 1, k) if target_count is None else target_count
     rng = np.random.default_rng(seed)
     zc = np.array([complex(v) for v in z])
     a, b, _ = spec.tables(zc)
-    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
-    bt_exact = [[Fraction(spec.b[j][m]) for j in range(n)] for m in range(k)]
-    kernel = np.array(
-        [[complex(v[j]) for v in ratmat.nullspace(bt_exact)] for j in range(n)]
-    )
-    radius = 2.0 * (float(np.abs(zc).max()) + 1.0)
-    scale = 1.0 + float(np.abs(a).max())
-    found = []
-    tiers = {}
+    a, b = np.array(a, dtype=complex), np.array(b)
+    counts = {} if stats is None else stats
+    counts.update(vertex_starts=0, chambers=0, redraws=0, paths=0, retracked=0)
+    for draw in range(_REDRAWS):
+        jolt = (float(np.abs(zc).max()) + 1.0) * min(draw, 1)
+        a_r, z_r = rng.uniform(1.0, 2.0, size=n), zc.real + jolt * rng.normal(size=n)
+        t_r, starts = _real_fiber(b, a_r, z_r)
+        counts["vertex_starts"] += starts
+        counts.update(chambers=len(t_r), redraws=draw)
+        if len(t_r) == want:
+            break
+    a_m = np.abs(a).mean() * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    z_m = (z_r + zc) / 2 + 1j * jolt * rng.normal(size=n)
 
-    def absorb(limits):
-        """Indices of the limits kept, in start order: Euler filter, then dedup."""
-        f = zc + _apply(b, limits)
-        euler = np.abs((zc * (a / f)).sum(axis=1) - np.sum(a))
-        rows = np.flatnonzero(euler <= 1e-6 * (1.0 + abs(np.sum(a))))
-        if found:
-            gaps = np.abs(limits[rows, None, :] - np.array(found)[None]).max(axis=2)
-            rows = rows[(gaps >= dedup_tol).all(axis=1)]
-        kept = []
-        while rows.size:
-            kept.append(rows[0])
-            rows = rows[np.abs(limits[rows] - limits[rows[0]]).max(axis=1) >= dedup_tol]
-        return kept
-
-    def draw(random_s):
-        ts, ss = [], []
-        for _ in range(n_starts):
-            mag = radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
-            ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
-            t = mag * np.exp(1j * ang)
-            if np.abs(zc + b @ t).min() < 1e-9:
-                continue
-            ts.append(t)
-            if random_s:
-                ss.append(rng.normal(size=n - k) + 1j * rng.normal(size=n - k))
-        t = np.array(ts, dtype=complex).reshape(-1, k)
-        if random_s:
-            return t, np.array(ss).reshape(-1, n - k)
-        rhs = a / (zc + _apply(b, t))
-        return t, np.linalg.lstsq(kernel, rhs.T, rcond=None)[0].T
-
-    def keep(limits):
-        """Add the limits that absorb keeps to found; how many that was."""
-        kept = absorb(limits)
-        found.extend(tuple(complex(x) for x in limits[i]) for i in kept)
-        return len(kept)
-
-    def record(tier, started, **counts):
-        row = tiers.setdefault(
-            tier, dict.fromkeys(("starts", "converged", "added", "seconds"), 0)
-        )
-        for key, value in counts.items():
-            row[key] = row.get(key, 0) + value
-        row["seconds"] += time.perf_counter() - started
-
-    def harvest(tier, random_s=False):
-        started = time.perf_counter()
-        t, s = draw(random_s)
-        limits, ok = _bilinear_batch(b, a, zc, kernel, scale, t, s, _MAX_ITER, tol)
-        limits = limits[ok]
-        record(tier, started, starts=len(t), converged=len(limits), added=keep(limits))
-
-    def monodromy():
-        started = time.perf_counter()
-        before = len(found)
-        loops = idle = sent = back = 0
-        size = radius / 2.0
-        while len(found) < target_count and idle < _STALL_LOOPS:
-            z1, z2 = (size * (rng.normal(size=n) + 1j * rng.normal(size=n))
-                      for _ in range(2))
-            t = np.array(found, dtype=complex).reshape(-1, k)
-            sent += len(t)
-            for z_from, z_to in ((zc, z1), (z1, z2), (z2, zc)):
-                t, ok = _track(b, a, z_from, z_to, t)
-                t = t[ok]
-            # the tracker's corrector stops at gradient 1e-10; one full Newton
-            # step at z first brings a path as close as a fresh start gets
-            t, _ = _polish(b, a, zc, t, 1, 0.0)
-            t, ok = _polish(b, a, zc, t, _POLISH[0], tol)
-            back += int(ok.sum())
-            loops += 1
-            idle = 0 if keep(t[ok]) else idle + 1
-        record("monodromy", started, starts=sent, converged=back,
-               added=len(found) - before, loops=loops)
-
-    harvest("plain")
-    if target_count is not None:
-        for _ in range(2):
-            if len(found) < target_count:
-                harvest("random_s", random_s=True)
-        if len(found) < target_count:
-            monodromy()
-    if stats is not None:
-        stats.update(tiers)
-    points = []
-    for t in found:
-        f = zc + b @ np.array(t)
-        p = tuple(complex(x) for x in a / f)
-        g = float(np.abs(b.T @ (a / f)).max())
-        points.append(CriticalPoint(t=t, p=p, grad_norm=g))
-    points.sort(key=_momenta_key)
-    return tuple(points)
+    counts["paths"] = len(t_r)
+    ends, ok = t_r.astype(complex), np.zeros(len(t_r), dtype=bool)
+    bad = ~ok
+    for attempt in range(_RETRACKS + 1):
+        rows = np.flatnonzero(bad)
+        if not rows.size:
+            break
+        counts["retracked"] += len(rows) * (attempt > 0)
+        ends[rows] = t_r[rows]
+        for leg in ((a_r, a_m, z_r, z_m), (a_m, a, z_m, zc)):
+            ends[rows], ok[rows] = _track(b, *leg, ends[rows], 4.0**-attempt)
+            rows = rows[ok[rows]]
+        # the tracker's corrector stops at gradient 1e-10; two full Newton
+        # steps at z first bring a path down to rounding
+        ends[rows], _ = _polish(b, a, zc, ends[rows], 2, 0.0)
+        ends[rows], ok[rows] = _polish(b, a, zc, ends[rows], _POLISH[0], tol)
+        gaps = np.abs(ends[:, None] - ends[None]).max(axis=2)
+        gaps[~ok], gaps[:, ~ok] = np.inf, np.inf
+        np.fill_diagonal(gaps, np.inf)
+        bad = ~ok | (gaps < dedup_tol).any(axis=1)
+    if bad.any() or len(ends) != want:
+        raise NumericError(
+            f"route two found {int((~bad).sum())} of {want} points: {counts['vertex_starts']} "
+            f"vertex starts, {counts['chambers']} chambers after {counts['redraws']} redraws, "
+            f"{len(ends)} paths, {counts['retracked']} retracked, {int((~ok).sum())} lost "
+            f"and {int((bad & ok).sum())} merged")
+    p = a / (zc + _apply(b, ends))
+    grad = np.abs(_apply(b.T, p)).max(axis=1)
+    return tuple(sorted((CriticalPoint(tuple(map(complex, t)), tuple(map(complex, q)), float(g))
+                         for t, q, g in zip(ends, p, grad)), key=_momenta_key))
 
 
 def match_point_sets(pa, pb, tol):

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import critvar
@@ -122,14 +123,11 @@ def test_solve_finds_and_cross_checks_critical_points(config_path, capsys):
     for pt in report["points"]:
         assert len(pt["t"]) == 2 and len(pt["p"]) == 4
         assert all(len(pair) == 2 for pair in pt["t"] + pt["p"])
-    # every tier that ran reports its counts; its seconds are a timing stage
-    tiers = report["diagnostics"]["newton"]
-    assert "plain" in tiers and sum(row["added"] for row in tiers.values()) == 3
-    for tier, row in tiers.items():
-        assert set(row) == {"starts", "converged", "added"}
-        assert row["starts"] >= row["converged"] >= row["added"]
-        assert f"newton_{tier}" in report["timing"]["stages"]
-    assert "joint_spectrum" in report["timing"]["stages"]
+    # route two reports its counts, and its seconds are one timing stage;
+    # four lines in the plane have C(4, 2) vertices with four orthants each
+    assert report["diagnostics"]["newton"] == {
+        "vertex_starts": 24, "chambers": 3, "redraws": 0, "paths": 3, "retracked": 0}
+    assert set(report["timing"]["stages"]) == {"joint_spectrum", "newton"}
 
 
 def _generated(tmp_path, capsys, n, k, seed):
@@ -246,6 +244,33 @@ def test_numeric_failure_gives_exit_three(config_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: ")
     assert f"every one of {spectrum._REDRAWS} draws" in captured.err
+
+
+def test_route_two_failure_gives_exit_three_with_its_counts(config_path, capsys,
+                                                          monkeypatch):
+    # every tracked path is lost, on the first run and on each retrack
+    def lose_all(b, a_from, a_to, z_from, z_to, t, shrink=1.0):
+        return t, np.zeros(len(t), dtype=bool)
+
+    monkeypatch.setattr(spectrum, "_track", lose_all)
+    assert main(["solve", "--config", config_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: route two found 0 of 3 points: ")
+    assert ("24 vertex starts, 3 chambers after 0 redraws, "
+            f"3 paths, {3 * spectrum._RETRACKS} retracked, 3 lost and 0 merged") in captured.err
+
+
+def test_commands_take_only_the_tolerances_they_read(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", config_path, "--tol-fd", "1e-3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["flows", "--config", config_path, "--tol-newton", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-newton" in capsys.readouterr().err
+    rc, report = run_json(capsys, ["solve", "--config", config_path, "--tol-dedup", "1e-6"])
+    assert rc == 0 and len(report["points"]) == 3
 
 
 def test_solve_requires_a_base_point(tmp_path, capsys):

@@ -1,17 +1,18 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critvar import ratmat, spectrum
 from critvar.arrangement import ArrangementSpec, random_generic, sample_z
-from critvar.errors import UsageError
+from critvar.errors import NumericError, UsageError
 from critvar.quotient import QuotientAlgebra
 from critvar.spectrum import (
-    _bilinear_batch,
     _det,
     hessian_direct,
     hessian_formula,
@@ -23,6 +24,8 @@ from critvar.spectrum import (
     poly_roots,
     smoothness_witness,
 )
+
+ROUTE_ONE_9_4 = Path(__file__).resolve().parent / "data" / "route_one_9_4_9040.json"
 
 
 def line_setup():
@@ -163,166 +166,17 @@ def test_route_one_points_satisfy_the_hessian_identity():
     assert worst <= 1e-8
 
 
-def _bilinear_attempt(b, a, zc, kernel, scale, t, s, max_iter, tol):
-    """One start of the bilinear solve plus rational polish; limit t or None.
-
-    The per-start loop the batched kernel replaced, kept as its reference.
-    """
-    k = t.shape[0]
-    solved = False
-    for _ in range(max_iter):
-        f = zc + b @ t
-        w = kernel @ s
-        resid = f * w - a
-        if np.abs(resid).max() < 1e-13 * scale:
-            solved = True
-            break
-        jac = np.hstack([b * w[:, None], kernel * f[:, None]])
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            return None
-        t = t + step[:k]
-        s = s + step[k:]
-        if not (np.isfinite(t).all() and np.isfinite(s).all()):
-            return None
-    if not solved:
-        return None
-    for _ in range(20):
-        f = zc + b @ t
-        if not np.isfinite(f).all() or np.abs(f).min() == 0.0:
-            return None
-        g = b.T @ (a / f)
-        if (np.abs(g) <= tol * (1.0 + np.abs(b).T @ (np.abs(a) / np.abs(f)))).all():
-            return t
-        jacr = -(b.T * (a / f**2)) @ b
-        try:
-            step = np.linalg.solve(jacr, -g)
-        except np.linalg.LinAlgError:
-            return None
-        t = t + step
-        if not np.isfinite(t).all():
-            return None
-    return None
-
-
-def _direct_setup(spec, z):
-    """b, a, z, the kernel N of b^T, the residual scale and the start radius."""
-    n, k = spec.n, spec.k
-    b = np.array([[complex(x) for x in row] for row in spec.b])
-    a = np.array([complex(x) for x in spec.a])
-    zc = np.array([complex(v) for v in z])
-    bt = [[Fraction(spec.b[j][m]) for j in range(n)] for m in range(k)]
-    kernel = np.array([[complex(v[j]) for v in ratmat.nullspace(bt)] for j in range(n)])
-    return b, a, zc, kernel, 1.0 + float(np.abs(a).max()), 2.0 * (float(np.abs(zc).max()) + 1.0)
-
-
-def _draw_starts(rng, count, b, a, zc, kernel, radius, random_s):
-    """Starts in newton_multistart's order of draws; s by lstsq or at random."""
-    k, r = b.shape[1], kernel.shape[1]
-    starts = []
-    for _ in range(count):
-        mag = radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=k)
-        t = mag * np.exp(1j * ang)
-        f = zc + b @ t
-        if np.abs(f).min() < 1e-9:
-            continue
-        if random_s:
-            s = rng.normal(size=r) + 1j * rng.normal(size=r)
-        else:
-            s, *_ = np.linalg.lstsq(kernel, a / f, rcond=None)
-        starts.append((t, s))
-    return starts
-
-
-@pytest.mark.parametrize("n,k,seed", [(5, 1, 7000), (6, 1, 7005), (4, 2, 6), (6, 3, 5)])
-def test_batched_kernel_matches_the_per_start_reference(n, k, seed):
-    rng = random.Random(seed)
-    spec = random_generic(n, k, rng)
-    z = sample_z(spec, rng)
-    b, a, zc, kernel, scale, radius = _direct_setup(spec, z)
-    draws = np.random.default_rng(seed)
-    cases = [_draw_starts(draws, 40, b, a, zc, kernel, radius, random_s)
-             for random_s in (False, True)]
-    # a zero s makes the first Jacobian exactly singular, and a start at
-    # 1e300 overflows (or, from one random s, comes back to a root)
-    for starts in cases:
-        starts.append((starts[0][0], np.zeros(kernel.shape[1], dtype=complex)))
-        starts.append((np.full(k, 1e300 + 0j), starts[1][1]))
-    nones = 0
-    for starts in cases:
-        t = np.array([st[0] for st in starts])
-        s = np.array([st[1] for st in starts])
-        with np.errstate(over="ignore", invalid="ignore"):  # the start at 1e300
-            limits, ok = _bilinear_batch(b, a, zc, kernel, scale, t, s, 80, 1e-12)
-            want = [_bilinear_attempt(b, a, zc, kernel, scale, t0, s0, 80, 1e-12)
-                    for t0, s0 in starts]
-        for i, limit in enumerate(want):
-            assert ok[i] == (limit is not None), f"start {i}: reference gave {limit}"
-            if limit is None:
-                nones += 1
-            else:
-                assert np.abs(limits[i] - limit).max() <= 1e-12
-    assert nones >= 3
-
-
-def _per_start_multistart(spec, z, seed, target):
-    """newton_multistart's plain and random-s tiers, one start at a time.
-
-    Returns the points and, per tier that ran, its stats row without seconds.
-    """
-    b, a, zc, kernel, scale, radius = _direct_setup(spec, z)
-    rng = np.random.default_rng(seed)
-    found, tiers = [], {}
-
-    def harvest(tier, random_s):
-        row = tiers.setdefault(tier, {"starts": 0, "converged": 0, "added": 0})
-        for t, s in _draw_starts(rng, 50 * target, b, a, zc, kernel, radius, random_s):
-            limit = _bilinear_attempt(b, a, zc, kernel, scale, t, s, 80, 1e-12)
-            row["starts"] += 1
-            if limit is None:
-                continue
-            row["converged"] += 1
-            f = zc + b @ limit
-            if abs(np.sum(zc * (a / f)) - np.sum(a)) > 1e-6 * (1.0 + abs(np.sum(a))):
-                continue
-            if not any(np.abs(limit - q).max() < 1e-7 for q in found):
-                found.append(limit)
-                row["added"] += 1
-
-    harvest("plain", False)
-    for _ in range(2):
-        if len(found) < target:
-            harvest("random_s", True)
-    return found, tiers
-
-
-def test_multistart_matches_one_start_at_a_time():
-    # `critvar gen --n 4 --k 1 --seed 7157`: plain and random-s starts find
-    # one of the three points, and monodromy adds the other two
-    rng = random.Random(7157)
-    spec = random_generic(4, 1, rng)
-    z = sample_z(spec, rng)
-    want, tiers = _per_start_multistart(spec, z, 7157, 3)
-    assert len(want) == 1
+def _assert_complete(spec, z, seed, route_one_momenta):
+    want = math.comb(spec.n - 1, spec.k)
     stats = {}
-    got = newton_multistart(spec, z, seed=7157, target_count=3, stats=stats)
-    loops = stats["monodromy"].pop("loops")
-    for row in stats.values():
-        del row["seconds"]
-    assert {tier: stats[tier] for tier in tiers} == tiers
-    assert stats["monodromy"]["added"] == 2 and loops < spectrum._STALL_LOOPS
-    assert len(got) == 3
-    assert any(np.abs(np.array(pt.t) - want[0]).max() <= 1e-12 for pt in got)
-    ok, worst = match_point_sets(
-        [pt.p for pt in joint_spectrum(QuotientAlgebra(spec, z), seed=7157).points],
-        [pt.p for pt in got], 1e-9)
-    assert ok, f"monodromy points differ from route one's by {worst}"
+    got = newton_multistart(spec, z, seed=seed, stats=stats)
+    assert len(got) == want and stats["chambers"] == stats["paths"] == want
+    ok, worst = match_point_sets(route_one_momenta, [pt.p for pt in got], 1e-9)
+    assert ok, f"route two differs from route one by {worst}"
 
 
-# `critvar gen` instances on which plain and random-s starts come back short;
-# the last one reached the continuation tier that monodromy replaced
+# `critvar gen` instances whose fibers random starts in a disk came back
+# short on: bilinear multistart found some points and loops of z the rest
 @pytest.mark.parametrize("n,k,seed", [
     (4, 1, 7157), (5, 1, 955102), (5, 1, 955124), (4, 2, 954206),
     (4, 2, 954232), (5, 2, 955203), (6, 1, 956109), (7, 1, 901008),
@@ -331,30 +185,54 @@ def test_monodromy_completes_short_fibers(n, k, seed):
     rng = random.Random(seed)
     spec = random_generic(n, k, rng)
     z = sample_z(spec, rng)
-    want = math.comb(n - 1, k)
-    stats = {}
-    got = newton_multistart(spec, z, seed=seed, target_count=want, stats=stats)
-    assert stats["monodromy"]["added"] >= 1
-    assert len(got) == want
-    ok, worst = match_point_sets(
-        [pt.p for pt in joint_spectrum(QuotientAlgebra(spec, z), seed=seed).points],
-        [pt.p for pt in got], 1e-9)
-    assert ok, f"route two differs from route one by {worst}"
+    points = joint_spectrum(QuotientAlgebra(spec, z), seed=seed).points
+    _assert_complete(spec, z, seed, [pt.p for pt in points])
 
 
-def test_monodromy_stops_after_idle_loops():
-    # `critvar gen --n 5 --k 2 --seed 5`: plain starts find all six points,
-    # so asking for a seventh runs monodromy until the stall rule ends it
-    rng = random.Random(5)
-    spec = random_generic(5, 2, rng)
-    z = sample_z(spec, rng)
+# k = 3 instances whose last point lies far outside any start disk, with
+# |t| up to about 130; the loops of z stopped one point short on each
+@pytest.mark.parametrize("n,i", [(6, 4), (6, 7), (7, 5), (7, 12), (8, 5)])
+def test_route_two_completes_far_fibers(n, i):
+    spec = random_generic(n, 3, random.Random(50000 + 100 * n + 30 + i))
+    z = sample_z(spec, random.Random(i))
+    points = joint_spectrum(QuotientAlgebra(spec, z), seed=i).points
+    _assert_complete(spec, z, i, [pt.p for pt in points])
+
+
+def test_route_two_completes_a_dim_70_fiber():
+    # random_generic(9, 4, Random(9040)) at sample_z(spec, Random(0)), where
+    # loops of z stopped at 69 of 70 points.  joint_spectrum gives up here
+    # after minutes (its root iteration is still moving after 200 sweeps),
+    # so the stored momenta come from the same operators in float: the
+    # Rayleigh quotients of the eigenvectors of sum_j (-1)^(j-1) (j+1) K_j,
+    # each point then refined by 40-digit Newton from the t fitted to them
+    spec = random_generic(9, 4, random.Random(9040))
+    z = sample_z(spec, random.Random(0))
+    stored = json.loads(ROUTE_ONE_9_4.read_text(encoding="utf-8"))
+    _assert_complete(spec, z, 0, [tuple(complex(*x) for x in p) for p in stored["p"]])
+
+
+def test_route_two_redraws_a_degenerate_real_fiber():
+    # with z purely imaginary every real plane passes through the origin,
+    # so the first real fiber has no chamber and the route moves z_r
+    rng = random.Random(3)
+    spec = random_generic(6, 2, rng)
+    z = [1j * float(v) for v in sample_z(spec, rng)]
     stats = {}
-    got = newton_multistart(spec, z, seed=5, target_count=7, stats=stats)
-    assert len(got) == 6 and stats["plain"]["added"] == 6
-    row = stats["monodromy"]
-    assert row["loops"] == spectrum._STALL_LOOPS and row["added"] == 0
-    assert row["starts"] == 6 * spectrum._STALL_LOOPS
-    assert got == newton_multistart(spec, z, seed=5, target_count=6)
+    got = newton_multistart(spec, z, seed=1, stats=stats)
+    assert len(got) == 10 and stats["redraws"] == 1 and stats["chambers"] == 10
+    assert all(pt.grad_norm < 1e-9 for pt in got)
+    assert spectrum._min_gap([pt.p for pt in got]) > 1e-3
+
+
+def test_route_two_never_returns_a_short_fiber(monkeypatch):
+    # no start may climb, so each of the five real fibers, with 3 vertices
+    # of 4 orthants each, comes up empty
+    monkeypatch.setattr(spectrum, "_ASCENT_STEPS", 0)
+    spec, z = plane_setup()
+    with pytest.raises(NumericError, match="found 0 of 1 points: 60 vertex starts, "
+                                           "0 chambers after 4 redraws, 0 paths"):
+        newton_multistart(spec, z, seed=9)
 
 
 def test_newton_determinism():
