@@ -110,6 +110,10 @@ class ArrangementSpec:
                 raise UsageError(f"degenerate instance: minor on rows {key} vanishes")
             minors[key] = d
         object.__setattr__(self, "_minors", minors)
+        # plucker and discriminant_coeffs per ordered sequence; not fields, so
+        # equality and hashing still see n, k, b and a alone
+        object.__setattr__(self, "_plucker_memo", {})
+        object.__setattr__(self, "_coeffs_memo", {})
         object.__setattr__(self, "_exact", (self.a, b, minors))
         object.__setattr__(self, "_image", (
             tuple(x if isinstance(x, complex) else float(x) for x in self.a),
@@ -145,23 +149,31 @@ class ArrangementSpec:
         """Signed minor d_{i_1..i_k}: det of rows i_1..i_k of b, in that order.
 
         Repeated indices give 0; otherwise the cached sorted minor carries
-        the sign of the sorting permutation.
+        the sign of the sorting permutation.  Each sequence is validated and
+        signed once, then answered from the memo.
         """
         seq = tuple(seq)
-        if len(seq) != self.k:
-            raise UsageError(f"minor wants {self.k} indices, got {len(seq)}")
-        for i in seq:
-            if not 1 <= i <= self.n:
-                raise UsageError(f"hyperplane index {i} out of range 1..{self.n}")
-        if len(set(seq)) < self.k:
-            return Fraction(0)
-        return _signed_minor(self._minors, seq)
+        value = self._plucker_memo.get(seq)
+        if value is None:
+            if len(seq) != self.k:
+                raise UsageError(f"minor wants {self.k} indices, got {len(seq)}")
+            for i in seq:
+                if not 1 <= i <= self.n:
+                    raise UsageError(f"hyperplane index {i} out of range 1..{self.n}")
+            value = self._plucker_memo[seq] = (Fraction(0) if len(set(seq)) < self.k
+                                          else _signed_minor(self._minors, seq))
+        return value
 
     def discriminant_coeffs(self, iseq):
         """(i_m, (-1)^(m-1) d_{iseq minus i_m}) for k+1 indices i_1 < .. < i_{k+1}."""
-        iseq = self._check_subset(iseq, self.k + 1)
-        return [(i, (-1) ** m * self.plucker(iseq[:m] + iseq[m + 1 :]))
-                for m, i in enumerate(iseq)]
+        iseq = tuple(iseq)
+        coeffs = self._coeffs_memo.get(iseq)
+        if coeffs is None:
+            self._check_subset(iseq, self.k + 1)
+            coeffs = self._coeffs_memo[iseq] = tuple(
+                (i, (-1) ** m * self.plucker(iseq[:m] + iseq[m + 1 :]))
+                for m, i in enumerate(iseq))
+        return coeffs
 
     def discriminant_form(self, iseq):
         """The z-linear form attached to k+1 hyperplanes i_1 < .. < i_{k+1}.
@@ -170,10 +182,7 @@ class ArrangementSpec:
         k indices; the arrangement has a nonempty intersection of the k+1
         planes exactly on the zero set of this form.
         """
-        poly = LaurentPoly.zero(self.n)
-        for i, c in self.discriminant_coeffs(iseq):
-            poly = poly + c * LaurentPoly.zvar(self.n, i)
-        return poly
+        return LaurentPoly(self.n, {((i - 1, 1),): c for i, c in self.discriminant_coeffs(iseq)})
 
     def discriminant_value(self, iseq, z):
         """discriminant_form evaluated at z, without building a polynomial."""

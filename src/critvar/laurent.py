@@ -7,7 +7,10 @@ variable is an id in 0..2n-1: id j-1 is z_j, id n+j-1 is p_j.  A term is a
 sorted tuple of (id, exponent) pairs with nonzero exponents; the term map
 never stores a zero coefficient, which makes equality a plain dict compare.
 
-Values are immutable; every operation returns a new polynomial.
+Values are immutable; every operation returns a new polynomial.  So a
+polynomial may keep its gradient: the first derivative or bracket taken of
+it builds var id -> [(key, int coefficient)] over its common denominator,
+and later ones read that table, which no operation can make stale.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def _as_fraction(c):
 
 
 class LaurentPoly:
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_grad")
 
     def __init__(self, n, terms=None):
         """`terms` maps sorted ((var_id, exp), ...) tuples to rational coefficients."""
@@ -47,6 +50,7 @@ class LaurentPoly:
                     raise UsageError(f"variable id {v} out of range for n={n}")
             clean[key] = clean.get(key, Fraction(0)) + coeff
         self.terms = {k: c for k, c in clean.items() if c != 0}
+        self._grad = None
 
     # -- constructors ------------------------------------------------------
 
@@ -122,16 +126,8 @@ class LaurentPoly:
         other = self._coerce(other)
         terms = {}
         for k1, c1 in self.terms.items():
-            e1 = dict(k1)
             for k2, c2 in other.terms.items():
-                merged = dict(e1)
-                for v, e in k2:
-                    s = merged.get(v, 0) + e
-                    if s == 0:
-                        merged.pop(v)
-                    else:
-                        merged[v] = s
-                key = tuple(sorted(merged.items()))
+                key = _key_product(k1, k2)
                 s = terms.get(key, Fraction(0)) + c1 * c2
                 if s == 0:
                     terms.pop(key, None)
@@ -157,6 +153,7 @@ class LaurentPoly:
         p = object.__new__(LaurentPoly)
         p.n = self.n
         p.terms = terms
+        p._grad = None
         return p
 
     def __eq__(self, other):
@@ -175,19 +172,22 @@ class LaurentPoly:
 
     # -- calculus ----------------------------------------------------------
 
+    def _gradient(self):
+        """(D, {var id: [(key, int c)]}): each partial as sum (c / D) x^key, D the lcm."""
+        if self._grad is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            grad = {}
+            for key, c in self.terms.items():
+                num = c.numerator * (den // c.denominator)
+                for idx, (v, e) in enumerate(key):
+                    rest = key[idx + 1 :] if e == 1 else ((v, e - 1),) + key[idx + 1 :]
+                    grad.setdefault(v, []).append((key[:idx] + rest, e * num))
+            self._grad = (den, grad)
+        return self._grad
+
     def _diff(self, var):
-        terms = {}
-        for key, c in self.terms.items():
-            e = dict(key)
-            m = e.get(var, 0)
-            if m == 0:
-                continue
-            if m == 1:
-                e.pop(var)
-            else:
-                e[var] = m - 1
-            terms[tuple(sorted(e.items()))] = c * m
-        return self._raw(terms)
+        den, grad = self._gradient()
+        return self._raw({key: Fraction(c, den) for key, c in grad.get(var, ())})
 
     def diff_z(self, j):
         """Exact partial derivative in z_j; d/dx x^m = m x^(m-1) for all integer m."""
@@ -299,11 +299,19 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly(n={self.n}, {self.to_text()})"
 
-    def _used_vars(self):
-        used = set()
-        for key in self.terms:
-            used.update(v for v, _ in key)
-        return used
+
+def _key_product(k1, k2):
+    """The key of the product of two monomials."""
+    if not k1 or not k2:
+        return k1 or k2
+    merged = dict(k1)
+    for v, e in k2:
+        s = merged.get(v, 0) + e
+        if s == 0:
+            del merged[v]
+        else:
+            merged[v] = s
+    return tuple(sorted(merged.items()))
 
 
 def vanish_at(polys, zvals, pvals):
@@ -342,18 +350,29 @@ def vanish_at(polys, zvals, pvals):
 
 
 def poisson(m, other):
-    """Canonical Poisson bracket {M,N} = sum_j (dM/dz_j dN/dp_j - dM/dp_j dN/dz_j)."""
+    """Canonical Poisson bracket {M,N} = sum_j (dM/dz_j dN/dp_j - dM/dp_j dN/dz_j).
+
+    One pass over the two cached gradient tables, summing integers over D_M D_N;
+    only the terms that survive become Fractions.
+    """
     if not isinstance(m, LaurentPoly) or not isinstance(other, LaurentPoly):
         raise UsageError("poisson bracket needs two Laurent polynomials")
     if m.n != other.n:
         raise UsageError(f"variable counts differ: n={m.n} vs n={other.n}")
     n = m.n
-    um, un = m._used_vars(), other._used_vars()
-    out = LaurentPoly.zero(n)
-    for j in range(1, n + 1):
-        zid, pid = j - 1, n + j - 1
-        if zid in um and pid in un:
-            out = out + m.diff_z(j) * other.diff_p(j)
-        if pid in um and zid in un:
-            out = out - m.diff_p(j) * other.diff_z(j)
-    return out
+    den_m, grad_m = m._gradient()
+    den_o, grad_o = other._gradient()
+    acc = {}
+    for v, left in grad_m.items():
+        # z_j pairs with p_j at a plus sign, p_j with z_j at a minus sign
+        right = grad_o.get(v + n if v < n else v - n)
+        if right is None:
+            continue
+        sign = 1 if v < n else -1
+        for k1, c1 in left:
+            c1 *= sign
+            for k2, c2 in right:
+                key = _key_product(k1, k2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    den = den_m * den_o
+    return m._raw({key: Fraction(c, den) for key, c in acc.items() if c})

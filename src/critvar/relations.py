@@ -16,13 +16,16 @@ equations, and this module builds them:
       G_J = sum_m (-1)^(m-1) d_{J minus j_m} G_{j_m},
 
 with the factorization F_J = p_{j_1}..p_{j_{k+1}} G_J, so the two kinds
-of degree-(k+1) generators cut out the same set away from p = 0.
+of degree-(k+1) generators cut out the same set away from p = 0.  Each
+builder writes its term map straight from these formulas, with the signed
+minors read from the instance's memo, and no polynomial arithmetic.
 
 The first-kind family and the G_J family are in involution for the
 canonical Poisson bracket, and the brackets vanish as polynomials, not
 merely on the common zero set; the cross brackets {G_J, F_I} unwind to
 exactly the quadratic minor relations.  involution_suite checks every
-pair and reports the offenders, if any.
+pair exactly and reports the offenders, if any; poisson keeps each
+generator's gradient, so one used in many pairs is differentiated once.
 """
 
 from __future__ import annotations
@@ -46,15 +49,17 @@ __all__ = [
 ]
 
 
+def _pkey(n, js):
+    """The key of prod_{j in js} p_j, js increasing."""
+    return tuple((n + j - 1, 1) for j in js)
+
+
 def first_kind(spec, iset):
-    """F_I for a (k-1)-subset I; terms with j in I drop out on their own."""
+    """F_I for a (k-1)-subset I; the terms with j in I are d_{j,I} = 0."""
     iset = spec._check_subset(iset, spec.k - 1)
-    poly = LaurentPoly.zero(spec.n)
-    for j in range(1, spec.n + 1):
-        if j in iset:
-            continue
-        poly = poly + spec.plucker((j,) + iset) * LaurentPoly.pvar(spec.n, j)
-    return poly
+    n = spec.n
+    return LaurentPoly(n, {((n + j - 1, 1),): spec.plucker((j,) + iset)
+                           for j in range(1, n + 1) if j not in iset})
 
 
 def second_kind(spec, jset):
@@ -62,16 +67,12 @@ def second_kind(spec, jset):
     spec.require_rational_weights()
     jset = spec._check_subset(jset, spec.k + 1)
     n = spec.n
-    poly = spec.discriminant_form(jset)
-    for j in jset:
-        poly = poly * LaurentPoly.pvar(n, j)
-    for j, d in spec.discriminant_coeffs(jset):
-        mono = LaurentPoly.const(n, -spec.a[j - 1] * d)
-        for l in jset:
-            if l != j:
-                mono = mono * LaurentPoly.pvar(n, l)
-        poly = poly + mono
-    return poly
+    coeffs = spec.discriminant_coeffs(jset)
+    full = _pkey(n, jset)
+    terms = {((j - 1, 1),) + full: d for j, d in coeffs}
+    terms.update((_pkey(n, [l for l in jset if l != j]), -spec.a[j - 1] * d)
+                 for j, d in coeffs)
+    return LaurentPoly(n, terms)
 
 
 def g_single(spec, j):
@@ -80,25 +81,26 @@ def g_single(spec, j):
     if not 1 <= j <= spec.n:
         raise UsageError(f"hyperplane index {j} out of range 1..{spec.n}")
     n = spec.n
-    return LaurentPoly.zvar(n, j) - spec.a[j - 1] * LaurentPoly.pvar(n, j, exp=-1)
+    return LaurentPoly(n, {((j - 1, 1),): 1, ((n + j - 1, -1),): -spec.a[j - 1]})
 
 
 def g_comb(spec, jset):
     """G_J = sum_m (-1)^(m-1) d_{J minus j_m} G_{j_m} over a (k+1)-subset."""
-    poly = LaurentPoly.zero(spec.n)
-    for j, c in spec.discriminant_coeffs(jset):
-        poly = poly + c * g_single(spec, j)
-    return poly
+    coeffs = spec.discriminant_coeffs(jset)
+    spec.require_rational_weights()
+    n = spec.n
+    terms = {((j - 1, 1),): c for j, c in coeffs}
+    terms.update((((n + j - 1, -1),), -spec.a[j - 1] * c) for j, c in coeffs)
+    return LaurentPoly(n, terms)
 
 
 def euler_relation(spec):
     """sum_j z_j p_j - sum_j a_j, which vanishes on the critical set."""
     spec.require_rational_weights()
     n = spec.n
-    poly = LaurentPoly.const(n, -spec.weight_total)
-    for j in range(1, n + 1):
-        poly = poly + LaurentPoly.zvar(n, j) * LaurentPoly.pvar(n, j)
-    return poly
+    terms = {((j, 1), (n + j, 1)): 1 for j in range(n)}
+    terms[()] = -spec.weight_total
+    return LaurentPoly(n, terms)
 
 
 @dataclass(frozen=True)

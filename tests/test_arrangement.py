@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from critvar import ratmat
 from critvar.arrangement import (
     ArrangementSpec,
     k_subsets,
@@ -56,6 +58,43 @@ def test_plucker_signs_and_cache():
             assert sp.plucker((i, j)) == -sp.plucker((j, i))
             direct = sp.b[i - 1][0] * sp.b[j - 1][1] - sp.b[i - 1][1] * sp.b[j - 1][0]
             assert sp.plucker((i, j)) == direct
+
+
+def _sort_sign(seq):
+    """Sign of the permutation that sorts seq, by counting inversions."""
+    inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+def test_plucker_memo_is_exact_and_still_validates():
+    spec = random_generic(5, 3, random.Random(53))
+    # every ordered 3-sequence, repeats included, twice: a miss, then a hit
+    for _ in range(2):
+        for seq in itertools.product(range(1, 6), repeat=3):
+            rows = [list(spec.b[i - 1]) for i in sorted(seq)]
+            want = _sort_sign(seq) * ratmat.det(rows) if len(set(seq)) == 3 else 0
+            assert spec.plucker(seq) == want
+            assert spec.plucker(list(seq)) == want
+    for jset in k_subsets(5, 4):
+        coeffs = spec.discriminant_coeffs(jset)
+        assert coeffs == spec.discriminant_coeffs(list(jset))
+        assert [c for _, c in coeffs] == [
+            (-1) ** m * spec.plucker(jset[:m] + jset[m + 1 :]) for m in range(4)]
+    # the memo is warm: bad input still raises, repeats still give 0
+    for bad in [(0, 1, 2), (1, 2, 6), (1, 2), (1, 2, 3, 4), ()]:
+        with pytest.raises(UsageError):
+            spec.plucker(bad)
+    for bad in [(1, 2, 3), (2, 1, 3, 4), (1, 2, 2, 3), (0, 1, 2, 3), (2, 3, 4, 6)]:
+        with pytest.raises(UsageError):
+            spec.discriminant_coeffs(bad)
+    assert spec.plucker((2, 2, 5)) == spec.plucker((4, 1, 4)) == 0
+    # the memo is not part of the value
+    cold = ArrangementSpec.from_config(spec.to_config())
+    warm = ArrangementSpec.from_config(spec.to_config())
+    warm.plucker((3, 1, 2))
+    warm.discriminant_coeffs((1, 2, 3, 4))
+    assert cold == warm == spec and hash(cold) == hash(warm) == hash(spec)
+    assert len({cold, warm, spec}) == 1
 
 
 def test_discriminant_form_small_case():

@@ -7,6 +7,7 @@ read-only: nothing is patched and no bytecode is written.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -46,3 +47,30 @@ def test_traced_solve_reruns_route_two_without_a_target(monkeypatch, tmp_path, c
     assert rc == 0
     assert tracer.total("spectrum.newton_found") == tracer.total("spectrum.newton_expected") == 4
     assert tracer.total("spectrum.newton_plain_found") == 4
+
+
+def test_traced_verify_and_flows_count_brackets_and_membership(monkeypatch, tmp_path, capsys):
+    # verify's involution suite is counted pair by pair, and flows' relation
+    # membership tests open their own spans
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from critvar import cli
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    assert cli.main(["gen", "--n", "5", "--k", "2", "--seed", "5000", "--out", str(cfg)]) == 0
+    tracer = tracing.Tracer()
+    codes = []
+    with tracer.layers():
+        for command in ("verify", "flows"):
+            with tracer.span(tracing.ROOT):
+                codes.append(cli.main([command, "--config", str(cfg), "--out", str(out)]))
+    capsys.readouterr()
+    assert codes == [0, 0]
+    nf, ng = math.comb(5, 1), math.comb(5, 3)
+    pairs = nf * (nf + 1) // 2 + ng * nf + ng * (ng + 1) // 2
+    assert tracer.total("relations.brackets") == pairs == 120
+    membership = [s for s in tracer.spans if s[0] == "relations.membership"]
+    assert membership and all(s[2] >= s[1] for s in membership)
+    assert tracer.self_times()["relations.membership"] > 0
