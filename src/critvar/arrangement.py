@@ -16,6 +16,7 @@ signature, matching the way the objects are usually written down.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,11 +228,13 @@ class ArrangementSpec:
         jseq, iseq = tuple(jseq), tuple(iseq)
         if len(jseq) != self.k + 1 or len(iseq) != self.k - 1:
             raise UsageError("sequence lengths must be k+1 and k-1")
-        total = Fraction(0)
+        nums, dens = [], []  # summed in int over the products' lcm, 1 for integer b
         for m, j in enumerate(jseq):
-            rest = jseq[:m] + jseq[m + 1 :]
-            total += (-1) ** m * self.plucker(rest) * self.plucker((j,) + iseq)
-        return total
+            x, y = self.plucker(jseq[:m] + jseq[m + 1 :]), self.plucker((j,) + iseq)
+            nums.append((-1) ** m * x.numerator * y.numerator)
+            dens.append(x.denominator * y.denominator)
+        den = math.lcm(*dens)
+        return Fraction(sum(num * (den // d) for num, d in zip(nums, dens)), den)
 
     # -- the hyperplanes and the master function ----------------------------
 

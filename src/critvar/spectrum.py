@@ -169,10 +169,11 @@ _REDRAWS = 5  # draws before a route gives up: clustered spectra, or short real 
 def joint_spectrum(alg, seed=0):
     """Critical points as the joint spectrum of the multiplication operators.
 
-    Draws an integer combination c, computes the exact characteristic
-    polynomial of sum_j c_j K_j, and takes its roots.  The combination is
-    summed in int over the cleared operators (int_operator), which also
-    give the float operators, each entry rounded once from A_j / D_j.
+    Draws an integer combination c and takes the roots of the exact
+    characteristic polynomial of sum_j c_j K_j (ratmat.charpoly: modulo
+    primes, recombined under a proven bound).  The combination is summed
+    in int over the cleared operators (int_operator), which also give the
+    float operators, each entry rounded once from A_j / D_j.
     Only a draw whose eigenvalues sit within _CLUSTER_TOL of each other is
     discarded; after _REDRAWS such draws a NumericError reports the
     clustering, rather than silently splitting a true multiple point.

@@ -23,6 +23,7 @@ from critvar.quotient import (
     weighted_sum_operator_residual,
 )
 from critvar.relations import build_relations, euler_relation, g_comb
+from test_ratmat import _solve
 
 
 def line_algebra():
@@ -347,7 +348,7 @@ def _unit_by_solve(alg):
         mat = ratmat.mat_mul(mat, alg.bethe_operator(i))
     rhs = [Fraction(0)] * alg.dim
     rhs[0] = Fraction(1)
-    return ratmat.solve(mat, rhs)
+    return _solve(mat, rhs)
 
 
 def test_unit_element_two_routes():
@@ -424,7 +425,7 @@ def _s_perp_by_gram(alg, vec):
     gram = [[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis]
             for br in basis]
     rhs = [sum(x * s * v for x, s, v in zip(br, sdiag, vec)) for br in basis]
-    coeffs = ratmat.solve(gram, rhs)
+    coeffs = _solve(gram, rhs)
     return [sum(c * bvec[i] for c, bvec in zip(coeffs, basis)) for i in range(len(vec))]
 
 

@@ -1,7 +1,11 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critvar import ratmat
 from critvar.errors import DomainError, UsageError
@@ -42,6 +46,24 @@ def test_identity_mul():
     assert ratmat.mat_mul(a, ratmat.identity(4)) == a
 
 
+def _solve(a, b):
+    """Reference: one exact solution of A x = b by rref, free coordinates set to zero.
+
+    Raises DomainError when the system is inconsistent.
+    """
+    if len(a) != len(b):
+        raise UsageError("right hand side length does not match row count")
+    aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    red, pivots = ratmat.rref(aug)
+    cols = len(a[0])
+    if cols in pivots:
+        raise DomainError("inconsistent linear system")
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][-1]
+    return x
+
+
 def test_solve_and_residual():
     rng = random.Random(5)
     for _ in range(25):
@@ -49,16 +71,16 @@ def test_solve_and_residual():
         if ratmat.det(a) == 0:
             continue
         b = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-        x = ratmat.solve(a, b)
+        x = _solve(a, b)
         assert ratmat.mat_vec(a, x) == b
 
 
 def test_solve_inconsistent():
     a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     with pytest.raises(DomainError):
-        ratmat.solve(a, [Fraction(1), Fraction(3)])
+        _solve(a, [Fraction(1), Fraction(3)])
     # consistent singular system still yields a solution
-    x = ratmat.solve(a, [Fraction(1), Fraction(2)])
+    x = _solve(a, [Fraction(1), Fraction(2)])
     assert ratmat.mat_vec(a, x) == [Fraction(1), Fraction(2)]
 
 
@@ -145,6 +167,100 @@ def test_charpoly_against_fraction_recursion():
                 for _ in range(dim)
             ]
             assert ratmat.charpoly(a) == _charpoly_fraction(a)
+
+
+def _charpoly_int(a):
+    """Reference: the Faddeev-LeVerrier recursion in int on M = D A.
+
+    N_0 = I, c_k = -tr(M N_(k-1)) / k, N_k = M N_(k-1) + c_k I; every
+    division is exact, since the c_k are the coefficients of det(tI - M),
+    and c_i(A) = c_i(M) / D^i.
+    """
+    m = len(a)
+    den, ints = ratmat._cleared(a)
+    cols = list(zip(*ints))
+    coeffs = [1]
+    work = [[int(i == j) for j in range(m)] for i in range(m)]
+    for k in range(1, m + 1):
+        work = [[sum(map(operator.mul, row, col)) for col in cols] for row in work]
+        ck, rem = divmod(-sum(work[i][i] for i in range(m)), k)
+        assert not rem
+        coeffs.append(ck)
+        for i in range(m):
+            work[i][i] += ck
+    return [Fraction(c, den**i) for i, c in enumerate(coeffs)]
+
+
+@st.composite
+def _square_matrix(draw):
+    dim = draw(st.integers(1, 12))
+    num = st.integers(-(2**70), 2**70) | st.integers(-9, 9)
+    den = st.integers(1, 2**200) | st.sampled_from([1, 2, 3, 7, 2**64])
+    entry = st.builds(Fraction, num, den) | st.integers(-50, 50) | st.just(0)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                         min_size=dim, max_size=dim))
+    for j in draw(st.lists(st.integers(0, dim - 1), max_size=2)):  # zero columns
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_square_matrix())
+def test_charpoly_matches_the_fraction_recursion(a):
+    assert ratmat.charpoly(a) == _charpoly_fraction(a)
+
+
+def test_charpoly_skips_primes_that_divide_a_denominator():
+    m = 6
+    ceiling = math.isqrt((2**63 - 1) // m)
+    first = [p for p in range(ceiling, ceiling - 2000, -1) if ratmat._is_prime(p)][:3]
+    rng = random.Random(41)
+    den = math.prod(first)
+    a = [[Fraction(rng.randint(-9, 9), rng.choice([1, den, first[0], first[2]]))
+          for _ in range(m)] for _ in range(m)]
+    _, bound = ratmat._minor_bound(a)
+    primes = ratmat._primes(m, den, 2 * bound)
+    assert not set(first) & set(primes) and primes[0] < first[-1]
+    assert ratmat.charpoly(a) == _charpoly_int(a) == _charpoly_fraction(a)
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+    windows = [range(21, 3000, 2), range(2**31 - 301, 2**31, 2),
+               range(3 * 10**9 + 1, 3 * 10**9 + 301, 2)]
+    for n in (n for window in windows for n in window):
+        assert ratmat._is_prime(n) == trial(n), n
+    assert not ratmat._is_prime(25326001)  # a strong pseudoprime to the bases 2, 3 and 5
+
+
+def test_charpoly_of_a_triangular_matrix():
+    rng = random.Random(43)
+    diag = [Fraction(rng.randint(-30, 30), rng.randint(1, 2**90)) for _ in range(9)]
+    a = [[diag[i] if i == j else Fraction(rng.randint(-9, 9), rng.randint(1, 99)) if j > i else 0
+          for j in range(9)] for i in range(9)]
+    want = [Fraction(1)]
+    for d in diag:  # multiply by (t - d)
+        want = [x - d * y for x, y in zip(want + [Fraction(0)], [Fraction(0)] + want)]
+    assert ratmat.charpoly(a) == want
+
+
+def test_charpoly_of_a_spectral_large_combination(monkeypatch):
+    # critvar gen --n 7 --k 3 --seed 5000: the first (7,3) instance of spectral-large seed 5
+    from critvar.arrangement import random_generic, sample_z
+    from critvar.quotient import QuotientAlgebra
+    from critvar.spectrum import joint_spectrum
+
+    rng = random.Random(5000)
+    spec = random_generic(7, 3, rng)
+    z = sample_z(spec, rng)
+    seen, charpoly = [], ratmat.charpoly
+    monkeypatch.setattr(ratmat, "charpoly", lambda a: seen.append(a) or charpoly(a))
+    joint_spectrum(QuotientAlgebra(spec, z), seed=5000)
+    assert len(seen[0]) == 20
+    assert charpoly(seen[0]) == _charpoly_int(seen[0])
 
 
 def test_charpoly_small():

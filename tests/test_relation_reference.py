@@ -186,6 +186,26 @@ def test_involution_suite_matches_the_reference_brackets(name):
         assert not bad
 
 
+def ref_plucker_residual(spec, jseq, iseq):
+    """The Plucker residual summed as Fraction products."""
+    return sum(((-1) ** m * spec.plucker(jseq[:m] + jseq[m + 1 :]) * spec.plucker((j,) + iseq)
+                for m, j in enumerate(jseq)), Fraction(0))
+
+
+@pytest.mark.parametrize("name", ["(6,3)", "fractions", "corrupted"])
+def test_plucker_residual_matches_the_fraction_sum(name):
+    spec = INSTANCES[name]()
+    residuals = []
+    for jset in k_subsets(spec.n, spec.k + 1):
+        for iset in k_subsets(spec.n, spec.k - 1):
+            # sorted, then reversed so that the minors carry signs
+            for jseq, iseq in [(jset, iset), (jset[::-1], iset[::-1])]:
+                got = spec.plucker_relation_residual(jseq, iseq)
+                assert type(got) is Fraction and got == ref_plucker_residual(spec, jseq, iseq)
+                residuals.append(got)
+    assert any(residuals) == (name == "corrupted")
+
+
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
