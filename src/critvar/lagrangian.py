@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import ratmat
 from .arrangement import _signed_minor
 from .errors import DomainError, GenerationError, UsageError
-from .spectrum import _det
 
 __all__ = [
     "chart_complete",
@@ -74,23 +74,6 @@ def _derivative(fun, base, pos, h):
     return [(4 * fine - coarse) / 3 for coarse, fine in zip(central(h), central(h / 2))]
 
 
-def _front_minor(minors, j, rest):
-    """Minor on the sequence (j, rest...), rest an increasing tuple without j.
-
-    minors is one of the spec's tables(): exact, or its float image.
-    """
-    return _signed_minor(minors, (j,) + rest)
-
-
-def _check_chart(spec, iset):
-    iset = tuple(iset)
-    if len(iset) != spec.k or list(iset) != sorted(set(iset)):
-        raise UsageError(f"a chart is a k-subset, got {iset}")
-    if iset[0] < 1 or iset[-1] > spec.n:
-        raise UsageError(f"indices {iset} out of range 1..{spec.n}")
-    return iset
-
-
 def chart_complete(spec, iset, z_part, p_part):
     """Full (z, p) from chart-I data (z_i for i in I, p_j for j outside I).
 
@@ -98,7 +81,7 @@ def chart_complete(spec, iset, z_part, p_part):
     image, which rounds every minor and weight as mixing it in would.
     """
     spec.require_rational_weights()
-    iset = _check_chart(spec, iset)
+    iset = spec._check_subset(iset, spec.k)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     if len(z_part) != len(iset) or len(p_part) != len(comp):
         raise UsageError("chart data has wrong lengths")
@@ -109,7 +92,7 @@ def chart_complete(spec, iset, z_part, p_part):
         p[j - 1] = val
     for m, i in enumerate(iset):
         rest = iset[:m] + iset[m + 1 :]
-        acc = sum(_front_minor(minors, j, rest) * p[j - 1] for j in comp)
+        acc = sum(_signed_minor(minors, (j,) + rest) * p[j - 1] for j in comp)
         p[i - 1] = (-1) ** (m + 1) * acc / d_full
     z = [None] * spec.n
     for i, val in zip(iset, z_part):
@@ -125,21 +108,21 @@ def chart_complete(spec, iset, z_part, p_part):
         acc = a[j - 1] / p[j - 1]
         for m, i in enumerate(iset):
             rest = iset[:m] + iset[m + 1 :]
-            acc = acc + (-1) ** m * _front_minor(minors, j, rest) * gvals[m] / d_full
+            acc = acc + (-1) ** m * _signed_minor(minors, (j,) + rest) * gvals[m] / d_full
         z[j - 1] = acc
     return tuple(z), tuple(p)
 
 
 def chart_coords(spec, iset, z, p):
     """The free coordinates of a full point in chart I."""
-    iset = _check_chart(spec, iset)
+    iset = spec._check_subset(iset, spec.k)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     return [z[i - 1] for i in iset], [p[j - 1] for j in comp]
 
 
 def chart_vector(spec, iset, z, p):
     """Length-n chart coordinates in index order: slot j holds z_j or p_j."""
-    iset = _check_chart(spec, iset)
+    iset = spec._check_subset(iset, spec.k)
     return [z[j - 1] if j in iset else p[j - 1] for j in range(1, spec.n + 1)]
 
 
@@ -151,7 +134,7 @@ def generating_map(spec, iset, z_part, p_part):
     this is the same expression completion uses, so exact agreement is a
     guard on both derivations rather than news.
     """
-    iset = _check_chart(spec, iset)
+    iset = spec._check_subset(iset, spec.k)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     z, p = chart_complete(spec, iset, z_part, p_part)
     a, _, minors = spec.tables(z_part, p_part)
@@ -160,7 +143,7 @@ def generating_map(spec, iset, z_part, p_part):
         val = a[j - 1] / p[j - 1]
         for m, i in enumerate(iset):
             rest = iset[:m] + iset[m + 1 :]
-            dpdp = (-1) ** (m + 1) * _front_minor(minors, j, rest) / minors[iset]
+            dpdp = (-1) ** (m + 1) * _signed_minor(minors, (j,) + rest) / minors[iset]
             val = val + (a[i - 1] / p[i - 1] - z[i - 1]) * dpdp
         out.append(val)
     return out
@@ -175,7 +158,7 @@ def generating_fd_residual(spec, iset, z, p, h=1e-6):
     """
     import cmath
 
-    iset = _check_chart(spec, iset)
+    iset = spec._check_subset(iset, spec.k)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     z_part, p_part = chart_coords(spec, iset, z, p)
     z_part = [complex(v) for v in z_part]
@@ -218,8 +201,8 @@ def transition_expected(spec, iset_from, iset_to):
 
 def transition_jacobian_fd(spec, iset_from, iset_to, z, p, h=_FD_STEP):
     """Finite-difference (_derivative) determinant of the chart-I to chart-I' change."""
-    iset_from = _check_chart(spec, iset_from)
-    iset_to = _check_chart(spec, iset_to)
+    iset_from = spec._check_subset(iset_from, spec.k)
+    iset_to = spec._check_subset(iset_to, spec.k)
     base = [complex(v) for v in chart_vector(spec, iset_from, z, p)]
 
     def to_vector(vec):
@@ -228,7 +211,7 @@ def transition_jacobian_fd(spec, iset_from, iset_to, z, p, h=_FD_STEP):
         return chart_vector(spec, iset_to, zf, pf)
 
     cols = [_derivative(to_vector, base, pos, h) for pos in range(spec.n)]
-    return _det(list(zip(*cols)))
+    return ratmat.det(list(zip(*cols)))
 
 
 def projection_jacobian(spec, iset, z, p):
@@ -237,7 +220,7 @@ def projection_jacobian(spec, iset, z, p):
     Entries come from differentiating the completion formulas, so this is
     analytic, and d_I^2 times it is the same number in every chart.
     """
-    iset = _check_chart(spec, iset)
+    iset = spec._check_subset(iset, spec.k)
     spec.require_rational_weights()
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     a, _, minors = spec.tables(p)
@@ -250,19 +233,19 @@ def projection_jacobian(spec, iset, z, p):
             for m, i in enumerate(iset):
                 rest = iset[:m] + iset[m + 1 :]
                 val = val - (
-                    _front_minor(minors, j, rest)
-                    * _front_minor(minors, l, rest)
+                    _signed_minor(minors, (j,) + rest)
+                    * _signed_minor(minors, (l,) + rest)
                     * a[i - 1]
                     / (p[i - 1] * p[i - 1])
                 ) / (d_full * d_full)
             row.append(val)
         rows.append(row)
-    return _det(rows)
+    return ratmat.det(rows)
 
 
 def projection_jacobian_fd(spec, iset, z, p, h=_FD_STEP):
     """The same determinant by finite differences (_derivative) of the completion."""
-    iset = _check_chart(spec, iset)
+    iset = spec._check_subset(iset, spec.k)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     z_part, p_part = chart_coords(spec, iset, z, p)
     z_part = [complex(v) for v in z_part]
@@ -273,7 +256,7 @@ def projection_jacobian_fd(spec, iset, z, p, h=_FD_STEP):
         return [zf[j - 1] for j in comp]
 
     cols = [_derivative(dependent, p_part, r, h) for r in range(len(comp))]
-    return _det(list(zip(*cols)))
+    return ratmat.det(list(zip(*cols)))
 
 
 # -- flows ----------------------------------------------------------------------
@@ -281,9 +264,7 @@ def projection_jacobian_fd(spec, iset, z, p, h=_FD_STEP):
 
 def flow_f(spec, iset, s, z, p):
     """Time-s flow of the first-kind Hamiltonian over a (k-1)-subset."""
-    iset = tuple(iset)
-    if len(iset) != spec.k - 1 or list(iset) != sorted(set(iset)):
-        raise UsageError(f"need a (k-1)-subset, got {iset}")
+    iset = spec._check_subset(iset, spec.k - 1)
     z_new = [
         z[j - 1] + spec.plucker((j,) + iset) * s for j in range(1, spec.n + 1)
     ]
@@ -297,9 +278,7 @@ def flow_g(spec, jset, s, z, p):
     each single G_j = z_j - a_j/p_j stays put.  Everything else is fixed.
     """
     spec.require_rational_weights()
-    jset = tuple(jset)
-    if len(jset) != spec.k + 1 or list(jset) != sorted(set(jset)):
-        raise UsageError(f"need a (k+1)-subset, got {jset}")
+    jset = spec._check_subset(jset, spec.k + 1)
     z_new, p_new = list(z), list(p)
     for m, j in enumerate(jset):
         rest = jset[:m] + jset[m + 1 :]
@@ -327,7 +306,7 @@ def scale_action(lam, z, p):
 
 def sample_chart_point(spec, iset, rng, bound=7, tries=300):
     """A random rational point of the variety with every momentum nonzero."""
-    iset = _check_chart(spec, tuple(iset))
+    iset = spec._check_subset(iset, spec.k)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     for _ in range(tries):
         z_part = [Fraction(rng.randint(-bound, bound)) for _ in iset]

@@ -318,8 +318,8 @@ class QuotientAlgebra:
         matrix of S on it; computed once and cached.
         """
         if self._proj is None:
-            basis = self.sing_basis()
-            bts = [[x * s for x, s in zip(bvec, self.s_diagonal())] for bvec in basis]
+            basis, diag = self.sing_basis(), self.s_diagonal()
+            bts = [[x * s for x, s in zip(bvec, diag)] for bvec in basis]
             try:
                 gram_inv = ratmat.inverse(ratmat.mat_mul(bts, ratmat.transpose(basis)))
             except DomainError:

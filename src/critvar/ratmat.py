@@ -1,10 +1,12 @@
 """Dense exact linear algebra over Fraction.
 
-Matrices are plain lists of row lists; nothing here ever touches floats.
-Elimination with exact pivots serves the sizes that occur (at most a few
-hundred rows).  The characteristic polynomial is computed modulo word-size
-primes in int64 numpy arrays (imported inside charpoly, so importing this
-module loads no numpy) and recombined exactly under a proven bound.
+Matrices are plain lists of row lists.  Rank, nullspace, inverse and the
+exact determinant share one fraction-free elimination in int (_echelon),
+which serves the sizes that occur (at most a few hundred rows).  det
+alone also takes float or complex entries, by LU in complex.  The
+characteristic polynomial is computed modulo word-size primes in int64
+numpy arrays (imported inside charpoly, so importing this module loads
+no numpy) and recombined exactly under a proven bound.
 """
 
 from __future__ import annotations
@@ -21,17 +23,12 @@ __all__ = [
     "transpose",
     "mat_mul",
     "mat_vec",
-    "rref",
     "rank",
     "nullspace",
     "inverse",
     "det",
     "charpoly",
 ]
-
-
-def _copy(mat):
-    return [[Fraction(x) for x in row] for row in mat]
 
 
 def identity(m):
@@ -69,108 +66,105 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def rref(mat):
-    """Reduced row echelon form; returns (new matrix, pivot column list)."""
-    m = _copy(mat)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+def _echelon(rows, width=None):
+    """Fraction-free Gauss-Jordan in int on the first width columns (default all).
+
+    Returns (ints, pivots, factor).  Each row is cleared once by the lcm r
+    of its denominators.  A row with an entry f in the pivot column becomes
+    (p row - q pivot row) / h, p / q = pivot / f in lowest terms and h its
+    content (a row that drops to zero stays zero); a row with a zero there
+    is left alone, so sparse rows stay cheap.  Row i < len(pivots) of ints
+    is zero in every pivot column but pivots[i]; over its entry there it is
+    row i of the reduced row echelon form.  Clearing scales det(ints) by r, a
+    row operation by p / h and a swap by -1: det(rows) = factor * det(ints).
+    """
+    ints, num, den = [], 1, 1
+    for row in rows:
+        r, (line,) = _cleared([row])
+        den *= r
+        ints.append(line)
+    width = (len(ints[0]) if ints else 0) if width is None else width
     pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    for c in range(width):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(ints)) if ints[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if pivot != top:
+            ints[top], ints[pivot] = ints[pivot], ints[top]
+            num = -num
+        prow = ints[top]
+        for i, row in enumerate(ints):
+            f = row[c]
+            if f and i != top:
+                g = math.gcd(prow[c], f)
+                p, q = prow[c] // g, f // g
+                row = [p * x - q * y for x, y in zip(row, prow)]
+                h = math.gcd(*row)
+                if h > 1:
+                    row = [x // h for x in row]
+                num, den = num * (h or 1), den * p
+                ints[i] = row
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return ints, pivots, Fraction(num, den)
 
 
 def rank(mat):
-    return len(rref(mat)[1]) if mat else 0
+    return len(_echelon(mat)[1])
 
 
 def nullspace(a):
-    """Basis of the exact kernel, one vector per free column."""
-    red, pivots = rref(a)
+    """Basis of the exact kernel, one vector per free column (the RREF's)."""
+    ints, pivots, _ = _echelon(a)
     cols = len(a[0]) if a else 0
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(cols)) - set(pivots)):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(ints, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
 def inverse(a):
-    """Exact inverse by fraction-free Gauss-Jordan in int.
+    """Exact inverse: _echelon on [A | I] over its first m columns.
 
-    Row i of A is cleared once by the lcm r_i of its denominators, so
-    M = diag(r) A is an integer matrix, and [M | I] is eliminated by
-    integer row operations: a row with a nonzero entry in the pivot
-    column becomes (pivot * row - entry * pivot row) over their gcds,
-    then is divided by its content; a row with a zero there is left
-    alone, so sparse rows stay cheap.  That ends at [diag(d) | B] with
-    M^-1 = diag(d)^-1 B, so A^-1 = M^-1 diag(r) has entries B_is r_s / d_i.
+    It ends at [diag(d) | B] with B A = diag(d), so A^-1 has entries B_ij / d_i.
     """
     m = len(a)
     if any(len(row) != m for row in a):
         raise UsageError("inverse of a non-square matrix")
-    scales, aug = [], []
-    for i, row in enumerate(a):
-        r, ints = _cleared([row])
-        scales.append(r)
-        aug.append(ints[0] + [int(i == j) for j in range(m)])
-    for c in range(m):
-        pivot = next((i for i in range(c, m) if aug[i][c]), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        prow = aug[c]
-        for i in range(m):
-            f = aug[i][c]
-            if f and i != c:
-                g = math.gcd(prow[c], f)
-                p, q = prow[c] // g, f // g
-                row = [p * x - q * y for x, y in zip(aug[i], prow)]
-                h = math.gcd(*row)
-                aug[i] = [x // h for x in row]
-    return [[Fraction(x * r, row[i]) for x, r in zip(row[m:], scales)]
-            for i, row in enumerate(aug)]
+    ints, pivots, _ = _echelon([list(row) + [int(i == j) for j in range(m)]
+                                for i, row in enumerate(a)], m)
+    if len(pivots) < m:
+        raise DomainError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[m:]] for i, row in enumerate(ints)]
 
 
 def det(mat):
-    m = _copy(mat)
-    size = len(m)
-    if any(len(row) != size for row in m):
+    """Determinant: exact (_echelon) on int/Fraction entries, else complex LU, partial pivoting."""
+    size = len(mat)
+    if any(len(row) != size for row in mat):
         raise UsageError("determinant of a non-square matrix")
-    d = Fraction(1)
-    for c in range(size):
-        pivot = next((i for i in range(c, size) if m[i][c] != 0), None)
-        if pivot is None:
+    if all(isinstance(x, (int, Fraction)) for row in mat for x in row):
+        ints, pivots, factor = _echelon(mat)
+        if len(pivots) < size:
             return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, size):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
+        return factor * math.prod(row[i] for i, row in enumerate(ints))
+    m = [[complex(x) for x in row] for row in mat]
+    det = 1 + 0j
+    for c in range(len(m)):
+        piv = max(range(c, len(m)), key=lambda r: abs(m[r][c]))
+        if m[piv][c] == 0:
+            return 0j
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
 
 
 def _is_prime(n):

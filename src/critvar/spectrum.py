@@ -80,9 +80,13 @@ def poly_roots(coeffs, max_sweeps=200, tol=1e-13):
     as good as the rounded coefficients, and a spectrum clustered far from
     the origin can lose every digit to it; so exact (int or Fraction)
     coefficients get further sweeps whose Newton quotients are evaluated
-    without rounding.
+    without rounding.  A coefficient outside float range, and a Horner
+    value, step or root that overflows, raise NumericError.
     """
-    cs = [complex(c) for c in coeffs]
+    try:
+        cs = [complex(c) for c in coeffs]
+    except OverflowError:
+        raise NumericError("a polynomial coefficient is outside float range") from None
     while cs and cs[0] == 0:
         cs.pop(0)
     if not cs:
@@ -106,6 +110,8 @@ def poly_roots(coeffs, max_sweeps=200, tol=1e-13):
             der = der * x + val
             val = val * x + c
             mag = mag * abs(x) + abs(c)
+        if not math.isfinite(mag):
+            raise NumericError(f"polynomial value overflows float range at {x}")
         if abs(val) <= eval_eps * mag:
             return None
         return val / der if der != 0 else val
@@ -132,6 +138,8 @@ def _aberth(roots, newton, max_sweeps, tol):
             denom = 1.0 - w * rep
             step = w / denom if denom != 0 else w
             new_roots[i] = x - step
+            if not cmath.isfinite(new_roots[i]):
+                raise NumericError(f"root iteration left float range from {x}")
             moved = max(moved, abs(step) / max(1.0, abs(x)))
         roots = new_roots
         if moved < tol:
@@ -561,27 +569,8 @@ def hessian_matrix(spec, z, t):
              for l in range(spec.k)] for m in range(spec.k)]
 
 
-def _det(rows):
-    """Exact determinant for int/Fraction entries, else complex LU, partial pivoting."""
-    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        return ratmat.det(rows)
-    m = [[complex(x) for x in row] for row in rows]
-    det = 1 + 0j
-    for c in range(len(m)):
-        piv = max(range(c, len(m)), key=lambda r: abs(m[r][c]))
-        if m[piv][c] == 0:
-            return 0j
-        if piv != c:
-            m[c], m[piv], det = m[piv], m[c], -det
-        det *= m[c][c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
 def hessian_direct(spec, z, t):
-    return _det(hessian_matrix(spec, z, t))
+    return ratmat.det(hessian_matrix(spec, z, t))
 
 
 def hessian_formula(spec, p):
@@ -626,13 +615,11 @@ def smoothness_witness(spec, z, t, iset):
     smoothness certificate for the critical-point equations.
     """
     a, b, minors = spec.tables(z, t)
-    iset = tuple(sorted(iset))
-    if iset not in minors:
-        raise UsageError(f"need a k-subset of 1..{spec.n}, got {iset}")
+    iset = spec._check_subset(sorted(iset), spec.k)
     fs = spec.hyperplane_values(z, t)
     rows = [[-a[j - 1] * b[j - 1][l] / (fs[j - 1] * fs[j - 1]) for j in iset]
             for l in range(spec.k)]
-    direct = _det(rows)
+    direct = ratmat.det(rows)
     closed = (-1) ** spec.k * minors[iset]
     for j in iset:
         closed = closed * a[j - 1] / (fs[j - 1] * fs[j - 1])

@@ -246,6 +246,15 @@ def test_numeric_failure_gives_exit_three(config_path, capsys, monkeypatch):
     assert f"every one of {spectrum._REDRAWS} draws" in captured.err
 
 
+def test_overflowing_characteristic_polynomial_gives_exit_three(config_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(ratmat, "charpoly", lambda a: [1, 4100] + [0] * 124 + [1])
+    assert main(["solve", "--config", config_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: polynomial value overflows float range")
+
+
 def test_route_two_failure_gives_exit_three_with_its_counts(config_path, capsys,
                                                           monkeypatch):
     # every tracked path is lost, on the first run and on each retrack
@@ -315,3 +324,50 @@ def test_exact_commands_run_without_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "cfg.json")],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [[0, 0, 0, 0], False, [], True]
+
+
+# What the benchmark gate and its readers take from each report, on gen --n 5 --k 2
+# --seed 5: the top-level keys, the check names in run order and the diagnostics keys
+# (the check entries, timing and solve points are pinned in the test).
+_REPORT_SCHEMA = {
+    "gen": (["report", "command", "config", "checks", "timing"],
+            ["generic_minors", "base_point_off_discriminant"], None),
+    "verify": (["report", "command", "config", "checks", "timing", "diagnostics"],
+               ["minor_relations", "discriminant_span_rank", "generator_brackets",
+                "quotient_dimension", "operator_commutators", "unit_vector_cyclic",
+                "first_kind_operators", "second_kind_operators", "euler_operator",
+                "weighted_sum_operators", "special_vector_map"],
+               {"verify": ["path", "identities_checked", "identities_total"]}),
+    "solve": (["report", "command", "config", "checks", "timing", "points",
+               "eigenvalue_combination", "eigenvalues", "diagnostics"],
+              ["critical_count_spectral", "critical_count_newton", "spectral_newton_match",
+               "hessian_identity", "jacobian_from_hessian"],
+              {"newton": ["vertex_starts", "chambers", "redraws", "paths", "retracked"]}),
+    "flows": (["report", "command", "config", "checks", "timing"],
+              ["chart_membership", "chart_transitions_exact", "transition_jacobian_fd",
+               "generating_function_fd", "projection_chart_independence",
+               "projection_jacobian_fd", "flow_invariance"], None),
+}
+
+
+def test_report_schema_is_pinned(tmp_path, capsys):
+    path = str(tmp_path / "gen.json")
+    reports = {"gen": run_json(capsys, ["gen", "--n", "5", "--k", "2", "--seed", "5"])[1]}
+    assert main(["gen", "--n", "5", "--k", "2", "--seed", "5", "--out", path]) == 0
+    capsys.readouterr()
+    for command in ("verify", "solve", "flows"):
+        rc, reports[command] = run_json(capsys, [command, "--config", path])
+        assert rc == 0, command
+    for command, (keys, checks, diagnostics) in _REPORT_SCHEMA.items():
+        report = reports[command]
+        assert list(report) == keys, command
+        assert report["report"] == "report_v1" and report["command"] == command
+        assert [c["name"] for c in report["checks"]] == checks, command
+        assert all(list(c) == ["name", "status", "residual", "count", "expected"]
+                   for c in report["checks"]), command
+        assert list(report["timing"]) == (["seconds", "stages"] if command in ("verify", "solve")
+                                          else ["seconds"]), command
+        if diagnostics is not None:
+            assert {key: list(value) for key, value in report["diagnostics"].items()} \
+                == diagnostics, command
+    assert all(list(point) == ["t", "p", "gradient_norm"] for point in reports["solve"]["points"])

@@ -15,6 +15,84 @@ def rand_mat(rng, r, c, lo=-6, hi=6):
     return [[Fraction(rng.randint(lo, hi), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)]
 
 
+def _rref(mat):
+    """Reference: reduced row echelon form over Fraction; returns (matrix, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _nullspace_by_rref(a):
+    """Reference: one kernel vector per free column of the Fraction RREF."""
+    red, pivots = _rref(a)
+    cols = len(a[0]) if a else 0
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _det_fraction(mat):
+    """Reference: Gaussian elimination over Fraction, first nonzero pivot."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    size = len(m)
+    d = Fraction(1)
+    for c in range(size):
+        pivot = next((i for i in range(c, size) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            d = -d
+        d *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, size):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
+def _det_complex_lu(rows):
+    """Reference: complex LU with partial pivoting, the float branch of det before it moved."""
+    m = [[complex(x) for x in row] for row in rows]
+    det = 1 + 0j
+    for c in range(len(m)):
+        piv = max(range(c, len(m)), key=lambda r: abs(m[r][c]))
+        if m[piv][c] == 0:
+            return 0j
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
 def _mat_mul_fraction(a, b):
     """Reference: the plain Fraction triple loop."""
     return [[sum((Fraction(a[i][l]) * Fraction(b[l][j]) for l in range(len(b))), Fraction(0))
@@ -54,7 +132,7 @@ def _solve(a, b):
     if len(a) != len(b):
         raise UsageError("right hand side length does not match row count")
     aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    red, pivots = ratmat.rref(aug)
+    red, pivots = _rref(aug)
     cols = len(a[0])
     if cols in pivots:
         raise DomainError("inconsistent linear system")
@@ -274,18 +352,25 @@ def test_charpoly_small():
         ratmat.charpoly([[Fraction(1), Fraction(2)]])
 
 
+def _reduced(a):
+    """The kernel's reduced row echelon form: each pivot row over its pivot."""
+    ints, pivots, _ = ratmat._echelon(a)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)] + [
+        [Fraction(x) for x in row] for row in ints[len(pivots):]], pivots
+
+
 def test_rref_idempotent():
     rng = random.Random(21)
     a = rand_mat(rng, 4, 6)
-    red, piv = ratmat.rref(a)
-    red2, piv2 = ratmat.rref(red)
-    assert red == red2 and piv == piv2
+    red, piv = _reduced(a)
+    assert (red, piv) == _rref(a)
+    assert _reduced(red) == (red, piv)
 
 
 def _inverse_by_rref(a):
     """Reference: Gauss-Jordan over Fraction on [A | I]."""
     m = len(a)
-    red, pivots = ratmat.rref([list(row) + ident for row, ident in zip(a, ratmat.identity(m))])
+    red, pivots = _rref([list(row) + ident for row, ident in zip(a, ratmat.identity(m))])
     if pivots != list(range(m)):
         raise DomainError("singular")
     return [row[m:] for row in red]
@@ -314,3 +399,69 @@ def test_inverse_against_fraction_rref():
         ratmat.inverse([[Fraction(0)]])
     with pytest.raises(UsageError):
         ratmat.inverse([[1, 2]])
+
+
+_ENTRY = (st.builds(Fraction, st.integers(-(2**70), 2**70) | st.integers(-9, 9),
+                    st.integers(1, 2**200) | st.sampled_from([1, 2, 3, 7, 2**64]))
+          | st.integers(-50, 50) | st.just(0))
+
+
+@st.composite
+def _matrix(draw, square=False):
+    """Up to 12 x 14 int/Fraction matrices with zero rows and columns and dependent rows."""
+    rows = draw(st.integers(0, 12))
+    cols = rows if square else draw(st.integers(0, 14))
+    mat = draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    if not rows:
+        return mat
+    index = st.integers(0, rows - 1)
+    for kind in draw(st.lists(st.sampled_from(["column", "row", "duplicate", "sum"]), max_size=2)):
+        i, j, l = draw(index), draw(index), draw(index)
+        if kind == "column" and cols:
+            c = draw(st.integers(0, cols - 1))
+            for row in mat:
+                row[c] = 0
+        elif kind == "row":
+            mat[i] = [0] * cols
+        elif kind == "duplicate":
+            mat[i] = list(mat[j])
+        elif kind == "sum":  # rank deficiency by a combination of two rows
+            c = draw(_ENTRY)
+            mat[i] = [c * x + y for x, y in zip(mat[j], mat[l])]
+    return mat
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_matrix())
+def test_rank_and_nullspace_match_the_fraction_rref(a):
+    assert ratmat.rank(a) == len(_rref(a)[1])
+    assert ratmat.nullspace(a) == _nullspace_by_rref(a)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_matrix(square=True))
+def test_inverse_and_det_match_the_fraction_references(a):
+    assert ratmat.det(a) == _det_fraction(a)
+    try:
+        want = _inverse_by_rref(a)
+    except DomainError:
+        with pytest.raises(DomainError):
+            ratmat.inverse(a)
+    else:
+        assert ratmat.inverse(a) == want
+
+
+_NUMBER = st.floats(-1e3, 1e3, allow_subnormal=False) | st.complex_numbers(
+    max_magnitude=1e3, allow_nan=False, allow_infinity=False) | st.integers(-9, 9)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(
+    st.lists(_NUMBER, min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_float_det_is_the_complex_lu(a):
+    if all(isinstance(x, int) for row in a for x in row):
+        a[0][0] = float(a[0][0])  # an exact matrix takes the other branch
+    got = ratmat.det(a)
+    assert isinstance(got, complex)
+    assert got == _det_complex_lu(a)

@@ -13,7 +13,6 @@ from critvar.arrangement import ArrangementSpec, random_generic, sample_z
 from critvar.errors import NumericError, UsageError
 from critvar.quotient import QuotientAlgebra
 from critvar.spectrum import (
-    _det,
     hessian_direct,
     hessian_formula,
     hessian_matrix,
@@ -264,6 +263,17 @@ def test_match_point_sets_reports_ambiguity():
     assert ok and worst == pytest.approx(0.1)
 
 
+# x^126 + 4100 x^125 + 1: Horner's rule at the starts (radius about 8,200) overflows
+_OVERFLOWING = [1, 4100] + [0] * 124 + [1]
+
+
+@pytest.mark.parametrize("coeffs", [_OVERFLOWING, [float(c) for c in _OVERFLOWING],
+                                    [1, 10**400]], ids=["exact", "float", "huge-coefficient"])
+def test_poly_roots_outside_float_range_raises_numeric_error(coeffs):
+    with pytest.raises(NumericError):
+        poly_roots(coeffs)
+
+
 def test_float_det_matches_numpy():
     # |difference| within 1e-12 of the Hadamard bound, the product of row norms
     rng = np.random.default_rng(21)
@@ -273,12 +283,12 @@ def test_float_det_matches_numpy():
     singular = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     singular[3] = 2 * singular[1] - 1j * singular[4]
     for mat in mats + [swap, singular]:
-        got = _det(mat.tolist())
+        got = ratmat.det(mat.tolist())
         assert isinstance(got, complex)
         bound = np.prod(np.linalg.norm(mat, axis=1))
         assert abs(got - np.linalg.det(mat)) <= 1e-12 * bound
-    assert _det([[0j, 1], [1, 0]]) == -1
-    assert _det([[1.0, 2.0], [2.0, 4.0]]) == 0
+    assert ratmat.det([[0j, 1], [1, 0]]) == -1
+    assert ratmat.det([[1.0, 2.0], [2.0, 4.0]]) == 0
 
 
 def test_hessian_oracles():
