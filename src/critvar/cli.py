@@ -19,10 +19,10 @@ rationals), optional "z" (n rationals, or "sample"), "seed",
 
 Every run emits a report_v1 JSON document: command, the resolved config,
 one entry per check (name, status pass/fail/skipped, residual, count,
-expected), and timing; verify's timing also has "stages", the seconds
-spent on each check, keyed by check name in run order.  solve's stages
-are the spectral route ("joint_spectrum") and route two ("newton"), and
-its "diagnostics.newton" gives route two's counts: vertex starts, chambers
+expected), and timing; verify's and flows' timing also has "stages", the
+seconds spent on each check, keyed by check name in run order.  solve's
+stages are the spectral route ("joint_spectrum") and route two ("newton"),
+and its "diagnostics.newton" gives route two's counts: vertex starts, chambers
 of the real fiber, redraws, tracked and retracked paths; verify's
 "diagnostics.verify" gives the path its operator identities took
 ("unit_orbit", "full_matrix", or null without a base point) and the
@@ -31,7 +31,8 @@ identities checked out of the total.  Complex numbers are
 --tol-fd; solve --tol-newton, --tol-spectral, --tol-hessian, --tol-dedup.
 Exit status:
 0 all checks passed, 1 at least one failed, 2 bad usage or bad input
-data, 3 a numeric procedure gave up.
+data, 3 a numeric procedure gave up.  A reader that closes stdout early
+(`| head`) cuts the report short but does not change the exit status.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -133,13 +135,7 @@ def _check(name, ok, residual=None, count=None, expected=None):
 
 
 def _skip(name, reason):
-    return {
-        "name": name,
-        "status": "skipped",
-        "residual": None,
-        "count": None,
-        "expected": reason,
-    }
+    return dict(_check(name, True), status="skipped", expected=reason)
 
 
 def _mat_residual(mat):
@@ -151,29 +147,46 @@ def _c_pair(x):
     return [x.real, x.imag]
 
 
+def _say(text):
+    """Print a line; a reader that closed stdout early costs the output, not the status."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # as the signal module's docs advise: later flushes, at exit too, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         passed = sum(1 for c in report["checks"] if c["status"] == "pass")
-        total = len(report["checks"])
-        print(f"wrote {out_path}: {passed}/{total} checks passed")
-    else:
-        print(text)
+        text = f"wrote {out_path}: {passed}/{len(report['checks'])} checks passed"
+    _say(text)
 
 
-def _finish(command, raw, spec, z, seed, checks, started, out_path, extra=None,
-            stages=None):
-    timing = {"seconds": round(time.perf_counter() - started, 6)}
-    if stages is not None:
-        timing["stages"] = stages
+def _recorder(checks, stages):
+    """record(check) appends a check, keying the seconds since the last one by its name."""
+    last = time.perf_counter()
+
+    def record(check):
+        nonlocal last
+        now = time.perf_counter()
+        stages[check["name"]] = round(now - last, 6)
+        last = now
+        checks.append(check)
+
+    return record
+
+
+def _finish(command, raw, spec, z, seed, checks, stages, started, out_path, extra=None):
     report = {
         "report": "report_v1",
         "command": command,
         "config": _config_echo(raw, spec, z, seed),
         "checks": checks,
-        "timing": timing,
+        "timing": {"seconds": round(time.perf_counter() - started, 6), "stages": stages},
     }
     if extra:
         report.update(extra)
@@ -191,15 +204,7 @@ def _cmd_verify(args):
     seed = _seed(args, raw)
     z = _resolve_z(raw, spec, seed)
     checks, stages = [], {}
-    last = time.perf_counter()
-
-    def record(check):
-        # seconds since the previous check, keyed by this check's name
-        nonlocal last
-        now = time.perf_counter()
-        stages[check["name"]] = round(now - last, 6)
-        last = now
-        checks.append(check)
+    record = _recorder(checks, stages)
 
     pairs = 0
     worst = Fraction(0)
@@ -228,8 +233,8 @@ def _cmd_verify(args):
                      "euler_operator", "weighted_sum_operators",
                      "special_vector_map"):
             checks.append(_skip(name, 'needs "z" in the config'))
-        return _finish("verify", raw, spec, z, seed, checks, started, args.out,
-                       {"diagnostics": {"verify": diag}}, stages)
+        return _finish("verify", raw, spec, z, seed, checks, stages, started, args.out,
+                       {"diagnostics": {"verify": diag}})
 
     alg = qt.QuotientAlgebra(spec, z)
     dim = alg.dim
@@ -272,8 +277,8 @@ def _cmd_verify(args):
                   len(alg.all_subsets) - len(bad_subsets),
                   len(alg.all_subsets)))
 
-    return _finish("verify", raw, spec, z, seed, checks, started, args.out,
-                   {"diagnostics": {"verify": diag}}, stages)
+    return _finish("verify", raw, spec, z, seed, checks, stages, started, args.out,
+                   {"diagnostics": {"verify": diag}})
 
 
 # -- solve ------------------------------------------------------------------------
@@ -347,8 +352,7 @@ def _cmd_solve(args):
         "eigenvalues": [_c_pair(v) for v in spectral.eigenvalues],
         "diagnostics": {"newton": counts},
     }
-    return _finish("solve", raw, spec, z, seed, checks, started, args.out, extra,
-                   stages=stages)
+    return _finish("solve", raw, spec, z, seed, checks, stages, started, args.out, extra)
 
 
 # -- flows ------------------------------------------------------------------------
@@ -361,7 +365,8 @@ def _cmd_flows(args):
     spec.require_rational_weights()
     seed = _seed(args, raw)
     rng = random.Random(seed)
-    checks = []
+    checks, stages = [], {}
+    record = _recorder(checks, stages)
 
     charts = list(k_subsets(spec.n, spec.k))[:4]
     samples = []
@@ -379,8 +384,8 @@ def _cmd_flows(args):
         return rels.all_vanish_at(z, p, [*rels.g.values(), euler])
 
     good = sum(1 for _, (zz, pp) in samples if member(zz, pp))
-    checks.append(_check("chart_membership", good == len(samples),
-                         None, good, len(samples)))
+    record(_check("chart_membership", good == len(samples),
+                  None, good, len(samples)))
 
     ok_trans, count = True, 0
     for iset, (zz, pp) in samples[: 2 * len(charts)]:
@@ -394,7 +399,7 @@ def _cmd_flows(args):
                 continue
             ok_trans = ok_trans and redone == (zz, pp)
             count += 1
-    checks.append(_check("chart_transitions_exact", ok_trans, None, count, 0))
+    record(_check("chart_transitions_exact", ok_trans, None, count, 0))
 
     worst, count = 0.0, 0
     src, (zz, pp) = samples[0]
@@ -405,14 +410,14 @@ def _cmd_flows(args):
         got = lag.transition_jacobian_fd(spec, src, target, zz, pp)
         worst = max(worst, abs(got - want) / (1 + abs(want)))
         count += 1
-    checks.append(_check("transition_jacobian_fd", worst <= args.tol_fd,
-                         worst, count, args.tol_fd))
+    record(_check("transition_jacobian_fd", worst <= args.tol_fd,
+                  worst, count, args.tol_fd))
 
     worst = 0.0
     for iset, (zz, pp) in samples[: len(charts)]:
         worst = max(worst, lag.generating_fd_residual(spec, iset, zz, pp))
-    checks.append(_check("generating_function_fd", worst <= args.tol_fd,
-                         worst, len(charts), args.tol_fd))
+    record(_check("generating_function_fd", worst <= args.tol_fd,
+                  worst, len(charts), args.tol_fd))
 
     _, (zz, pp) = samples[0]
     values = []
@@ -421,15 +426,15 @@ def _cmd_flows(args):
         values.append(d * d * lag.projection_jacobian(spec, iset, zz, pp))
     spread = all(v == values[0] for v in values)
     agrees = values[0] == jacobian_formula(spec, pp)
-    checks.append(_check("projection_chart_independence", spread and agrees,
-                         0.0 if spread and agrees else 1.0, len(values), 0))
+    record(_check("projection_chart_independence", spread and agrees,
+                  0.0 if spread and agrees else 1.0, len(values), 0))
 
     src = charts[0]
     want = complex(lag.projection_jacobian(spec, src, zz, pp))
     got = lag.projection_jacobian_fd(spec, src, zz, pp)
     worst = abs(got - want) / (1 + abs(want))
-    checks.append(_check("projection_jacobian_fd", worst <= args.tol_fd,
-                         worst, 1, args.tol_fd))
+    record(_check("projection_jacobian_fd", worst <= args.tol_fd,
+                  worst, 1, args.tol_fd))
 
     ok_flow, count = True, 0
     s = Fraction(3, 7)
@@ -450,9 +455,9 @@ def _cmd_flows(args):
         z2, p2 = lag.scale_action(Fraction(-5, 3), zz, pp)
         ok_flow = ok_flow and member(z2, p2)
         count += 1
-    checks.append(_check("flow_invariance", ok_flow, None, count, 0))
+    record(_check("flow_invariance", ok_flow, None, count, 0))
 
-    return _finish("flows", raw, spec, None, seed, checks, started, args.out)
+    return _finish("flows", raw, spec, None, seed, checks, stages, started, args.out)
 
 
 # -- gen --------------------------------------------------------------------------
@@ -481,9 +486,9 @@ def _cmd_gen(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(config, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     else:
-        print(json.dumps(report, indent=2))
+        _emit(report, None)
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 

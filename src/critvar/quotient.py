@@ -54,8 +54,10 @@ antisymmetrized sums cut out a subspace Sing V of the same dimension
 C(n-1, k), and the map sending the class of d_I p_I to the orthogonal
 projection of v_I (orthogonal for the diagonal form S with entries
 prod_{i in I} a_i) is a well-defined isomorphism independent of which
-k-subset represents it.  The projection is one exact matrix P, built once
-per algebra; mu_consistency checks the map on every axis of V at once.
+k-subset represents it.  That projection, P = B G^-1 B^T S with B the
+singular basis as columns and G = B^T S B, is never built: B G^-1 is
+injective, so P x = 0 exactly when B^T S x = 0, and the map is decided on
+the dim x C(n, k) matrix Y = B^T S D^-1, D = diag(d_J).
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class QuotientAlgebra:
         self._orbits = {}
         self._one = None
         self._sing = None
-        self._proj = None
+        self._rows = None
 
     # -- rewriting to the monomial basis ------------------------------------
 
@@ -311,55 +313,41 @@ class QuotientAlgebra:
         """The symmetric form S in the v_I basis: diagonal with prod_{i in I} a_i."""
         return [math.prod(self.spec.a[i - 1] for i in key) for key in self.all_subsets]
 
-    def projector(self):
-        """The S-orthogonal projection of V onto Sing V, P = B G^-1 B^T S.
+    def _special_rows(self):
+        """(Y, its basis columns) with Y = B^T S D^-1, D = diag(d_J); cached.
 
-        B holds the singular basis as columns and G = B^T S B is the Gram
-        matrix of S on it; computed once and cached.
+        Raises DomainError unless G = B^T S B is invertible, the condition
+        for the projection P = B G^-1 B^T S to exist.
         """
-        if self._proj is None:
+        if self._rows is None:
             basis, diag = self.sing_basis(), self.s_diagonal()
             bts = [[x * s for x, s in zip(bvec, diag)] for bvec in basis]
-            try:
-                gram_inv = ratmat.inverse(ratmat.mat_mul(bts, ratmat.transpose(basis)))
-            except DomainError:
-                raise DomainError("the form S degenerates on the singular subspace") from None
-            self._proj = ratmat.mat_mul(ratmat.transpose(basis), ratmat.mat_mul(gram_inv, bts))
-        return self._proj
-
-    def s_perp(self, vec):
-        """S-orthogonal projection of a vector of V onto the singular subspace."""
-        if len(vec) != len(self.all_subsets):
-            raise UsageError("vector does not live in the big coordinate space")
-        return ratmat.mat_vec(self.projector(), vec)
-
-    def _scaled_axes(self, keys):
-        """Columns s_perp(v_J) / d_J of P for the k-subsets J in keys."""
-        proj = self.projector()
-        cols = [self.v_index[key] for key in keys]
-        dets = [self.spec.plucker(key) for key in keys]
-        return [[row[c] / d for c, d in zip(cols, dets)] for row in proj]
-
-    def mu_matrix(self):
-        """Coordinates in V of the image of each basis class d_I p_I -> s_perp(v_I)."""
-        return self._scaled_axes(self.basis)
+            if ratmat.rank(ratmat.mat_mul(bts, ratmat.transpose(basis))) < self.dim:
+                raise DomainError("the form S degenerates on the singular subspace")
+            dets = [self.spec.plucker(key) for key in self.all_subsets]
+            rows = [[x / d for x, d in zip(row, dets)] for row in bts]
+            cols = [self.v_index[key] for key in self.basis]
+            self._rows = rows, [[row[c] for c in cols] for row in rows]
+        return self._rows
 
     def mu_consistency(self):
         """Subsets where the defining recipe disagrees with the reduced class.
 
-        For every k-subset J the image of the class of p_J must be
-        s_perp(v_J) / d_J no matter how J relates to the basis: column J
-        of mu R, with R holding the reduced p_J as columns, must equal
-        column J of P divided by d_J.  An empty list certifies the map is
-        well defined on all of V's axes.
+        For every k-subset J the image of the class of p_J must be P v_J / d_J
+        no matter how J relates to the basis: with R holding the reduced p_J
+        as columns, column J of P D^-1 must equal column J of
+        P_basis D_basis^-1 R, that is column J of Y must equal column J of
+        Y_basis R.  An empty list certifies the map is well defined on all
+        of V's axes.
         """
+        y, y_basis = self._special_rows()
         reduced = ratmat.transpose([self.reduce_monomial(key) for key in self.all_subsets])
-        lhs = ratmat.mat_mul(self.mu_matrix(), reduced)
-        rhs = self._scaled_axes(self.all_subsets)
-        return [key for key, x, y in zip(self.all_subsets, zip(*lhs), zip(*rhs)) if x != y]
+        lhs = ratmat.mat_mul(y_basis, reduced)
+        return [key for key, u, v in zip(self.all_subsets, zip(*lhs), zip(*y)) if u != v]
 
     def mu_is_isomorphism(self):
-        return ratmat.rank(self.mu_matrix()) == self.dim
+        """Full rank: the map's matrix B G^-1 Y_basis has the rank of Y_basis."""
+        return ratmat.rank(self._special_rows()[1]) == self.dim
 
     # -- serialization ----------------------------------------------------------
 

@@ -365,9 +365,36 @@ def test_report_schema_is_pinned(tmp_path, capsys):
         assert [c["name"] for c in report["checks"]] == checks, command
         assert all(list(c) == ["name", "status", "residual", "count", "expected"]
                    for c in report["checks"]), command
-        assert list(report["timing"]) == (["seconds", "stages"] if command in ("verify", "solve")
-                                          else ["seconds"]), command
+        assert list(report["timing"]) == (["seconds"] if command == "gen"
+                                          else ["seconds", "stages"]), command
         if diagnostics is not None:
             assert {key: list(value) for key, value in report["diagnostics"].items()} \
                 == diagnostics, command
     assert all(list(point) == ["t", "p", "gradient_norm"] for point in reports["solve"]["points"])
+
+
+def test_flows_stages_are_keyed_by_check_name(config_path, capsys):
+    rc, report = run_json(capsys, ["flows", "--config", config_path])
+    assert rc == 0
+    stages = report["timing"]["stages"]
+    assert list(stages) == [c["name"] for c in report["checks"]]
+    assert all(s >= 0 for s in stages.values())
+    assert sum(stages.values()) <= report["timing"]["seconds"]
+
+
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_a_closed_stdout_keeps_the_exit_status(config_path, command):
+    argv = {"gen": ["gen", "--n", "5", "--k", "2", "--seed", "5"],
+            "verify": ["verify", "--config", config_path]}[command]
+    src = str(Path(critvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run([sys.executable, "-m", "critvar.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr

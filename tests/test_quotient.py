@@ -1,9 +1,12 @@
+import functools
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critvar import quotient as qt
 from critvar import ratmat
@@ -23,7 +26,7 @@ from critvar.quotient import (
     weighted_sum_operator_residual,
 )
 from critvar.relations import build_relations, euler_relation, g_comb
-from test_ratmat import _solve
+from test_ratmat import _inverse_by_rref, _solve
 
 
 def line_algebra():
@@ -404,7 +407,7 @@ def test_singular_subspace_and_mu():
         # projection is S-orthogonal: residual vector is killed by every row
         e = [Fraction(0)] * len(alg.all_subsets)
         e[0] = Fraction(1)
-        proj = alg.s_perp(e)
+        proj = _s_perp_by_gram(alg, e)
         sdiag = alg.s_diagonal()
         resid = [x - y for x, y in zip(e, proj)]
         for bvec in alg.sing_basis():
@@ -419,16 +422,23 @@ def _axis(alg, key):
     return e
 
 
-def _s_perp_by_gram(alg, vec):
-    """The projection one vector at a time: B c with G c = B^T S vec, G = B^T S B."""
+@functools.lru_cache(maxsize=None)
+def _gram_inverse(alg):
+    """G^-1 by Fraction rref, G = B^T S B entry by entry; kept per algebra."""
     basis, sdiag = alg.sing_basis(), alg.s_diagonal()
-    gram = [[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis]
-            for br in basis]
+    return _inverse_by_rref([[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis]
+                             for br in basis])
+
+
+def _s_perp_by_gram(alg, vec):
+    """The projection one vector at a time: B c with c = G^-1 B^T S vec."""
+    basis, sdiag = alg.sing_basis(), alg.s_diagonal()
     rhs = [sum(x * s * v for x, s, v in zip(br, sdiag, vec)) for br in basis]
-    coeffs = _solve(gram, rhs)
+    coeffs = [sum(g * r for g, r in zip(row, rhs)) for row in _gram_inverse(alg)]
     return [sum(c * bvec[i] for c, bvec in zip(coeffs, basis)) for i in range(len(vec))]
 
 
+@functools.lru_cache(maxsize=None)
 def _scaled_axis(alg, key):
     return [x / alg.spec.plucker(key) for x in _s_perp_by_gram(alg, _axis(alg, key))]
 
@@ -444,18 +454,78 @@ def _mu_consistency_per_subset(alg):
             if ratmat.mat_vec(mu, alg.reduce_monomial(key)) != _scaled_axis(alg, key)]
 
 
-def test_projector_matches_the_per_vector_projection():
+def test_special_vector_map_matches_the_per_vector_projection():
     # k = 1, k = n - 1 (dim 1), and excluded indices other than 1
     for n, k, seed, j1 in [(4, 1, 71, 1), (4, 3, 72, 1), (4, 2, 73, 3), (5, 2, 74, 5),
                            (5, 3, 75, 2)]:
         alg = random_algebra(n, k, seed, j1=j1)
-        columns = [_s_perp_by_gram(alg, _axis(alg, key)) for key in alg.all_subsets]
-        assert alg.projector() == ratmat.transpose(columns)
-        rng = random.Random(seed)
-        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in alg.all_subsets]
-        assert alg.s_perp(vec) == _s_perp_by_gram(alg, vec)
-        assert alg.mu_matrix() == _mu_by_axes(alg)
         assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == []
+        assert alg.mu_is_isomorphism() and ratmat.rank(_mu_by_axes(alg)) == alg.dim
+
+
+@st.composite
+def _special_vector_case(draw):
+    """(n, k, seed, weights, j1, corrupted subset positions) with C(n-1, k) <= 20."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1).filter(lambda k: math.comb(n - 1, k) <= 20))
+    weights = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n)
+                   .filter(lambda a: sum(a) != 0))
+    corrupt = draw(st.sets(st.integers(0, math.comb(n, k) - 1), max_size=3))
+    return n, k, draw(st.integers(0, 10**6)), weights, draw(st.integers(1, n)), corrupt
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_special_vector_case())
+@example((5, 1, 1, [3, -2, 1, 4, -1], 2, {0, 3}))  # k = 1, j1 != 1, indefinite S
+@example((5, 4, 2, [-1, 2, -3, 1, 2], 5, {1}))  # k = n - 1: dim 1
+@example((6, 3, 3, [2, -1, 1, -3, 1, 2], 4, {0, 7, 19}))  # dim 10, indefinite S
+def test_special_vector_map_on_the_rows_matches_the_gram_projection(case):
+    # P x = 0 exactly when B^T S x = 0: deciding the map on Y = B^T S D^-1
+    # gives the per-vector projection's verdict, honest or corrupted
+    n, k, seed, weights, j1, corrupt = case
+    rng = random.Random(seed)
+    spec = random_generic(n, k, rng, coeff_bound=4)
+    spec = ArrangementSpec(n=n, k=k, b=spec.b, a=tuple(Fraction(w) for w in weights))
+    alg = QuotientAlgebra(spec, sample_z(spec, rng, bound=6), j1=j1)
+    assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == []
+    assert alg.mu_is_isomorphism() and ratmat.rank(_mu_by_axes(alg)) == alg.dim
+    keys = {alg.all_subsets[i] for i in corrupt}
+    honest = alg.reduce_monomial
+
+    def reduce_monomial(mono):
+        coords = honest(mono)
+        if tuple(sorted(mono)) in keys:
+            coords[0] += Fraction(1, 7)
+        return coords
+
+    alg.reduce_monomial = reduce_monomial
+    bad = [key for key in alg.all_subsets if key in keys]
+    assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == bad
+
+
+def test_a_singular_vector_off_the_basis_axes_breaks_the_isomorphism():
+    # a basis vector of Sing V swapped for an axis v_J, J containing j1: G stays
+    # invertible, but Y_basis gains a zero row and the map loses rank
+    for n, k, seed, j1 in [(4, 2, 78, 1), (5, 2, 79, 3)]:
+        alg = random_algebra(n, k, seed, j1=j1)
+        key = next(key for key in alg.all_subsets if j1 in key)
+        alg._sing = alg.sing_basis()[:-1] + [_axis(alg, key)]
+        assert not alg.mu_is_isomorphism()
+        assert ratmat.rank(_mu_by_axes(alg)) < alg.dim
+
+
+def test_a_degenerate_form_raises_and_exits_two(tmp_path, capsys, monkeypatch):
+    # G = B^T S B must be invertible for the projection to exist
+    monkeypatch.setattr(QuotientAlgebra, "s_diagonal",
+                        lambda self: [Fraction(0)] * len(self.all_subsets))
+    alg = random_algebra(5, 2, 77)
+    for method in (alg.mu_consistency, alg.mu_is_isomorphism):
+        with pytest.raises(DomainError, match="the form S degenerates on the singular subspace"):
+            method()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**alg.spec.to_config(), "z": [rat_str(v) for v in alg.z]}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "the form S degenerates on the singular subspace" in capsys.readouterr().err
 
 
 def test_corrupted_reduction_gives_the_same_bad_subsets():
