@@ -17,54 +17,42 @@ family.  From it everything else is derived:
   transition and projection Jacobians, and the commuting flows.
 """
 
-from .arrangement import (
-    ArrangementSpec,
-    k_subsets,
-    parse_rat,
-    random_generic,
-    rat_str,
-    sample_z,
-)
-from .errors import CritvarError, DomainError, GenerationError, NumericError, UsageError
-from .lagrangian import (
-    chart_complete,
-    chart_coords,
-    chart_vector,
-    flow_f,
-    flow_g,
-    generating_fd_residual,
-    generating_map,
-    projection_jacobian,
-    projection_jacobian_fd,
-    sample_chart_point,
-    scale_action,
-    transition_expected,
-    transition_jacobian_fd,
-)
-from .laurent import LaurentPoly, poisson
-from .quotient import QuotientAlgebra, eliminate_first_kind
-from .relations import (
-    RelationSet,
-    build_relations,
-    euler_relation,
-    first_kind,
-    g_comb,
-    g_single,
-    involution_suite,
-    second_kind,
-)
-from .spectrum import (
-    CriticalPoint,
-    SpectrumResult,
-    hessian_direct,
-    hessian_formula,
-    jacobian_formula,
-    joint_spectrum,
-    match_point_sets,
-    newton_multistart,
-    poly_roots,
-    smoothness_witness,
-)
+import importlib
+
+# Each exported name's home module, imported when the name is first used (PEP 562):
+# a process with no bytecode cache compiles every module it loads.
+_HOMES = {
+    "arrangement": ("ArrangementSpec", "k_subsets", "parse_rat", "random_generic",
+                    "rat_str", "sample_z"),
+    "errors": ("CritvarError", "DomainError", "GenerationError", "NumericError",
+               "UsageError"),
+    "lagrangian": ("chart_complete", "chart_coords", "chart_vector", "flow_f", "flow_g",
+                   "generating_fd_residual", "generating_map", "projection_jacobian",
+                   "projection_jacobian_fd", "sample_chart_point", "scale_action",
+                   "transition_expected", "transition_jacobian_fd"),
+    "laurent": ("LaurentPoly", "poisson"),
+    "quotient": ("QuotientAlgebra", "eliminate_first_kind"),
+    "relations": ("RelationSet", "build_relations", "euler_relation", "first_kind",
+                  "g_comb", "g_single", "involution_suite", "second_kind"),
+    "spectrum": ("CriticalPoint", "SpectrumResult", "hessian_direct", "hessian_formula",
+                 "jacobian_formula", "joint_spectrum", "match_point_sets",
+                 "newton_multistart", "poly_roots", "smoothness_witness"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "ArrangementSpec",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratmat
@@ -70,57 +69,69 @@ def _signed_minor(minors, seq):
     return _perm_sign(seq) * minors[tuple(sorted(seq))]
 
 
-@dataclass(frozen=True)
 class ArrangementSpec:
-    """Matrix b, weights a, and the cached minor table of a generic instance.
+    """Matrix b (n rows of k rationals), weights a, and the cached minor table
+    of a generic instance.
 
-    Next to the exact tables the constructor keeps one float image of a,
-    b and the minors (a complex weight stays complex); tables() hands it
-    to callers with float input.  A Fraction meeting a complex number is
-    converted to complex(float(x)), so an image entry rounds exactly as
-    that mixed arithmetic did, once per instance instead of once per
-    operation.  Arithmetic among entries alone (a product of two minors)
-    rounds per operation on the image, and only at the end on the exact
-    tables.
+    The weights are Fractions throughout the exact layer; complex ones are
+    allowed numerically.  Immutable: equality, hashing and repr see n, k, b
+    and a alone, never the tables and memos the constructor adds.  Next to
+    the exact tables the constructor keeps one float image of a, b and the
+    minors (a complex weight stays complex); tables() hands it to callers
+    with float input.  A Fraction meeting a complex number is converted to
+    complex(float(x)), so an image entry rounds exactly as that mixed
+    arithmetic did, once per instance instead of once per operation.
+    Arithmetic among entries alone (a product of two minors) rounds per
+    operation on the image, and only at the end on the exact tables.
     """
 
-    n: int
-    k: int
-    b: tuple  # n rows, each a k-tuple of Fraction
-    a: tuple  # n weights: Fraction throughout the exact layer, complex allowed numerically
-
-    def __post_init__(self):
-        if not 1 <= self.k < self.n:
-            raise UsageError(f"need 1 <= k < n, got n={self.n}, k={self.k}")
-        if len(self.b) != self.n or any(len(row) != self.k for row in self.b):
-            raise UsageError(f"b must be {self.n}x{self.k}")
-        if len(self.a) != self.n:
-            raise UsageError(f"need {self.n} weights, got {len(self.a)}")
-        b = tuple(tuple(parse_rat(x) for x in row) for row in self.b)
-        object.__setattr__(self, "b", b)
+    def __init__(self, n, k, b, a):
+        if not 1 <= k < n:
+            raise UsageError(f"need 1 <= k < n, got n={n}, k={k}")
+        if len(b) != n or any(len(row) != k for row in b):
+            raise UsageError(f"b must be {n}x{k}")
+        if len(a) != n:
+            raise UsageError(f"need {n} weights, got {len(a)}")
+        b = tuple(tuple(parse_rat(x) for x in row) for row in b)
+        fields = vars(self)  # written directly: __setattr__ refuses every name
+        fields.update(n=n, k=k, b=b, a=a)
         if self.rational_weights:
-            object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        if any(x == 0 for x in self.a):
+            a = fields["a"] = tuple(Fraction(x) for x in a)
+        if any(x == 0 for x in a):
             raise UsageError("every weight must be nonzero")
         if self.weight_total == 0:
             raise UsageError("the weights must not sum to zero")
         minors = {}
-        for key in k_subsets(self.n, self.k):
+        for key in k_subsets(n, k):
             d = ratmat.det([list(b[i - 1]) for i in key])
             if d == 0:
                 raise UsageError(f"degenerate instance: minor on rows {key} vanishes")
             minors[key] = d
-        object.__setattr__(self, "_minors", minors)
-        # plucker and discriminant_coeffs per ordered sequence; not fields, so
-        # equality and hashing still see n, k, b and a alone
-        object.__setattr__(self, "_plucker_memo", {})
-        object.__setattr__(self, "_coeffs_memo", {})
-        object.__setattr__(self, "_exact", (self.a, b, minors))
-        object.__setattr__(self, "_image", (
-            tuple(x if isinstance(x, complex) else float(x) for x in self.a),
-            tuple(tuple(map(float, row)) for row in b),
-            {key: float(d) for key, d in minors.items()},
-        ))
+        # plucker and discriminant_coeffs per ordered sequence; kept out of
+        # _key, so equality and hashing see n, k, b and a alone
+        fields.update(_minors=minors, _plucker_memo={}, _coeffs_memo={},
+                      _exact=(a, b, minors), _image=(
+                          tuple(x if isinstance(x, complex) else float(x) for x in a),
+                          tuple(tuple(map(float, row)) for row in b),
+                          {key: float(d) for key, d in minors.items()}))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"ArrangementSpec is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return (self.n, self.k, self.b, self.a)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ArrangementSpec(n={self.n!r}, k={self.k!r}, b={self.b!r}, a={self.a!r})"
 
     @property
     def rational_weights(self):

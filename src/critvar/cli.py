@@ -46,8 +46,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import lagrangian as lag
-from . import quotient as qt
 from . import ratmat
 from .arrangement import (
     ArrangementSpec,
@@ -198,6 +196,8 @@ def _finish(command, raw, spec, z, seed, checks, stages, started, out_path, extr
 
 
 def _cmd_verify(args):
+    from . import quotient as qt
+
     started = time.perf_counter()
     raw = _load_config(args.config)
     spec = ArrangementSpec.from_config(raw)
@@ -285,6 +285,8 @@ def _cmd_verify(args):
 
 
 def _cmd_solve(args):
+    from . import quotient as qt
+
     started = time.perf_counter()
     raw = _load_config(args.config)
     spec = ArrangementSpec.from_config(raw)
@@ -359,6 +361,9 @@ def _cmd_solve(args):
 
 
 def _cmd_flows(args):
+    from . import lagrangian as lag
+    from .relations import build_relations  # by module lookup, so a patched one is seen
+
     started = time.perf_counter()
     raw = _load_config(args.config)
     spec = ArrangementSpec.from_config(raw)
@@ -373,8 +378,6 @@ def _cmd_flows(args):
     for iset in charts:
         for _ in range(3):
             samples.append((iset, lag.sample_chart_point(spec, iset, rng)))
-
-    from .relations import build_relations
 
     rels = build_relations(spec)
     euler = euler_relation(spec)

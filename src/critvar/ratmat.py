@@ -19,10 +19,8 @@ from .errors import DomainError, UsageError
 
 __all__ = [
     "identity",
-    "zeros",
     "transpose",
     "mat_mul",
-    "mat_vec",
     "rank",
     "nullspace",
     "inverse",
@@ -33,10 +31,6 @@ __all__ = [
 
 def identity(m):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-
-
-def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
 
 
 def transpose(mat):
@@ -58,12 +52,6 @@ def mat_mul(a, b):
     den = da * db
     cols = list(zip(*bi))
     return [[Fraction(sum(map(operator.mul, row, col)), den) for col in cols] for row in ai]
-
-
-def mat_vec(a, v):
-    if len(a[0]) != len(v):
-        raise UsageError(f"shape mismatch: {len(a)}x{len(a[0])} times vector of length {len(v)}")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def _echelon(rows, width=None):

@@ -30,7 +30,7 @@ generator's gradient, so one used in many pairs is differentiated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arrangement import k_subsets
 from .errors import UsageError
@@ -103,14 +103,11 @@ def euler_relation(spec):
     return LaurentPoly(n, terms)
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """Every generator of one instance, keyed by its subset."""
+class RelationSet(namedtuple("RelationSet", "spec first second g")):
+    """Every generator of one instance, keyed by its subset: first maps each
+    (k-1)-subset I to F_I, second and g each (k+1)-subset J to F_J and G_J."""
 
-    spec: object
-    first: dict  # (k-1)-subset -> F_I
-    second: dict  # (k+1)-subset -> F_J
-    g: dict  # (k+1)-subset -> G_J
+    __slots__ = ()
 
     def all_vanish_at(self, z, p, extra=()):
         """Exact membership test for a rational point: the first- and second-kind
@@ -128,12 +125,11 @@ def build_relations(spec):
     return RelationSet(spec=spec, first=first, second=second, g=g)
 
 
-@dataclass(frozen=True)
-class BracketReport:
-    pair_class: str  # "FF", "GF" or "GG"
-    left: tuple
-    right: tuple
-    residual: object  # LaurentPoly
+class BracketReport(namedtuple("BracketReport", "pair_class left right residual")):
+    """{left, right} of pair_class "FF", "GF" or "GG"; residual is their
+    Poisson bracket, a LaurentPoly."""
+
+    __slots__ = ()
 
     @property
     def ok(self):

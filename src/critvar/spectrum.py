@@ -25,7 +25,7 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ratmat
@@ -47,20 +47,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    t: tuple  # position in C^k
-    p: tuple  # momenta a_j / f_j, length n
-    grad_norm: float  # sup norm of the critical equations at (z, t)
+class CriticalPoint(namedtuple("CriticalPoint", "t p grad_norm")):
+    """t: position in C^k; p: momenta a_j / f_j, length n; grad_norm: sup
+    norm of the critical equations at (z, t)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    points: tuple  # CriticalPoint, sorted by momenta
-    combination: tuple  # the integer coefficients c_j that were diagonalized
-    eigenvalues: tuple  # roots of the exact characteristic polynomial
-    attempts: int  # how many draws until the spectrum separated
-    min_gap: float  # smallest eigenvalue spacing of the accepted draw
+class SpectrumResult(namedtuple("SpectrumResult",
+                                "points combination eigenvalues attempts min_gap")):
+    """points: CriticalPoint, sorted by momenta; combination: the integer
+    coefficients c_j that were diagonalized; eigenvalues: roots of the exact
+    characteristic polynomial; attempts: how many draws until the spectrum
+    separated; min_gap: smallest eigenvalue spacing of the accepted draw."""
+
+    __slots__ = ()
 
 
 # -- polynomial roots ---------------------------------------------------------

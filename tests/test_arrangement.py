@@ -97,6 +97,30 @@ def test_plucker_memo_is_exact_and_still_validates():
     assert len({cold, warm, spec}) == 1
 
 
+def test_spec_is_an_immutable_value():
+    spec = random_generic(5, 2, random.Random(52))
+    for name in ("n", "k", "b", "a", "_minors", "_plucker_memo", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    # equality, hashing and repr see n, k, b and a, never the memos
+    cold = ArrangementSpec(n=spec.n, k=spec.k, b=spec.b, a=spec.a)
+    z = [Fraction(j) for j in range(5)]
+    spec.plucker((2, 1))
+    spec.discriminant_coeffs((1, 2, 3))
+    spec.tables(z), spec.tables([0.5] * 5)
+    assert spec._plucker_memo and not cold._plucker_memo
+    assert cold == spec and hash(cold) == hash(spec)
+    assert cold != spec.to_config() and spec != (spec.n, spec.k, spec.b, spec.a)
+    heavier = ArrangementSpec(n=5, k=2, b=spec.b, a=(spec.a[0] + 1, *spec.a[1:]))
+    assert heavier != spec
+    text = repr(spec)
+    assert text.startswith("ArrangementSpec(n=5, k=2, b=((Fraction(")
+    assert ", a=(Fraction(" in text and "_minors" not in text and "memo" not in text
+    assert eval(text, {"ArrangementSpec": ArrangementSpec, "Fraction": Fraction}) == spec
+
+
 def test_discriminant_form_small_case():
     spec = plane_spec()
     form = spec.discriminant_form((1, 2, 3))

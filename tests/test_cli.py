@@ -15,6 +15,7 @@ import critvar
 from critvar import quotient as qt
 from critvar import ratmat, spectrum
 from critvar.cli import main
+from test_ratmat import zeros
 
 
 @pytest.fixture
@@ -57,7 +58,7 @@ def test_verify_reports_every_identity(config_path, capsys):
 
 
 @pytest.mark.parametrize("attr, fake, failing", [
-    ("unit_orbit", lambda alg: ratmat.zeros(alg.dim, alg.dim), "unit_vector_cyclic"),
+    ("unit_orbit", lambda alg: zeros(alg.dim, alg.dim), "unit_vector_cyclic"),
     ("commutator_residual", lambda alg, i, j: ratmat.identity(alg.dim),
      "operator_commutators"),
 ], ids=["cyclicity", "commutators"])
@@ -382,13 +383,42 @@ def test_flows_stages_are_keyed_by_check_name(config_path, capsys):
     assert sum(stages.values()) <= report["timing"]["seconds"]
 
 
+def child_env():
+    """The environment for a child Python that imports this checkout's critvar."""
+    src = str(Path(critvar.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# The layers each command loads: every command imports the layers whose functions
+# the benchmark's tracer patches on `cli`, and only its own command the rest.  -m
+# runs cli as __main__, so `critvar.cli` itself is never imported under that name.
+_COMMON_LAYERS = {"critvar", "critvar.arrangement", "critvar.errors", "critvar.laurent",
+                  "critvar.ratmat", "critvar.relations", "critvar.spectrum"}
+_COMMAND_LAYERS = {"gen": set(), "verify": {"critvar.quotient"},
+                   "flows": {"critvar.lagrangian"}, "solve": {"critvar.quotient"}}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LAYERS))
+def test_each_command_loads_only_its_layers(config_path, command):
+    # run as the benchmark runs a command; -X importtime logs every module it imports
+    argv = (["gen", "--n", "5", "--k", "2", "--seed", "5"] if command == "gen"
+            else [command, "--config", config_path])
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "critvar.cli", *argv],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    layers = {m for m in loaded if m == "critvar" or m.startswith("critvar.")}
+    assert layers == _COMMON_LAYERS | _COMMAND_LAYERS[command]
+    assert "dataclasses" not in loaded
+
+
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_a_closed_stdout_keeps_the_exit_status(config_path, command):
     argv = {"gen": ["gen", "--n", "5", "--k", "2", "--seed", "5"],
             "verify": ["verify", "--config", config_path]}[command]
-    src = str(Path(critvar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the command writes
     try:

@@ -26,7 +26,7 @@ from critvar.quotient import (
     weighted_sum_operator_residual,
 )
 from critvar.relations import build_relations, euler_relation, g_comb
-from test_ratmat import _inverse_by_rref, _solve
+from test_ratmat import _inverse_by_rref, _solve, mat_vec, zeros
 
 
 def line_algebra():
@@ -234,7 +234,7 @@ def _identity_families(alg):
 def test_operator_identities():
     for n, k, seed in [(3, 1, 1), (4, 2, 2), (5, 3, 3), (5, 2, 4)]:
         alg = random_algebra(n, k, seed + 40)
-        zero = ratmat.zeros(alg.dim, alg.dim)
+        zero = zeros(alg.dim, alg.dim)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 assert commutator_residual(alg, i, j) == zero
@@ -243,7 +243,7 @@ def test_operator_identities():
         unit = unit_column(alg)
         for family in _identity_families(alg).values():
             assert all(res == zero for res in family(None))
-            assert all(res == ratmat.zeros(alg.dim, 1) for res in family(unit))
+            assert all(res == zeros(alg.dim, 1) for res in family(unit))
 
 
 def test_corrupted_operator_fails_on_the_unit_column():
@@ -254,7 +254,7 @@ def test_corrupted_operator_fails_on_the_unit_column():
         assert all(alg.z[i - 1] != 0 for i in (1, 3))
         alg.operators()
         alg._ops[j][entry[0]][entry[1]] += Fraction(1, 7)
-        assert any(commutator_residual(alg, j, i) != ratmat.zeros(alg.dim, alg.dim)
+        assert any(commutator_residual(alg, j, i) != zeros(alg.dim, alg.dim)
                    for i in range(1, 6) if i != j)
         for name, family in _identity_families(alg).items():
             on_unit = family(unit)
@@ -266,7 +266,7 @@ def test_corrupted_operator_fails_on_the_unit_column():
 
 def _combination_by_products(alg, terms):
     """sum of c K_{i_r}..K_{i_1} over (c, indices), by Fraction matrix products."""
-    total = ratmat.zeros(alg.dim, alg.dim)
+    total = zeros(alg.dim, alg.dim)
     for c, indices in terms:
         mat = ratmat.identity(alg.dim)
         for i in indices:
@@ -281,7 +281,7 @@ def test_table_residuals_match_full_matrices():
     for n, k, seed in [(4, 1, 91), (4, 3, 92), (5, 2, 93), (6, 3, 94)]:
         alg = random_algebra(n, k, seed)
         unit = unit_column(alg)
-        zero = ratmat.zeros(alg.dim, alg.dim)
+        zero = zeros(alg.dim, alg.dim)
         for name, family in _identity_families(alg).items():
             full = family(None)
             assert all(res == zero for res in full), name
@@ -319,7 +319,7 @@ def test_table_follows_the_operators_not_the_rewrite():
         terms = qt._poly_terms(alg, poly)
         full = _combination_by_products(alg, terms)
         assert alg.multiplication_matrix(poly) == full
-        assert alg.normal_form(poly) == ratmat.mat_vec(full, alg.element_one())
+        assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
     assert unit_orbit(alg) != ratmat.identity(alg.dim)
     for name, family in _identity_families(alg).items():
         assert family(unit) == [ratmat.mat_mul(res, unit) for res in family(None)], name
@@ -333,8 +333,8 @@ def test_corrupted_integer_operator_makes_table_residuals_nonzero():
         unit = unit_column(alg)
         den, ints = alg.int_operator(j)
         ints[r][c] += den
-        zero = ratmat.zeros(alg.dim, 1)
-        assert any(commutator_residual(alg, j, i) != ratmat.zeros(alg.dim, alg.dim)
+        zero = zeros(alg.dim, 1)
+        assert any(commutator_residual(alg, j, i) != zeros(alg.dim, alg.dim)
                    for i in range(1, 6) if i != j)
         assert unit_orbit(alg) != ratmat.identity(alg.dim)
         for name, family in _identity_families(alg).items():
@@ -361,7 +361,7 @@ def test_unit_element_two_routes():
         assert alg.element_one() == _unit_by_solve(alg)
         # and the unit actually multiplies like a unit
         for j in range(1, n + 1):
-            lhs = ratmat.mat_vec(alg.bethe_operator(j), alg.element_one())
+            lhs = mat_vec(alg.bethe_operator(j), alg.element_one())
             assert lhs == alg.reduce_monomial((j,))
 
 
@@ -451,7 +451,7 @@ def _mu_consistency_per_subset(alg):
     """Subsets J whose reduced p_J maps elsewhere than s_perp(v_J) / d_J, one at a time."""
     mu = _mu_by_axes(alg)
     return [key for key in alg.all_subsets
-            if ratmat.mat_vec(mu, alg.reduce_monomial(key)) != _scaled_axis(alg, key)]
+            if mat_vec(mu, alg.reduce_monomial(key)) != _scaled_axis(alg, key)]
 
 
 def test_special_vector_map_matches_the_per_vector_projection():
@@ -558,7 +558,7 @@ def test_normal_form_is_the_matrix_applied_to_the_unit():
         ]
         for poly in polys:
             full = alg.multiplication_matrix(poly)
-            assert alg.normal_form(poly) == ratmat.mat_vec(full, alg.element_one())
+            assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
         assert alg.multiplication_matrix(inv[0]) == ratmat.inverse(alg.bethe_operator(1))
         assert alg.multiplication_matrix(p[0] * p[1]) == ratmat.mat_mul(
             alg.bethe_operator(1), alg.bethe_operator(2))
