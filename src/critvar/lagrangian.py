@@ -17,9 +17,10 @@ makes the transition determinant between charts I and I' come out as
 
 The same data has a generating function Psi = sum_j a_j ln p_j
 - sum_{i in I} z_i p_i with dPsi = sum_{j not in I} z_j dp_j
-- sum_{i in I} p_i dz_i on the variety, checked here by central
-differences, and the flows of the defining Hamiltonians integrate in
-closed form:
+- sum_{i in I} p_i dz_i on the variety.  The checks here read one
+finite-difference Jacobian of the completion (the logarithm is
+differentiated exactly), and the flows of the defining Hamiltonians
+integrate in closed form:
 
     first kind F_I:  z_j -> z_j + d_{(j,I)} s, momenta fixed;
     G_J:             p_{j_m} -> p_{j_m} + (-1)^m d_{J minus j_m} s,
@@ -74,6 +75,14 @@ def _derivative(fun, base, pos, h):
     return [(4 * fine - coarse) / 3 for coarse, fine in zip(central(h), central(h / 2))]
 
 
+def _chart(spec, iset, minors):
+    """(comp, d_I, c) for chart I: comp lists j outside I, c[m][j] = d_{(j, I minus i_m)}."""
+    comp = [j for j in range(1, spec.n + 1) if j not in iset]
+    signed = [{j: _signed_minor(minors, (j,) + iset[:m] + iset[m + 1 :]) for j in comp}
+              for m in range(len(iset))]
+    return comp, minors[iset], signed
+
+
 def chart_complete(spec, iset, z_part, p_part):
     """Full (z, p) from chart-I data (z_i for i in I, p_j for j outside I).
 
@@ -82,18 +91,15 @@ def chart_complete(spec, iset, z_part, p_part):
     """
     spec.require_rational_weights()
     iset = spec._check_subset(iset, spec.k)
-    comp = [j for j in range(1, spec.n + 1) if j not in iset]
-    if len(z_part) != len(iset) or len(p_part) != len(comp):
+    if len(z_part) != len(iset) or len(p_part) != spec.n - spec.k:
         raise UsageError("chart data has wrong lengths")
     a, _, minors = spec.tables(z_part, p_part)
-    d_full = minors[iset]
+    comp, d_full, signed = _chart(spec, iset, minors)
     p = [None] * spec.n
     for j, val in zip(comp, p_part):
         p[j - 1] = val
-    for m, i in enumerate(iset):
-        rest = iset[:m] + iset[m + 1 :]
-        acc = sum(_signed_minor(minors, (j,) + rest) * p[j - 1] for j in comp)
-        p[i - 1] = (-1) ** (m + 1) * acc / d_full
+    for m, (i, c) in enumerate(zip(iset, signed)):
+        p[i - 1] = (-1) ** (m + 1) * sum(c[j] * p[j - 1] for j in comp) / d_full
     z = [None] * spec.n
     for i, val in zip(iset, z_part):
         z[i - 1] = val
@@ -106,9 +112,8 @@ def chart_complete(spec, iset, z_part, p_part):
         if p[j - 1] == 0:
             raise DomainError(f"momentum p_{j} must be nonzero in this chart")
         acc = a[j - 1] / p[j - 1]
-        for m, i in enumerate(iset):
-            rest = iset[:m] + iset[m + 1 :]
-            acc = acc + (-1) ** m * _signed_minor(minors, (j,) + rest) * gvals[m] / d_full
+        for m, (c, g) in enumerate(zip(signed, gvals)):
+            acc = acc + (-1) ** m * c[j] * g / d_full
         z[j - 1] = acc
     return tuple(z), tuple(p)
 
@@ -116,14 +121,27 @@ def chart_complete(spec, iset, z_part, p_part):
 def chart_coords(spec, iset, z, p):
     """The free coordinates of a full point in chart I."""
     iset = spec._check_subset(iset, spec.k)
-    comp = [j for j in range(1, spec.n + 1) if j not in iset]
-    return [z[i - 1] for i in iset], [p[j - 1] for j in comp]
+    return [z[i - 1] for i in iset], [p[j - 1] for j in range(1, spec.n + 1) if j not in iset]
 
 
 def chart_vector(spec, iset, z, p):
     """Length-n chart coordinates in index order: slot j holds z_j or p_j."""
     iset = spec._check_subset(iset, spec.k)
     return [z[j - 1] if j in iset else p[j - 1] for j in range(1, spec.n + 1)]
+
+
+def _completion_jacobian(spec, iset, z, p):
+    """_derivative columns of chart I's completion at (z, p), one per chart slot.
+
+    Column j holds d(z_1..z_n, p_1..p_n) / d(slot j) on the complex image.
+    """
+    base = [complex(v) for v in chart_vector(spec, iset, z, p)]
+
+    def completed(vec):
+        zf, pf = chart_complete(spec, iset, *chart_coords(spec, iset, vec, vec))
+        return zf + pf
+
+    return [_derivative(completed, base, pos, _FD_STEP) for pos in range(spec.n)]
 
 
 def generating_map(spec, iset, z_part, p_part):
@@ -135,59 +153,38 @@ def generating_map(spec, iset, z_part, p_part):
     guard on both derivations rather than news.
     """
     iset = spec._check_subset(iset, spec.k)
-    comp = [j for j in range(1, spec.n + 1) if j not in iset]
     z, p = chart_complete(spec, iset, z_part, p_part)
     a, _, minors = spec.tables(z_part, p_part)
+    comp, d_full, signed = _chart(spec, iset, minors)
     out = []
     for j in comp:
         val = a[j - 1] / p[j - 1]
-        for m, i in enumerate(iset):
-            rest = iset[:m] + iset[m + 1 :]
-            dpdp = (-1) ** (m + 1) * _signed_minor(minors, (j,) + rest) / minors[iset]
-            val = val + (a[i - 1] / p[i - 1] - z[i - 1]) * dpdp
+        for m, (i, c) in enumerate(zip(iset, signed)):
+            val = val + (a[i - 1] / p[i - 1] - z[i - 1]) * ((-1) ** (m + 1) * c[j] / d_full)
         out.append(val)
     return out
 
 
-def generating_fd_residual(spec, iset, z, p, h=1e-6):
-    """Worst central-difference error of dPsi against its closed form.
+def generating_fd_residual(spec, iset, z, p):
+    """Worst error of dPsi, read off the completion Jacobian, against its closed form.
 
-    Checks dPsi/dp_j = z_j over j outside I and dPsi/dz_i = -p_i over
-    i in I.  Log differences are taken as ln(p+/p-), which keeps tiny
-    steps away from branch-cut jumps.
+    dPsi = sum_j a_j dp_j/p_j - sum_{i in I} (p_i dz_i + z_i dp_i), the
+    logarithm differentiated exactly, should be z_l at slot p_l (l outside
+    I) and -p_i at slot z_i (i in I).  The values multiplying the
+    differentials are the completion's own, so a point off the variety
+    shows up in the comparison.
     """
-    import cmath
-
     iset = spec._check_subset(iset, spec.k)
-    comp = [j for j in range(1, spec.n + 1) if j not in iset]
-    z_part, p_part = chart_coords(spec, iset, z, p)
-    z_part = [complex(v) for v in z_part]
-    p_part = [complex(v) for v in p_part]
+    cols = _completion_jacobian(spec, iset, z, p)
+    free = ([complex(v) for v in part] for part in chart_coords(spec, iset, z, p))
+    zc, pc = chart_complete(spec, iset, *free)
+    n, weights = spec.n, [complex(x) for x in spec.a]
     worst = 0.0
-
-    def psi_delta(zp_plus, pp_plus, zp_minus, pp_minus):
-        zp1, pf1 = chart_complete(spec, iset, zp_plus, pp_plus)
-        zp2, pf2 = chart_complete(spec, iset, zp_minus, pp_minus)
-        total = 0j
-        for j in range(1, spec.n + 1):
-            total += complex(spec.a[j - 1]) * cmath.log(
-                complex(pf1[j - 1]) / complex(pf2[j - 1])
-            )
-        for idx, i in enumerate(iset):
-            total -= zp_plus[idx] * complex(pf1[i - 1])
-            total += zp_minus[idx] * complex(pf2[i - 1])
-        return total
-
-    for r, j in enumerate(comp):
-        bump = [x + (h if s == r else 0) for s, x in enumerate(p_part)]
-        dip = [x - (h if s == r else 0) for s, x in enumerate(p_part)]
-        fd = psi_delta(z_part, bump, z_part, dip) / (2 * h)
-        worst = max(worst, abs(fd - complex(z[j - 1])))
-    for r, i in enumerate(iset):
-        bump = [x + (h if s == r else 0) for s, x in enumerate(z_part)]
-        dip = [x - (h if s == r else 0) for s, x in enumerate(z_part)]
-        fd = psi_delta(bump, p_part, dip, p_part) / (2 * h)
-        worst = max(worst, abs(fd + complex(p[i - 1])))
+    for slot, col in enumerate(cols, 1):
+        dpsi = sum(w * dp / pv for w, dp, pv in zip(weights, col[n:], pc))
+        dpsi -= sum(pc[i - 1] * col[i - 1] + zc[i - 1] * col[n + i - 1] for i in iset)
+        want = -complex(p[slot - 1]) if slot in iset else complex(z[slot - 1])
+        worst = max(worst, abs(dpsi - want))
     return worst
 
 
@@ -199,19 +196,14 @@ def transition_expected(spec, iset_from, iset_to):
     return (spec.plucker(tuple(iset_to)) / spec.plucker(tuple(iset_from))) ** 2
 
 
-def transition_jacobian_fd(spec, iset_from, iset_to, z, p, h=_FD_STEP):
+def transition_jacobian_fd(spec, iset_from, iset_to, z, p):
     """Finite-difference (_derivative) determinant of the chart-I to chart-I' change."""
     iset_from = spec._check_subset(iset_from, spec.k)
     iset_to = spec._check_subset(iset_to, spec.k)
-    base = [complex(v) for v in chart_vector(spec, iset_from, z, p)]
-
-    def to_vector(vec):
-        # slot j of a chart vector holds whichever of z_j, p_j is free
-        zf, pf = chart_complete(spec, iset_from, *chart_coords(spec, iset_from, vec, vec))
-        return chart_vector(spec, iset_to, zf, pf)
-
-    cols = [_derivative(to_vector, base, pos, h) for pos in range(spec.n)]
-    return ratmat.det(list(zip(*cols)))
+    cols = _completion_jacobian(spec, iset_from, z, p)
+    # slot j of chart I' holds z_j for j in I', else p_j
+    rows = [j - 1 if j in iset_to else spec.n + j - 1 for j in range(1, spec.n + 1)]
+    return ratmat.det([[col[r] for col in cols] for r in rows])
 
 
 def projection_jacobian(spec, iset, z, p):
@@ -222,41 +214,26 @@ def projection_jacobian(spec, iset, z, p):
     """
     iset = spec._check_subset(iset, spec.k)
     spec.require_rational_weights()
-    comp = [j for j in range(1, spec.n + 1) if j not in iset]
     a, _, minors = spec.tables(p)
-    d_full = minors[iset]
+    comp, d_full, signed = _chart(spec, iset, minors)
     rows = []
     for j in comp:
         row = []
         for l in comp:
             val = -a[j - 1] / (p[j - 1] * p[j - 1]) if j == l else 0
-            for m, i in enumerate(iset):
-                rest = iset[:m] + iset[m + 1 :]
-                val = val - (
-                    _signed_minor(minors, (j,) + rest)
-                    * _signed_minor(minors, (l,) + rest)
-                    * a[i - 1]
-                    / (p[i - 1] * p[i - 1])
-                ) / (d_full * d_full)
+            for i, c in zip(iset, signed):
+                val = val - (c[j] * c[l] * a[i - 1] / (p[i - 1] * p[i - 1])) / (d_full * d_full)
             row.append(val)
         rows.append(row)
     return ratmat.det(rows)
 
 
-def projection_jacobian_fd(spec, iset, z, p, h=_FD_STEP):
-    """The same determinant by finite differences (_derivative) of the completion."""
+def projection_jacobian_fd(spec, iset, z, p):
+    """The same determinant from the z_comp x p_comp block of the completion Jacobian."""
     iset = spec._check_subset(iset, spec.k)
+    cols = _completion_jacobian(spec, iset, z, p)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
-    z_part, p_part = chart_coords(spec, iset, z, p)
-    z_part = [complex(v) for v in z_part]
-    p_part = [complex(v) for v in p_part]
-
-    def dependent(p_vals):
-        zf, _ = chart_complete(spec, iset, z_part, p_vals)
-        return [zf[j - 1] for j in comp]
-
-    cols = [_derivative(dependent, p_part, r, h) for r in range(len(comp))]
-    return ratmat.det(list(zip(*cols)))
+    return ratmat.det([[cols[l - 1][j - 1] for l in comp] for j in comp])
 
 
 # -- flows ----------------------------------------------------------------------
@@ -307,11 +284,10 @@ def scale_action(lam, z, p):
 def sample_chart_point(spec, iset, rng, bound=7, tries=300):
     """A random rational point of the variety with every momentum nonzero."""
     iset = spec._check_subset(iset, spec.k)
-    comp = [j for j in range(1, spec.n + 1) if j not in iset]
     for _ in range(tries):
         z_part = [Fraction(rng.randint(-bound, bound)) for _ in iset]
         p_part = []
-        while len(p_part) < len(comp):
+        while len(p_part) < spec.n - spec.k:
             v = rng.randint(-bound, bound)
             if v:
                 p_part.append(Fraction(v))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import critvar
 from critvar import quotient as qt
-from critvar import ratmat, spectrum
+from critvar import cli, ratmat, spectrum
 from critvar.cli import main
 from test_ratmat import zeros
 
@@ -148,15 +149,36 @@ def test_both_routes_polish_alike(tmp_path, capsys):
     assert rc == 0
 
 
-@pytest.mark.parametrize("n, k, seed", [(6, 3, 800004), (6, 2, 827000)])
+@pytest.mark.parametrize("n, k, seed", [(6, 3, 800004), (6, 2, 827000), (6, 3, 1920004),
+                                        (7, 3, 1920000), (9, 4, 22)])
 def test_fd_jacobians_survive_rounding_and_truncation(tmp_path, capsys, n, k, seed):
     # the projection Jacobian missed --tol-fd 1e-6 by rounding with one
     # central difference at h = 1e-6 (1.6e-6 on 800004), and by truncation
-    # with extrapolated ones from h = 1e-3 (4.2e-6 on 827000)
+    # with extrapolated ones from h = 1e-3 (4.2e-6 on 827000); a central
+    # difference of Psi itself at h = 1e-6 missed it by truncation on the
+    # last three (1.3e-6, 1.8e-5 and 1.1e-5)
     rc, report = run_json(capsys, ["flows", "--config", _generated(tmp_path, capsys, n, k, seed)])
     assert rc == 0 and all(c["status"] == "pass" for c in report["checks"])
     fd = {c["name"]: c["residual"] for c in report["checks"] if c["name"].endswith("_fd")}
-    assert fd["projection_jacobian_fd"] < 1e-7 and fd["transition_jacobian_fd"] < 1e-7
+    assert fd["transition_jacobian_fd"] < 1e-7 and fd["generating_function_fd"] < 1e-7
+    if seed in (800004, 827000):  # 1920004 reads 1.1e-7 here, inside --tol-fd
+        assert fd["projection_jacobian_fd"] < 1e-7
+
+
+def test_projection_chart_independence_reports_its_largest_gap(config_path, capsys,
+                                                               monkeypatch):
+    def independence():
+        rc, report = run_json(capsys, ["flows", "--config", config_path])
+        return rc, next(c for c in report["checks"]
+                        if c["name"] == "projection_chart_independence")
+
+    assert independence() == (0, {"name": "projection_chart_independence", "status": "pass",
+                                  "residual": 0.0, "count": 6, "expected": 0})
+    honest = cli.jacobian_formula
+    monkeypatch.setattr(cli, "jacobian_formula",
+                        lambda spec, p: honest(spec, p) + Fraction(1, 3))
+    rc, check = independence()
+    assert rc == 1 and check["status"] == "fail" and check["residual"] == 1 / 3
 
 
 def test_solve_is_deterministic_modulo_timing(config_path, capsys):

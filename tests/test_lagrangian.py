@@ -1,9 +1,12 @@
 """Charts and flows: exact membership, Jacobians, generating function."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critvar.arrangement import ArrangementSpec, k_subsets, random_generic
 from critvar.errors import DomainError, UsageError
@@ -85,6 +88,23 @@ def test_generating_function_derivatives_by_finite_differences():
         iset = next(iter(k_subsets(n, k)))
         z, p = lag.sample_chart_point(spec, iset, rng)
         assert lag.generating_fd_residual(spec, iset, z, p) < 1e-6
+
+
+def test_generating_residual_sees_a_moved_dependent_coordinate():
+    # moving z_j (j outside I) or p_i (i in I) leaves the chart coordinates,
+    # and so the completion Jacobian, as they were: only comparing dPsi with
+    # the point's own z_j and -p_i can see it
+    rng = random.Random(43)
+    for n, k, seed in [(4, 2, 44), (5, 2, 45), (6, 3, 46)]:
+        spec = random_generic(n, k, random.Random(seed))
+        iset = next(iter(k_subsets(n, k)))
+        z, p = lag.sample_chart_point(spec, iset, rng)
+        assert lag.generating_fd_residual(spec, iset, z, p) < 1e-7
+        moved = Fraction(1, 10**4)
+        z_off = z[:n - 1] + (z[n - 1] + moved,)
+        p_off = (p[0] + moved,) + p[1:]
+        assert lag.generating_fd_residual(spec, iset, z_off, p) > 1e-6
+        assert lag.generating_fd_residual(spec, iset, z, p_off) > 1e-6
 
 
 def test_projection_jacobian_closed_form_and_chart_independence():
@@ -225,3 +245,32 @@ def test_generating_map_on_the_float_image(monkeypatch):
         zf, _ = lag.chart_complete(spec, iset, z_part, p_part)
         comp = [j for j in range(1, spec.n + 1) if j not in iset]
         assert all(abs(u - zf[j - 1]) <= 1e-12 * abs(u) for u, j in zip(fast, comp))
+
+
+@st.composite
+def _chart_case(draw):
+    """(n, k, instance seed, chart position, point seed) with n <= 7."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    chart = draw(st.integers(0, math.comb(n, k) - 1))
+    return n, k, draw(st.integers(0, 10**6)), chart, draw(st.integers(0, 10**6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_chart_case())
+def test_fd_checks_hold_on_random_charts(case):
+    n, k, seed, chart, point_seed = case
+    spec = random_generic(n, k, random.Random(seed))
+    charts = list(k_subsets(n, k))
+    iset, target = charts[chart], charts[chart - 1]
+    z, p = lag.sample_chart_point(spec, iset, random.Random(point_seed))
+    assert lag.generating_fd_residual(spec, iset, z, p) <= 1e-7
+    want = complex(lag.transition_expected(spec, iset, target))
+    got = lag.transition_jacobian_fd(spec, iset, target, z, p)
+    assert abs(got - want) <= 1e-6 * (1 + abs(want))
+    want = complex(lag.projection_jacobian(spec, iset, z, p))
+    got = lag.projection_jacobian_fd(spec, iset, z, p)
+    assert abs(got - want) <= 1e-6 * (1 + abs(want))
+    z_part, p_part = lag.chart_coords(spec, iset, z, p)
+    comp = [j for j in range(1, n + 1) if j not in iset]
+    assert lag.generating_map(spec, iset, z_part, p_part) == [z[j - 1] for j in comp]
