@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import ratmat
 from .errors import DomainError, GenerationError, UsageError
-from .laurent import LaurentPoly
 
 __all__ = [
     "ArrangementSpec",
@@ -194,6 +193,7 @@ class ArrangementSpec:
         k indices; the arrangement has a nonempty intersection of the k+1
         planes exactly on the zero set of this form.
         """
+        from .laurent import LaurentPoly
         return LaurentPoly(self.n, {((i - 1, 1),): c for i, c in self.discriminant_coeffs(iseq)})
 
     def discriminant_value(self, iseq, z):

@@ -46,7 +46,8 @@ is the identity, giving full matrices); the unit's holds K_I u = e_I,
 the certificate unit_orbit reads.  multiplication_matrix, normal_form
 (applied to the unit) and the operator forms of the first-kind,
 second-kind and Euler relations, taken straight from relations.py, all
-go through it.
+go through it.  relations.py and laurent.py are imported by the functions
+that read them, so the algebra and its operators load neither.
 
 The module also realizes the singular-vector model: inside the big
 coordinate space V with one axis v_I per k-subset I, the weighted
@@ -67,10 +68,9 @@ import math
 import operator
 from fractions import Fraction
 
-from . import ratmat, relations
+from . import ratmat
 from .arrangement import _perm_sign, k_subsets, rat_str
 from .errors import DomainError, UsageError
-from .laurent import LaurentPoly
 
 __all__ = [
     "eliminate_first_kind",
@@ -395,18 +395,21 @@ def unit_orbit(alg):
 
 def first_kind_operator_residual(alg, iset, start=None):
     """(sum_j d_{j,I} K_j) start for a (k-1)-subset I; the zero matrix."""
+    from . import relations
     poly = relations.first_kind(alg.spec, tuple(sorted(iset)))
     return _combination(alg, _poly_terms(alg, poly), start)
 
 
 def second_kind_operator_residual(alg, jset, start=None):
     """f_J(z) K_{j_1}..K_{j_{k+1}} minus its expansion into k-fold products, on start."""
+    from . import relations
     poly = relations.second_kind(alg.spec, tuple(sorted(jset)))
     return _combination(alg, _poly_terms(alg, poly), start)
 
 
 def euler_operator_residual(alg, start=None):
     """(sum_j z_j K_j - |a| id) start; the unit relation in operator form."""
+    from . import relations
     return _combination(alg, _poly_terms(alg, relations.euler_relation(alg.spec)), start)
 
 
@@ -431,6 +434,7 @@ def commutator_residual(alg, i, j):
 
 def _poly_terms(alg, poly):
     """(c, indices) for each term of a Laurent polynomial at z; index -j is K_j^-1."""
+    from .laurent import LaurentPoly
     if not isinstance(poly, LaurentPoly) or poly.n != alg.spec.n:
         raise UsageError("expected a Laurent polynomial on the same n variables")
     offset = alg.spec.n - 1  # p_j has variable id n + j - 1

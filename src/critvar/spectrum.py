@@ -16,7 +16,8 @@ Both routes should produce the same C(n-1, k) points; the test suite and
 the verify command insist on it.  The closed forms for the Hessian and
 for the Jacobian of the coordinate projection live here too, next to the
 direct determinants they are checked against.  numpy is imported inside
-the functions that use it, so the exact commands never load it.
+the functions that use it, so the exact commands never load it, and the
+generic draws of both routes come from random.Random(seed), not numpy.random.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import cmath
 import itertools
 import math
 import operator
+import random
 from collections import namedtuple
 from fractions import Fraction
 
@@ -192,7 +194,7 @@ def joint_spectrum(alg, seed=0):
     _point_from_momenta).
     """
     import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n = alg.spec.n
     dim = alg.dim
     ops = [alg.int_operator(j) for j in range(1, n + 1)]
@@ -200,7 +202,7 @@ def joint_spectrum(alg, seed=0):
     den = math.lcm(*(d for d, _ in ops))
     tried_gaps = []
     for attempt in range(1, _REDRAWS + 1):
-        c = [int(x) for x in rng.integers(1, 10, size=n) * rng.choice([-1, 1], size=n)]
+        c = [rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(n)]
         scales = [cj * (den // d) for cj, (d, _) in zip(c, ops)]
         ints = [[sum(map(operator.mul, scales, entries)) for entries in zip(*rows)]
                 for rows in zip(*(op for _, op in ops))]
@@ -310,17 +312,17 @@ def _solve_rows(mats, rhs):
 def _polish(b, a, zc, t, sweeps, gtol):
     """Newton on the bare critical equations at z for every row of t.
 
-    Returns (corrected t, ok): a row is ok when its gradient falls
-    below gtol relative to the term scale (see _gradient_floor) within
-    `sweeps` steps, with every hyperplane value finite and nonzero on the
-    way.  The (B, k, k) Hessians -sum_j a_j b^m_j b^l_j / f_j^2 go through
-    one batched solve per sweep.
+    Returns (corrected t, ok): a row is ok when its gradient falls below
+    gtol relative to the term scale (see _gradient_floor) before a step or
+    after the last of `sweeps` steps, with every hyperplane value finite and
+    nonzero on the way.  The (B, k, k) Hessians -sum_j a_j b^m_j b^l_j / f_j^2
+    go through one batched solve per sweep.
     """
     import numpy as np
     t = np.array(t, dtype=complex)
     done = np.zeros(len(t), dtype=bool)
     live = np.arange(len(t))
-    for _ in range(sweeps):
+    for sweep in range(sweeps + 1):
         tl = t[live]
         f = zc + _apply(b, tl)
         sane = np.isfinite(f).all(axis=1) & (np.abs(f).min(axis=1) != 0.0)
@@ -329,7 +331,7 @@ def _polish(b, a, zc, t, sweeps, gtol):
         close = (np.abs(g) <= gtol * _gradient_floor(b, a, f)).all(axis=1)
         done[live[close]] = True
         live, tl, f, g = live[~close], tl[~close], f[~close], g[~close]
-        if not live.size:
+        if not live.size or sweep == sweeps:
             break
         hess = -(b.T * (a / f**2)[:, None, :]) @ b
         tl = tl + _solve_rows(hess, -g)
@@ -481,7 +483,10 @@ def newton_multistart(
     if len(z) != n:
         raise UsageError("z has wrong length")
     want = math.comb(n - 1, k) if target_count is None else target_count
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+
+    def normal():  # n standard normal draws
+        return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
     zc = np.array([complex(v) for v in z])
     a, b, _ = spec.tables(zc)
     a, b = np.array(a, dtype=complex), np.array(b)
@@ -489,14 +494,14 @@ def newton_multistart(
     counts.update(vertex_starts=0, chambers=0, redraws=0, paths=0, retracked=0)
     for draw in range(_REDRAWS):
         jolt = (float(np.abs(zc).max()) + 1.0) * min(draw, 1)
-        a_r, z_r = rng.uniform(1.0, 2.0, size=n), zc.real + jolt * rng.normal(size=n)
+        a_r, z_r = np.array([rng.uniform(1.0, 2.0) for _ in range(n)]), zc.real + jolt * normal()
         t_r, starts = _real_fiber(b, a_r, z_r)
         counts["vertex_starts"] += starts
         counts.update(chambers=len(t_r), redraws=draw)
         if len(t_r) == want:
             break
-    a_m = np.abs(a).mean() * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    z_m = (z_r + zc) / 2 + 1j * jolt * rng.normal(size=n)
+    a_m = np.abs(a).mean() * (normal() + 1j * normal())
+    z_m = (z_r + zc) / 2 + 1j * jolt * normal()
 
     counts["paths"] = len(t_r)
     ends, ok = t_r.astype(complex), np.zeros(len(t_r), dtype=bool)
