@@ -93,9 +93,10 @@ class ArrangementSpec:
             raise UsageError(f"need {n} weights, got {len(a)}")
         b = tuple(tuple(parse_rat(x) for x in row) for row in b)
         fields = vars(self)  # written directly: __setattr__ refuses every name
-        fields.update(n=n, k=k, b=b, a=a)
-        if self.rational_weights:
-            a = fields["a"] = tuple(Fraction(x) for x in a)
+        rational = all(isinstance(x, (int, Fraction)) for x in a)
+        if rational:
+            a = tuple(Fraction(x) for x in a)
+        fields.update(n=n, k=k, b=b, a=a, rational_weights=rational)
         if any(x == 0 for x in a):
             raise UsageError("every weight must be nonzero")
         if self.weight_total == 0:
@@ -106,9 +107,9 @@ class ArrangementSpec:
             if d == 0:
                 raise UsageError(f"degenerate instance: minor on rows {key} vanishes")
             minors[key] = d
-        # plucker and discriminant_coeffs per ordered sequence; kept out of
-        # _key, so equality and hashing see n, k, b and a alone
-        fields.update(_minors=minors, _plucker_memo={}, _coeffs_memo={},
+        # plucker and discriminant_coeffs per ordered sequence, lagrangian._chart
+        # per chart; kept out of _key, so equality and hashing see n, k, b, a alone
+        fields.update(_minors=minors, _plucker_memo={}, _coeffs_memo={}, _chart_memo={},
                       _exact=(a, b, minors), _image=(
                           tuple(x if isinstance(x, complex) else float(x) for x in a),
                           tuple(tuple(map(float, row)) for row in b),
@@ -131,10 +132,6 @@ class ArrangementSpec:
 
     def __repr__(self):
         return f"ArrangementSpec(n={self.n!r}, k={self.k!r}, b={self.b!r}, a={self.a!r})"
-
-    @property
-    def rational_weights(self):
-        return all(isinstance(x, (int, Fraction)) for x in self.a)
 
     @property
     def weight_total(self):
@@ -262,11 +259,6 @@ class ArrangementSpec:
         if any(f == 0 for f in fs):
             raise DomainError("point lies on a hyperplane")
         return [aj / fj for aj, fj in zip(self.a, fs)]
-
-    def master_gradient(self, z, t):
-        """Gradient in t of sum_j a_j log f_j; zero exactly at critical points."""
-        ps = self.momenta(z, t)
-        return [sum(self.b[j][m] * ps[j] for j in range(self.n)) for m in range(self.k)]
 
     # -- config round trip ---------------------------------------------------
 

@@ -76,11 +76,17 @@ def _derivative(fun, base, pos, h):
 
 
 def _chart(spec, iset, minors):
-    """(comp, d_I, c) for chart I: comp lists j outside I, c[m][j] = d_{(j, I minus i_m)}."""
-    comp = [j for j in range(1, spec.n + 1) if j not in iset]
-    signed = [{j: _signed_minor(minors, (j,) + iset[:m] + iset[m + 1 :]) for j in comp}
-              for m in range(len(iset))]
-    return comp, minors[iset], signed
+    """(comp, d_I, c) for chart I: comp lists j outside I, c[m][j] = d_{(j, I minus i_m)}.
+
+    Kept on the spec per chart and minor table (exact or float image).
+    """
+    key = (iset, minors is spec._image[2])
+    if key not in spec._chart_memo:
+        comp = [j for j in range(1, spec.n + 1) if j not in iset]
+        signed = [{j: _signed_minor(minors, (j,) + iset[:m] + iset[m + 1 :]) for j in comp}
+                  for m in range(len(iset))]
+        spec._chart_memo[key] = comp, minors[iset], signed
+    return spec._chart_memo[key]
 
 
 def chart_complete(spec, iset, z_part, p_part):
@@ -216,15 +222,11 @@ def projection_jacobian(spec, iset, z, p):
     spec.require_rational_weights()
     a, _, minors = spec.tables(p)
     comp, d_full, signed = _chart(spec, iset, minors)
-    rows = []
-    for j in comp:
-        row = []
-        for l in comp:
-            val = -a[j - 1] / (p[j - 1] * p[j - 1]) if j == l else 0
-            for i, c in zip(iset, signed):
-                val = val - (c[j] * c[l] * a[i - 1] / (p[i - 1] * p[i - 1])) / (d_full * d_full)
-            row.append(val)
-        rows.append(row)
+    # dz_j/dp_l = -[j = l] a_j / p_j^2 - sum_m c[m][j] c[m][l] w_m, w_m = a_i / (p_i d_I)^2
+    w = [a[i - 1] / (p[i - 1] * p[i - 1] * d_full * d_full) for i in iset]
+    rows = [[-sum(c[j] * c[l] * wm for c, wm in zip(signed, w)) for l in comp] for j in comp]
+    for r, j in enumerate(comp):
+        rows[r][r] -= a[j - 1] / (p[j - 1] * p[j - 1])
     return ratmat.det(rows)
 
 

@@ -8,9 +8,10 @@ sorted tuple of (id, exponent) pairs with nonzero exponents; the term map
 never stores a zero coefficient, which makes equality a plain dict compare.
 
 Values are immutable; every operation returns a new polynomial.  So a
-polynomial may keep its gradient: the first derivative or bracket taken of
-it builds var id -> [(key, int coefficient)] over its common denominator,
-and later ones read that table, which no operation can make stale.
+polynomial may keep tables of itself, which no operation can make stale:
+its coefficients as integers over their common denominator, read by every
+vanish_at call, and its gradient, var id -> [(key, int coefficient)] over
+that denominator, built by the first derivative or bracket taken of it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _as_fraction(c):
 
 
 class LaurentPoly:
-    __slots__ = ("n", "terms", "_grad")
+    __slots__ = ("n", "terms", "_grad", "_ints")
 
     def __init__(self, n, terms=None):
         """`terms` maps sorted ((var_id, exp), ...) tuples to rational coefficients."""
@@ -50,7 +51,14 @@ class LaurentPoly:
                     raise UsageError(f"variable id {v} out of range for n={n}")
             clean[key] = clean.get(key, Fraction(0)) + coeff
         self.terms = {k: c for k, c in clean.items() if c != 0}
-        self._grad = None
+        self._grad = self._ints = None
+
+    @classmethod
+    def _raw(cls, n, terms):
+        """A polynomial on a canonical term map (nonzero Fractions, sorted keys), unchecked."""
+        p = object.__new__(cls)
+        p.n, p.terms, p._grad, p._ints = n, terms, None, None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -109,12 +117,12 @@ class LaurentPoly:
                 terms.pop(key, None)
             else:
                 terms[key] = s
-        return self._raw(terms)
+        return self._raw(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self.terms.items()})
+        return self._raw(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -133,7 +141,7 @@ class LaurentPoly:
                     terms.pop(key, None)
                 else:
                     terms[key] = s
-        return self._raw(terms)
+        return self._raw(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -148,13 +156,6 @@ class LaurentPoly:
             base = base * base if exp > 1 else base
             exp >>= 1
         return out
-
-    def _raw(self, terms):
-        p = object.__new__(LaurentPoly)
-        p.n = self.n
-        p.terms = terms
-        p._grad = None
-        return p
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -172,13 +173,20 @@ class LaurentPoly:
 
     # -- calculus ----------------------------------------------------------
 
+    def _numerators(self):
+        """(D, [(key, int c)]): the polynomial as sum (c / D) x^key, D the lcm; cached."""
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            self._ints = den, [(key, c.numerator * (den // c.denominator))
+                               for key, c in self.terms.items()]
+        return self._ints
+
     def _gradient(self):
         """(D, {var id: [(key, int c)]}): each partial as sum (c / D) x^key, D the lcm."""
         if self._grad is None:
-            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            den, nums = self._numerators()
             grad = {}
-            for key, c in self.terms.items():
-                num = c.numerator * (den // c.denominator)
+            for key, num in nums:
                 for idx, (v, e) in enumerate(key):
                     rest = key[idx + 1 :] if e == 1 else ((v, e - 1),) + key[idx + 1 :]
                     grad.setdefault(v, []).append((key[:idx] + rest, e * num))
@@ -187,7 +195,7 @@ class LaurentPoly:
 
     def _diff(self, var):
         den, grad = self._gradient()
-        return self._raw({key: Fraction(c, den) for key, c in grad.get(var, ())})
+        return self._raw(self.n, {key: Fraction(c, den) for key, c in grad.get(var, ())})
 
     def diff_z(self, j):
         """Exact partial derivative in z_j; d/dx x^m = m x^(m-1) for all integer m."""
@@ -247,25 +255,7 @@ class LaurentPoly:
                 continue
             key = tuple(rest)
             terms[key] = terms.get(key, Fraction(0)) + c
-        return LaurentPoly(self.n, terms)
-
-    def weighted_degrees(self):
-        """Distinct degrees under the grading deg p_j = 1, deg z_j = -1."""
-        degs = set()
-        for key in self.terms:
-            degs.add(sum(e if v >= self.n else -e for v, e in key))
-        return sorted(degs)
-
-    def scale_degree(self, lam):
-        """Substitute p_j -> lam*p_j and z_j -> z_j/lam, exactly."""
-        lam = _as_fraction(lam)
-        if lam == 0:
-            raise UsageError("scale factor must be nonzero")
-        terms = {}
-        for key, c in self.terms.items():
-            w = sum(e if v >= self.n else -e for v, e in key)
-            terms[key] = c * lam ** w
-        return self._raw(terms)
+        return self._raw(self.n, {key: c for key, c in terms.items() if c})
 
     # -- canonical text ----------------------------------------------------
 
@@ -318,33 +308,35 @@ def vanish_at(polys, zvals, pvals):
     """True when every polynomial is exactly 0 at a rational point; stops at the first not.
 
     One power table per point maps (var_id, exp) to x^exp as an integer
-    pair (top, bottom).  A term is c times its pairs' product, dropped at
-    the first zero coordinate in its key or raising DomainError there at a
-    pole, as evaluate does; a polynomial vanishes iff the integer sum of
-    the tops over the lcm of the bottoms does.
+    pair (top, bottom).  A term is its integer numerator (_numerators,
+    kept by the polynomial) times its pairs' product, dropped at the first
+    zero coordinate in its key or raising DomainError there at a pole, as
+    evaluate does; a polynomial vanishes iff the integer sum of the tops
+    over the lcm of the bottoms does.
     """
     vals = [_as_fraction(v) for v in (*zvals, *pvals)]
     table = {}
     for poly in polys:
         if len(zvals) != poly.n or len(pvals) != poly.n:
             raise UsageError("point dimension does not match variable count")
-        terms = []
-        for key, c in poly.terms.items():
-            top, bottom = c.numerator, c.denominator
+        sums = {}  # bottom -> summed tops
+        for key, top in poly._numerators()[1]:
+            bottom = 1
             for pair in key:
-                if pair not in table:
+                entry = table.get(pair)
+                if entry is None:
                     x, e = vals[pair[0]], pair[1]
-                    table[pair] = ((x.numerator ** e, x.denominator ** e) if e > 0
-                                   else (x.denominator ** -e, x.numerator ** -e))
-                num, den = table[pair]
+                    entry = table[pair] = ((x.numerator ** e, x.denominator ** e) if e > 0
+                                           else (x.denominator ** -e, x.numerator ** -e))
+                num, den = entry
                 if not den:
                     raise DomainError(f"pole: variable id {pair[0]} is 0 with exponent {pair[1]}")
                 top, bottom = top * num, bottom * den
                 if not num:
                     break
-            terms.append((top, bottom))
-        common = math.lcm(*(b for _, b in terms))
-        if sum(t * (common // b) for t, b in terms):
+            sums[bottom] = sums.get(bottom, 0) + top
+        common = math.lcm(*sums)
+        if sum(t * (common // b) for b, t in sums.items()):
             return False
     return True
 
@@ -375,4 +367,4 @@ def poisson(m, other):
                 key = _key_product(k1, k2)
                 acc[key] = acc.get(key, 0) + c1 * c2
     den = den_m * den_o
-    return m._raw({key: Fraction(c, den) for key, c in acc.items() if c})
+    return m._raw(n, {key: Fraction(c, den) for key, c in acc.items() if c})

@@ -34,7 +34,8 @@ naming it.
 Multiplication by p_j then becomes an exact rational matrix K_j on the
 basis; these commuting operators carry the whole structure, and their
 joint spectrum recovers the critical points themselves (the numeric side
-of that lives in spectrum.py).
+of that lives in spectrum.py).  They commute if the n-1 commutators with
+one K_c certified cyclic vanish (cyclic_operator, commutator_residual).
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
 its terms at z become (c, indices) pairs, an index -j standing for
@@ -80,12 +81,14 @@ __all__ = [
     "euler_operator_residual",
     "weighted_sum_operator_residual",
     "commutator_residual",
+    "cyclic_operator",
     "unit_column",
     "unit_orbit",
 ]
 
 
 _ZERO = Fraction(0)  # shared by every zero coordinate; Fractions are immutable
+_PRIME = 2**31 - 1  # of the cyclic certificate; any prime serves an integer matrix
 
 
 def eliminate_first_kind(spec, j, forbidden=()):
@@ -149,6 +152,7 @@ class QuotientAlgebra:
         self._nf = {}
         self._ops = {}
         self._int_ops = {}
+        self._lines = {}
         self._orbits = {}
         self._one = None
         self._sing = None
@@ -280,9 +284,6 @@ class QuotientAlgebra:
         """Basis coordinates of the class of an arbitrary Laurent polynomial."""
         return [row[0] for row in _combination(self, _poly_terms(self, poly),
                                                unit_column(self))]
-
-    def is_zero_class(self, poly):
-        return all(c == 0 for c in self.normal_form(poly))
 
     # -- singular-vector model ------------------------------------------------
 
@@ -424,12 +425,59 @@ def weighted_sum_operator_residual(alg, iset, start=None):
     return _combination(alg, terms, start)
 
 
+def cyclic_operator(alg):
+    """(c, p) for the first K_c certified cyclic modulo the prime p, else (None, None).
+
+    With A_c = D_c K_c in int, the Krylov matrix [e_1, A_c e_1, ..,
+    A_c^(m-1) e_1] has full rank mod p, so an integer determinant is
+    nonzero: e_1 is a cyclic vector of K_c over Q.  What commutes with a
+    cyclic matrix is a polynomial in it (Horn & Johnson, Matrix Analysis,
+    2nd ed., 3.2.4), so [K_c, K_j] = 0 for every j makes all pairs commute.
+    """
+    p = _PRIME
+    for c in range(1, alg.spec.n + 1):
+        op = [[x % p for x in row] for row in alg.int_operator(c)[1]]
+        krylov = [[int(r == 0) for r in range(alg.dim)]]
+        while len(krylov) < alg.dim:
+            krylov.append([sum(map(operator.mul, row, krylov[-1])) % p for row in op])
+        if ratmat._rank_mod(krylov, p) == alg.dim:
+            return c, p
+    return None, None
+
+
 def commutator_residual(alg, i, j):
-    """K_i K_j - K_j K_i, from the cached integer operators."""
-    (di, ai), (dj, aj) = alg.int_operator(i), alg.int_operator(j)
-    ci, cj = list(zip(*ai)), list(zip(*aj))
-    return [[Fraction(sum(map(operator.mul, ri, y)) - sum(map(operator.mul, rj, x)), di * dj)
-             for x, y in zip(ci, cj)] for ri, rj in zip(ai, aj)]
+    """K_i K_j - K_j K_i, a fresh Fraction only where nonzero (see _lines).
+
+    Entry (r, c) of K_i K_j is row r of K_i cleared by its lcm rho against
+    column c of K_j cleared by its lcm gamma, over rho gamma; K_j K_i alike.
+    """
+    (ri, rows_i, gi, cols_i), (rj, rows_j, gj, cols_j) = _lines(alg, i), _lines(alg, j)
+    out = []
+    for rho_i, row_i, rho_j, row_j in zip(ri, rows_i, rj, rows_j):
+        line = []
+        for gam_j, col_j, gam_i, col_i in zip(gj, cols_j, gi, cols_i):
+            x = sum(map(operator.mul, row_i, col_j))  # (K_i K_j)_rc rho_i gam_j
+            y = sum(map(operator.mul, row_j, col_i))  # (K_j K_i)_rc rho_j gam_i
+            line.append(_ZERO if x * rho_j * gam_i == y * rho_i * gam_j
+                        else Fraction(x, rho_i * gam_j) - Fraction(y, rho_j * gam_i))
+        out.append(line)
+    return out
+
+
+def _lines(alg, j):
+    """(row lcms, int rows, column lcms, int columns) of K_j = A_j / D_j; cached.
+
+    A line's lcm is D_j over its gcd with that line of A_j.
+    """
+    if j not in alg._lines:
+        den, ints = alg.int_operator(j)
+        out = []
+        for lines in (ints, list(zip(*ints))):
+            gcds = [math.gcd(den, *line) for line in lines]
+            out += [[den // g for g in gcds],
+                    [[x // g for x in line] for g, line in zip(gcds, lines)]]
+        alg._lines[j] = out
+    return alg._lines[j]
 
 
 def _poly_terms(alg, poly):

@@ -18,7 +18,8 @@ equations, and this module builds them:
 with the factorization F_J = p_{j_1}..p_{j_{k+1}} G_J, so the two kinds
 of degree-(k+1) generators cut out the same set away from p = 0.  Each
 builder writes its term map straight from these formulas, with the signed
-minors read from the instance's memo, and no polynomial arithmetic.
+minors read from the instance's memo, no polynomial arithmetic and none
+of the constructor's checks: every minor and weight is nonzero.
 
 The first-kind family and the G_J family are in involution for the
 canonical Poisson bracket, and the brackets vanish as polynomials, not
@@ -31,6 +32,7 @@ generator's gradient, so one used in many pairs is differentiated once.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 from .arrangement import k_subsets
 from .errors import UsageError
@@ -58,8 +60,8 @@ def first_kind(spec, iset):
     """F_I for a (k-1)-subset I; the terms with j in I are d_{j,I} = 0."""
     iset = spec._check_subset(iset, spec.k - 1)
     n = spec.n
-    return LaurentPoly(n, {((n + j - 1, 1),): spec.plucker((j,) + iset)
-                           for j in range(1, n + 1) if j not in iset})
+    return LaurentPoly._raw(n, {((n + j - 1, 1),): spec.plucker((j,) + iset)
+                                for j in range(1, n + 1) if j not in iset})
 
 
 def second_kind(spec, jset):
@@ -72,7 +74,7 @@ def second_kind(spec, jset):
     terms = {((j - 1, 1),) + full: d for j, d in coeffs}
     terms.update((_pkey(n, [l for l in jset if l != j]), -spec.a[j - 1] * d)
                  for j, d in coeffs)
-    return LaurentPoly(n, terms)
+    return LaurentPoly._raw(n, terms)
 
 
 def g_single(spec, j):
@@ -81,7 +83,8 @@ def g_single(spec, j):
     if not 1 <= j <= spec.n:
         raise UsageError(f"hyperplane index {j} out of range 1..{spec.n}")
     n = spec.n
-    return LaurentPoly(n, {((j - 1, 1),): 1, ((n + j - 1, -1),): -spec.a[j - 1]})
+    terms = {((j - 1, 1),): Fraction(1), ((n + j - 1, -1),): -spec.a[j - 1]}
+    return LaurentPoly._raw(n, terms)
 
 
 def g_comb(spec, jset):
@@ -91,16 +94,16 @@ def g_comb(spec, jset):
     n = spec.n
     terms = {((j - 1, 1),): c for j, c in coeffs}
     terms.update((((n + j - 1, -1),), -spec.a[j - 1] * c) for j, c in coeffs)
-    return LaurentPoly(n, terms)
+    return LaurentPoly._raw(n, terms)
 
 
 def euler_relation(spec):
     """sum_j z_j p_j - sum_j a_j, which vanishes on the critical set."""
     spec.require_rational_weights()
     n = spec.n
-    terms = {((j, 1), (n + j, 1)): 1 for j in range(n)}
+    terms = {((j, 1), (n + j, 1)): Fraction(1) for j in range(n)}
     terms[()] = -spec.weight_total
-    return LaurentPoly(n, terms)
+    return LaurentPoly._raw(n, terms)
 
 
 class RelationSet(namedtuple("RelationSet", "spec first second g")):

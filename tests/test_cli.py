@@ -53,9 +53,11 @@ def test_verify_reports_every_identity(config_path, capsys):
     assert cyclic["count"] == cyclic["expected"] == 3
     # one entry per check, in run order
     assert list(report["timing"]["stages"]) == [c["name"] for c in report["checks"]]
-    # 6 commutator pairs, 4 + 4 first and second kind, 1 Euler, 6 weighted sums
+    # 6 commutator pairs (from 3 products with K_1), 4 + 4 first and second
+    # kind, 1 Euler, 6 weighted sums
     assert report["diagnostics"] == {"verify": {
-        "path": "unit_orbit", "identities_checked": 21, "identities_total": 21}}
+        "path": "unit_orbit", "identities_checked": 21, "identities_total": 21,
+        "commutators": {"cyclic": 1, "prime": 2**31 - 1, "products": 3}}}
 
 
 @pytest.mark.parametrize("attr, fake, failing", [
@@ -81,7 +83,62 @@ def test_uncertified_unit_vector_falls_back_to_full_matrices(config_path, capsys
     assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == [failing]
     assert starts and all(start is None for start in starts)
     assert report["diagnostics"]["verify"] == {
-        "path": "full_matrix", "identities_checked": 21, "identities_total": 21}
+        "path": "full_matrix", "identities_checked": 21, "identities_total": 21,
+        "commutators": {"cyclic": 1, "prime": 2**31 - 1, "products": 3}}
+
+
+@pytest.fixture
+def six_two_path(tmp_path, capsys):
+    path = tmp_path / "six_two.json"
+    assert main(["gen", "--n", "6", "--k", "2", "--seed", "62", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def _commutator_spy(monkeypatch):
+    calls = []
+    residual = qt.commutator_residual
+
+    def spy(alg, i, j):
+        calls.append((i, j))
+        return residual(alg, i, j)
+
+    monkeypatch.setattr(qt, "commutator_residual", spy)
+    return calls
+
+
+def test_a_perturbed_operator_fails_the_cyclic_commutators(six_two_path, capsys,
+                                                           monkeypatch):
+    # one entry of K_3 off by one: [K_1, K_3] is among the n - 1 products
+    build = qt.QuotientAlgebra.bethe_operator
+
+    def perturbed(alg, j):
+        op = build(alg, j)
+        return [[x + (j == 3 and (r, c) == (1, 2)) for c, x in enumerate(row)]
+                for r, row in enumerate(op)]
+
+    monkeypatch.setattr(qt.QuotientAlgebra, "bethe_operator", perturbed)
+    calls = _commutator_spy(monkeypatch)
+    rc, report = run_json(capsys, ["verify", "--config", six_two_path])
+    assert rc == 1
+    check = next(c for c in report["checks"] if c["name"] == "operator_commutators")
+    assert check["status"] == "fail" and check["residual"] > 0 and check["count"] == 15
+    assert calls == [(1, j) for j in range(2, 7)]
+    assert report["diagnostics"]["verify"]["commutators"] == {
+        "cyclic": 1, "prime": 2**31 - 1, "products": 5}
+
+
+def test_no_certified_operator_multiplies_every_pair(six_two_path, capsys, monkeypatch):
+    monkeypatch.setattr(ratmat, "_rank_mod", lambda rows, p: 0)
+    calls = _commutator_spy(monkeypatch)
+    rc, report = run_json(capsys, ["verify", "--config", six_two_path])
+    assert rc == 0
+    assert calls == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    check = next(c for c in report["checks"] if c["name"] == "operator_commutators")
+    assert check["status"] == "pass" and check["count"] == 15
+    diag = report["diagnostics"]["verify"]
+    assert diag["commutators"] == {"cyclic": None, "prime": None, "products": 15}
+    assert diag["identities_checked"] == diag["identities_total"]
 
 
 def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
@@ -98,7 +155,8 @@ def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
         "minor_relations", "discriminant_span_rank", "generator_brackets"]
     # 3 commutator pairs, 1 + 3 first and second kind, 1 Euler, 3 weighted sums
     assert report["diagnostics"]["verify"] == {
-        "path": None, "identities_checked": 0, "identities_total": 11}
+        "path": None, "identities_checked": 0, "identities_total": 11,
+        "commutators": {"cyclic": None, "prime": None, "products": 0}}
 
 
 def test_verify_checks_every_minor_relation_pair(tmp_path, capsys):
@@ -361,7 +419,8 @@ _REPORT_SCHEMA = {
                 "quotient_dimension", "operator_commutators", "unit_vector_cyclic",
                 "first_kind_operators", "second_kind_operators", "euler_operator",
                 "weighted_sum_operators", "special_vector_map"],
-               {"verify": ["path", "identities_checked", "identities_total"]}),
+               {"verify": ["path", "identities_checked", "identities_total",
+                           "commutators"]}),
     "solve": (["report", "command", "config", "checks", "timing", "points",
                "eigenvalue_combination", "eigenvalues", "diagnostics"],
               ["critical_count_spectral", "critical_count_newton", "spectral_newton_match",

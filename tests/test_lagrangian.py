@@ -274,3 +274,19 @@ def test_fd_checks_hold_on_random_charts(case):
     z_part, p_part = lag.chart_coords(spec, iset, z, p)
     comp = [j for j in range(1, n + 1) if j not in iset]
     assert lag.generating_map(spec, iset, z_part, p_part) == [z[j - 1] for j in comp]
+
+
+def test_chart_tables_are_kept_per_chart_and_per_minor_table():
+    spec = random_generic(5, 2, random.Random(7))
+    exact, image = spec.tables([Fraction(1)])[2], spec.tables([0.5])[2]
+    first = lag._chart(spec, (1, 3), exact)
+    assert lag._chart(spec, (1, 3), exact) is first
+    floats = lag._chart(spec, (1, 3), image)
+    assert floats[0] == first[0] and floats[1] == float(first[1])
+    assert floats[2] == [{j: float(c) for j, c in row.items()} for row in first[2]]
+    # the weights' kind is decided once, by the constructor
+    assert spec.rational_weights
+    mixed = ArrangementSpec(spec.n, spec.k, spec.b, (1j, *spec.a[1:]))
+    assert not mixed.rational_weights
+    with pytest.raises(UsageError):
+        lag.chart_complete(mixed, (1, 3), [Fraction(1)] * 2, [Fraction(1)] * 3)

@@ -170,6 +170,20 @@ def test_generators_match_the_arithmetic_construction(name):
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_builders_write_what_the_validating_constructor_makes(name):
+    # the builders skip LaurentPoly's checks, so their term maps must already be canonical
+    spec = INSTANCES[name]()
+    n, k = spec.n, spec.k
+    polys = [first_kind(spec, iset) for iset in k_subsets(n, k - 1)]
+    polys += [build(spec, jset) for jset in k_subsets(n, k + 1) for build in (second_kind, g_comb)]
+    polys += [g_single(spec, j) for j in range(1, n + 1)] + [euler_relation(spec)]
+    for poly in polys:
+        assert poly == LaurentPoly(n, poly.terms)
+        assert all(type(c) is Fraction and c != 0 for c in poly.terms.values())
+        assert all(key == tuple(sorted(key)) and all(e for _, e in key) for key in poly.terms)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_involution_suite_matches_the_reference_brackets(name):
     spec = INSTANCES[name]()
     got = [(r.pair_class, r.left, r.right, r.residual) for r in involution_suite(spec)]
