@@ -39,6 +39,7 @@ _HOMES = {
                  "newton_multistart", "poly_roots", "smoothness_witness"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
@@ -53,52 +54,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "ArrangementSpec",
-    "CritvarError",
-    "CriticalPoint",
-    "DomainError",
-    "GenerationError",
-    "LaurentPoly",
-    "NumericError",
-    "QuotientAlgebra",
-    "RelationSet",
-    "SpectrumResult",
-    "UsageError",
-    "build_relations",
-    "chart_complete",
-    "chart_coords",
-    "chart_vector",
-    "eliminate_first_kind",
-    "euler_relation",
-    "first_kind",
-    "flow_f",
-    "flow_g",
-    "g_comb",
-    "g_single",
-    "generating_fd_residual",
-    "generating_map",
-    "hessian_direct",
-    "hessian_formula",
-    "involution_suite",
-    "jacobian_formula",
-    "joint_spectrum",
-    "k_subsets",
-    "match_point_sets",
-    "newton_multistart",
-    "parse_rat",
-    "poisson",
-    "poly_roots",
-    "projection_jacobian",
-    "projection_jacobian_fd",
-    "random_generic",
-    "rat_str",
-    "sample_chart_point",
-    "sample_z",
-    "scale_action",
-    "second_kind",
-    "smoothness_witness",
-    "transition_expected",
-    "transition_jacobian_fd",
-]

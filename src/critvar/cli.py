@@ -23,7 +23,8 @@ expected), and timing; verify's and flows' timing also has "stages", the
 seconds spent on each check, keyed by check name in run order.  solve's
 stages are the spectral route ("joint_spectrum") and route two ("newton"),
 and its "diagnostics.newton" gives route two's counts: vertex starts, chambers
-of the real fiber, redraws, tracked and retracked paths; verify's
+of the real fiber, redraws, tracked paths and the paths tracked again
+through a fresh middle point after one was lost or merged; verify's
 "diagnostics.verify" gives the path its operator identities took
 ("unit_orbit", "full_matrix", or null without a base point), the
 identities checked out of the total, and "commutators": the K_c certified

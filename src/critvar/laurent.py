@@ -1,4 +1,4 @@
-"""Exact Laurent-polynomial arithmetic on phase space.
+"""Exact Laurent polynomials on phase space, as the relation layer reads them.
 
 Polynomials live in the 2n variables z_1..z_n, p_1..p_n with rational
 coefficients and integer (possibly negative) exponents, so 1/p_j is an
@@ -7,11 +7,16 @@ variable is an id in 0..2n-1: id j-1 is z_j, id n+j-1 is p_j.  A term is a
 sorted tuple of (id, exponent) pairs with nonzero exponents; the term map
 never stores a zero coefficient, which makes equality a plain dict compare.
 
-Values are immutable; every operation returns a new polynomial.  So a
-polynomial may keep tables of itself, which no operation can make stale:
-its coefficients as integers over their common denominator, read by every
-vanish_at call, and its gradient, var id -> [(key, int coefficient)] over
-that denominator, built by the first derivative or bracket taken of it.
+There is no ring arithmetic: the relation builders write each generator's
+term map from its formula, and what the library does with a polynomial is
+bracket it (poisson), evaluate it, freeze its z at a point (substitute_z),
+test it for zero at a rational point (vanish_at) and print it (to_text).
+
+Values are immutable, so a polynomial may keep tables of itself, which
+nothing can make stale: its coefficients as integers over their common
+denominator, read by every vanish_at call, and its gradient, var id ->
+[(key, int coefficient)] over that denominator, built by the first
+bracket taken of it.
 """
 
 from __future__ import annotations
@@ -60,108 +65,11 @@ class LaurentPoly:
         p.n, p.terms, p._grad, p._ints = n, terms, None, None
         return p
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, n, c):
-        c = _as_fraction(c)
-        return cls(n, {(): c} if c != 0 else {})
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
-    def one(cls, n):
-        return cls.const(n, 1)
-
-    @classmethod
-    def zvar(cls, n, j, exp=1):
-        """The monomial z_j^exp, j in 1..n."""
-        cls._check_index(n, j)
-        return cls(n, {((j - 1, exp),): Fraction(1)})
-
-    @classmethod
-    def pvar(cls, n, j, exp=1):
-        """The monomial p_j^exp, j in 1..n."""
-        cls._check_index(n, j)
-        return cls(n, {((n + j - 1, exp),): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n, coeff, zexps=(), pexps=()):
-        """coeff * prod z_j^zexps[j-1] * prod p_j^pexps[j-1] (short vectors ok)."""
-        key = [(j, e) for j, e in enumerate(zexps) if e != 0]
-        key += [(n + j, e) for j, e in enumerate(pexps) if e != 0]
-        return cls(n, {tuple(key): _as_fraction(coeff)})
-
-    @staticmethod
-    def _check_index(n, j):
-        if not 1 <= j <= n:
-            raise UsageError(f"variable index {j} out of range 1..{n}")
-
-    # -- ring structure ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            if other.n != self.n:
-                raise UsageError(f"variable counts differ: n={self.n} vs n={other.n}")
-            return other
-        return LaurentPoly.const(self.n, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return self._raw(self.n, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._raw(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _key_product(k1, k2)
-                s = terms.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return self._raw(self.n, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp):
-        if not isinstance(exp, int) or exp < 0:
-            raise UsageError("only nonnegative integer powers of polynomials")
-        out = LaurentPoly.one(self.n)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base if exp > 1 else base
-            exp >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.n == other.n and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.const(self.n, other)
+            return self.terms == ({(): other} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -171,7 +79,7 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    # -- calculus ----------------------------------------------------------
+    # -- integer tables ----------------------------------------------------
 
     def _numerators(self):
         """(D, [(key, int c)]): the polynomial as sum (c / D) x^key, D the lcm; cached."""
@@ -193,20 +101,7 @@ class LaurentPoly:
             self._grad = (den, grad)
         return self._grad
 
-    def _diff(self, var):
-        den, grad = self._gradient()
-        return self._raw(self.n, {key: Fraction(c, den) for key, c in grad.get(var, ())})
-
-    def diff_z(self, j):
-        """Exact partial derivative in z_j; d/dx x^m = m x^(m-1) for all integer m."""
-        self._check_index(self.n, j)
-        return self._diff(j - 1)
-
-    def diff_p(self, j):
-        self._check_index(self.n, j)
-        return self._diff(self.n + j - 1)
-
-    # -- evaluation and grading --------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, zvals, pvals):
         """Evaluate at a point; exact when the inputs are Fractions.

@@ -280,7 +280,7 @@ def _momenta_key(pt):
 # -- the direct route ---------------------------------------------------------
 
 _ASCENT_STEPS = 100  # damped Newton steps a chamber's start gets to reach its maximum
-_RETRACKS = 2  # rounds that retrack lost or merged paths, each with steps a quarter as long
+_RETRACKS = 2  # rounds that retrack the fiber through a fresh middle point, steps quartered
 _MAX_STEP = 0.25  # largest share of a segment that path tracking steps by
 _MIN_STEP = 1e-4  # smallest share of a segment that path tracking steps by
 
@@ -469,10 +469,14 @@ def newton_multistart(
     one and distinct starts end at distinct points; for real z on the
     first draw, z stays put.  Two full Newton steps at z and the _POLISH
     polish every route ends with (down to tol relative to _gradient_floor)
-    finish each path.  Paths lost, or ending within dedup_tol of another,
-    are retracked on the same segments with shorter steps, up to
-    _RETRACKS times.  A count still short of target_count raises
-    NumericError with the counts; a short list is never returned.
+    finish each path.  When a path is lost, or ends within dedup_tol of
+    another, the round is redone, up to _RETRACKS times, through a fresh
+    (a_m, z_m) from the same generator: the leg to (a, z) may pass near the
+    discriminant, and shorter steps on it lose the same path again.  Each
+    round tracks the whole fiber, with steps a quarter as long, since which
+    start ends at which point depends on the middle point.  A count still
+    short of target_count raises NumericError with the counts; a short
+    list is never returned.
 
     Points come back sorted by momenta.  If stats is a dict it receives
     "vertex_starts" (summed over draws), "chambers" (on the last draw),
@@ -500,18 +504,14 @@ def newton_multistart(
         counts.update(chambers=len(t_r), redraws=draw)
         if len(t_r) == want:
             break
-    a_m = np.abs(a).mean() * (normal() + 1j * normal())
-    z_m = (z_r + zc) / 2 + 1j * jolt * normal()
 
     counts["paths"] = len(t_r)
-    ends, ok = t_r.astype(complex), np.zeros(len(t_r), dtype=bool)
-    bad = ~ok
     for attempt in range(_RETRACKS + 1):
-        rows = np.flatnonzero(bad)
-        if not rows.size:
-            break
-        counts["retracked"] += len(rows) * (attempt > 0)
-        ends[rows] = t_r[rows]
+        a_m = np.abs(a).mean() * (normal() + 1j * normal())
+        z_m = (z_r + zc) / 2 + 1j * jolt * normal()
+        counts["retracked"] += len(t_r) * (attempt > 0)
+        ends, ok = t_r.astype(complex), np.zeros(len(t_r), dtype=bool)
+        rows = np.arange(len(t_r))
         for leg in ((a_r, a_m, z_r, z_m), (a_m, a, z_m, zc)):
             ends[rows], ok[rows] = _track(b, *leg, ends[rows], 4.0**-attempt)
             rows = rows[ok[rows]]
@@ -523,6 +523,8 @@ def newton_multistart(
         gaps[~ok], gaps[:, ~ok] = np.inf, np.inf
         np.fill_diagonal(gaps, np.inf)
         bad = ~ok | (gaps < dedup_tol).any(axis=1)
+        if not bad.any():
+            break
     if bad.any() or len(ends) != want:
         raise NumericError(
             f"route two found {int((~bad).sum())} of {want} points: {counts['vertex_starts']} "

@@ -207,6 +207,19 @@ def test_both_routes_polish_alike(tmp_path, capsys):
     assert rc == 0
 
 
+def test_a_lost_path_is_recovered_through_a_fresh_middle_point(tmp_path, capsys):
+    # the first middle weights sum to 1.741 - 2.5e-4i and the weights to -9,
+    # so the second leg passes within 2.5e-4 of sum a = 0, where a critical
+    # point goes off to infinity; retracking on the same segments lost that
+    # path three times over, and solve exited 3
+    rc, report = run_json(capsys, ["solve", "--config",
+                                   _generated(tmp_path, capsys, 5, 1, 4201001)])
+    assert rc == 0 and len(report["points"]) == 4
+    match = next(c for c in report["checks"] if c["name"] == "spectral_newton_match")
+    assert match["status"] == "pass"
+    assert report["diagnostics"]["newton"]["retracked"] == 4
+
+
 @pytest.mark.parametrize("n, k, seed", [(6, 3, 800004), (6, 2, 827000), (6, 3, 1920004),
                                         (7, 3, 1920000), (9, 4, 22)])
 def test_fd_jacobians_survive_rounding_and_truncation(tmp_path, capsys, n, k, seed):

@@ -13,7 +13,6 @@ from critvar import ratmat
 from critvar.arrangement import ArrangementSpec, k_subsets, random_generic, rat_str, sample_z
 from critvar.cli import main
 from critvar.errors import CritvarError, DomainError, UsageError
-from critvar.laurent import LaurentPoly
 from critvar.quotient import (
     QuotientAlgebra,
     commutator_residual,
@@ -26,6 +25,7 @@ from critvar.quotient import (
     weighted_sum_operator_residual,
 )
 from critvar.relations import build_relations, euler_relation, g_comb
+from ringref import add, mul, pvar, sub, zvar
 from test_ratmat import _inverse_by_rref, _solve, mat_vec, zeros
 
 
@@ -360,9 +360,10 @@ def test_table_follows_the_operators_not_the_rewrite():
         raise AssertionError("the orbit table read reduce_monomial")
 
     alg.reduce_monomial = no_rewrite
-    p = [LaurentPoly.pvar(5, j) for j in range(1, 6)]
-    inv = LaurentPoly.pvar(5, 4, exp=-1)
-    for poly in [p[2] * p[3] - p[3] * p[4], p[2] * inv * p[1] + 3, p[3] * p[2] * p[2]]:
+    p = [pvar(5, j) for j in range(1, 6)]
+    inv = pvar(5, 4, exp=-1)
+    for poly in [sub(mul(p[2], p[3]), mul(p[3], p[4])), add(mul(p[2], inv, p[1]), 3),
+                 mul(p[3], p[2], p[2])]:
         terms = qt._poly_terms(alg, poly)
         full = _combination_by_products(alg, terms)
         assert alg.multiplication_matrix(poly) == full
@@ -431,12 +432,12 @@ def test_normal_form_with_negative_exponents():
     alg = line_algebra()
     # coordinates, not values: at the single critical point p_2 = 2, so the
     # class of 1/p_2 is (1/2) / 2 times the basis class p_2
-    inv = LaurentPoly.pvar(2, 2, exp=-1)
+    inv = pvar(2, 2, exp=-1)
     assert alg.normal_form(inv) == [Fraction(1, 4)]
     # the antisymmetrized G over {1,2} vanishes on the fiber, inverse powers and all
     assert is_zero_class(alg, g_comb(alg.spec, (1, 2)))
     # a single G_j does not: it is a coordinate on the fiber, not a relation
-    g2 = LaurentPoly.zvar(2, 2) - LaurentPoly.pvar(2, 2, exp=-1)
+    g2 = sub(zvar(2, 2), pvar(2, 2, exp=-1))
     assert not is_zero_class(alg, g2)
 
 
@@ -599,19 +600,19 @@ def test_corrupted_reduction_gives_the_same_bad_subsets():
 def test_normal_form_is_the_matrix_applied_to_the_unit():
     for n, k, seed in [(4, 1, 81), (4, 2, 82), (5, 2, 83)]:
         alg = random_algebra(n, k, seed)
-        p = [LaurentPoly.pvar(n, j) for j in range(1, n + 1)]
-        inv = [LaurentPoly.pvar(n, j, exp=-1) for j in range(1, n + 1)]
+        p = [pvar(n, j) for j in range(1, n + 1)]
+        inv = [pvar(n, j, exp=-1) for j in range(1, n + 1)]
         polys = [
             inv[0],
-            inv[1] * inv[1] * p[2] - Fraction(3, 5),
-            LaurentPoly.zvar(n, 1) * p[0] * inv[2] + 2 * LaurentPoly.pvar(n, n, exp=-3),
+            sub(mul(inv[1], inv[1], p[2]), Fraction(3, 5)),
+            add(mul(zvar(n, 1), p[0], inv[2]), mul(2, pvar(n, n, exp=-3))),
             g_comb(alg.spec, tuple(range(1, k + 2))),
         ]
         for poly in polys:
             full = alg.multiplication_matrix(poly)
             assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
         assert alg.multiplication_matrix(inv[0]) == ratmat.inverse(alg.bethe_operator(1))
-        assert alg.multiplication_matrix(p[0] * p[1]) == ratmat.mat_mul(
+        assert alg.multiplication_matrix(mul(p[0], p[1])) == ratmat.mat_mul(
             alg.bethe_operator(1), alg.bethe_operator(2))
 
 

@@ -197,21 +197,21 @@ def test_det_known():
 
 
 def _charpoly_cofactor(a):
-    """Reference: expand det(tI - A) with Laurent machinery in one variable."""
-    from critvar.laurent import LaurentPoly
+    """Reference: expand det(tI - A) with the reference ring in one variable."""
+    from ringref import add, const, mul, sub, zvar
 
     m = len(a)
-    t = LaurentPoly.zvar(1, 1)
+    t = zvar(1, 1)
 
     def minor_det(rows, cols):
         if not rows:
-            return LaurentPoly.one(1)
+            return const(1, 1)
         r, rest = rows[0], rows[1:]
-        out = LaurentPoly.zero(1)
+        out = const(1, 0)
         for s, c in enumerate(cols):
-            entry = (t if r == c else LaurentPoly.zero(1)) - LaurentPoly.const(1, a[r][c])
-            sub = minor_det(rest, cols[:s] + cols[s + 1 :])
-            out = out + (-1) ** s * entry * sub
+            entry = sub(t if r == c else const(1, 0), a[r][c])
+            minor = minor_det(rest, cols[:s] + cols[s + 1 :])
+            out = add(out, mul((-1) ** s, entry, minor))
         return out
 
     poly = minor_det(list(range(m)), list(range(m)))

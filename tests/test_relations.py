@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critvar.arrangement import ArrangementSpec, k_subsets, random_generic
 from critvar.errors import UsageError
-from critvar.laurent import LaurentPoly, poisson
+from critvar.laurent import poisson
 from critvar.relations import (
     build_relations,
     euler_relation,
@@ -15,6 +18,7 @@ from critvar.relations import (
     involution_suite,
     second_kind,
 )
+from ringref import mul, pvar, sub, zvar
 from test_arrangement import master_gradient
 from test_laurent import weighted_degrees
 
@@ -31,16 +35,11 @@ def test_small_generators_in_closed_form():
     spec = line_spec()
     assert first_kind(spec, ()).to_text() == "1/1*p1 + 1/1*p2"
     f12 = second_kind(spec, (1, 2))
-    expect = (
-        (LaurentPoly.zvar(2, 1) - LaurentPoly.zvar(2, 2))
-        * LaurentPoly.pvar(2, 1)
-        * LaurentPoly.pvar(2, 2)
-        + LaurentPoly.pvar(2, 1)
-        - LaurentPoly.pvar(2, 2)
-    )
+    expect = sub(mul(sub(zvar(2, 1), zvar(2, 2)), pvar(2, 1), pvar(2, 2)),
+                 sub(pvar(2, 2), pvar(2, 1)))
     assert f12 == expect
     g12 = g_comb(spec, (1, 2))
-    assert g12 == g_single(spec, 1) - g_single(spec, 2)
+    assert g12 == sub(g_single(spec, 1), g_single(spec, 2))
 
 
 def test_vanishing_at_known_critical_points():
@@ -102,10 +101,8 @@ def test_factorization():
     for n, k in [(3, 1), (4, 2), (5, 3)]:
         spec = random_generic(n, k, rng)
         for jset in k_subsets(n, k + 1):
-            prod = LaurentPoly.one(n)
-            for j in jset:
-                prod = prod * LaurentPoly.pvar(n, j)
-            assert second_kind(spec, jset) == prod * g_comb(spec, jset)
+            prod = mul(*(pvar(n, j) for j in jset))
+            assert second_kind(spec, jset) == mul(prod, g_comb(spec, jset))
 
 
 def test_involution_suite_counts_and_zeros():
@@ -121,12 +118,27 @@ def test_involution_suite_counts_and_zeros():
         assert all(r.ok for r in reports)
 
 
+# every (n, k) with n <= 12 whose algebra has dimension C(n-1, k) <= 20; the
+# bound on n is needed, as k = n-1 has dimension 1 and k = n-2 dimension n-1
+_SMALL_ALGEBRAS = [(n, k) for n in range(2, 13) for k in range(1, n)
+                   if math.comb(n - 1, k) <= 20]
+
+
+@pytest.mark.parametrize("n, k", _SMALL_ALGEBRAS)
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((9, 10**6)))
+def test_generators_are_in_involution_on_random_instances(n, k, seed, bound):
+    spec = random_generic(n, k, random.Random(seed), coeff_bound=bound)
+    reports = involution_suite(spec)
+    assert reports and all(r.residual.is_zero for r in reports)
+
+
 def test_bracket_machinery_detects_nonzero():
     # a single G_j against a first-kind generator has bracket d_{j,I}: the
     # suite's exact zeros are cancellations, not an artifact of the bracket
     spec = plane_spec()
     br = poisson(g_single(spec, 1), first_kind(spec, (2,)))
-    assert br == LaurentPoly.const(3, spec.plucker((1, 2)))
+    assert br == spec.plucker((1, 2))
     assert not br.is_zero
 
 
