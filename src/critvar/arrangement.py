@@ -84,7 +84,7 @@ class ArrangementSpec:
     operation on the image, and only at the end on the exact tables.
     """
 
-    def __init__(self, n, k, b, a):
+    def __init__(self, n, k, b, a, *, _minors=None):
         if not 1 <= k < n:
             raise UsageError(f"need 1 <= k < n, got n={n}, k={k}")
         if len(b) != n or any(len(row) != k for row in b):
@@ -101,12 +101,7 @@ class ArrangementSpec:
             raise UsageError("every weight must be nonzero")
         if self.weight_total == 0:
             raise UsageError("the weights must not sum to zero")
-        minors = {}
-        for key in k_subsets(n, k):
-            d = ratmat.det([list(b[i - 1]) for i in key])
-            if d == 0:
-                raise UsageError(f"degenerate instance: minor on rows {key} vanishes")
-            minors[key] = d
+        minors = _minors or _minor_table(n, k, b)  # random_generic passes the ones it checked
         # plucker and discriminant_coeffs per ordered sequence, lagrangian._chart
         # per chart; kept out of _key, so equality and hashing see n, k, b, a alone
         fields.update(_minors=minors, _plucker_memo={}, _coeffs_memo={}, _chart_memo={},
@@ -286,6 +281,17 @@ class ArrangementSpec:
         }
 
 
+def _minor_table(n, k, b):
+    """{k-subset: minor} of the rows of b; UsageError at the first that vanishes."""
+    minors = {}
+    for key in k_subsets(n, k):
+        d = ratmat.det([list(b[i - 1]) for i in key])
+        if d == 0:
+            raise UsageError(f"degenerate instance: minor on rows {key} vanishes")
+        minors[key] = d
+    return minors
+
+
 def random_generic(n, k, rng, coeff_bound=9, tries=500):
     """Sample a generic instance with small integer data, retrying on collisions."""
     if not 1 <= k < n:
@@ -297,14 +303,14 @@ def random_generic(n, k, rng, coeff_bound=9, tries=500):
             tuple(Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(k))
             for _ in range(n)
         )
-        if any(
-            ratmat.det([list(b[i - 1]) for i in key]) == 0 for key in k_subsets(n, k)
-        ):
+        try:
+            minors = _minor_table(n, k, b)
+        except UsageError:
             continue
         a = tuple(Fraction(_nonzero_int(rng, coeff_bound)) for _ in range(n))
         if sum(a) == 0:
             continue
-        return ArrangementSpec(n=n, k=k, b=b, a=a)
+        return ArrangementSpec(n=n, k=k, b=b, a=a, _minors=minors)
     raise GenerationError(f"no generic instance found in {tries} draws (n={n}, k={k})")
 
 

@@ -19,7 +19,7 @@ rationals), optional "z" (n rationals, or "sample"), "seed",
 
 Every run emits a report_v1 JSON document: command, the resolved config,
 one entry per check (name, status pass/fail/skipped, residual, count,
-expected), and timing; verify's and flows' timing also has "stages", the
+expected), and timing with "stages": for gen, verify and flows the
 seconds spent on each check, keyed by check name in run order.  solve's
 stages are the spectral route ("joint_spectrum") and route two ("newton"),
 and its "diagnostics.newton" gives route two's counts: vertex starts, chambers
@@ -33,8 +33,9 @@ the commutator "products" computed: all C(n, 2) pairs commute once
 [K_c, K_j] = 0 for every j, as the centralizer of a cyclic matrix is its
 polynomials; with no K_c certified every pair is computed.  Complex
 numbers are [re, im] pairs.  Each command takes only the tolerances it
-reads: flows --tol-fd; solve --tol-newton, --tol-spectral, --tol-hessian,
---tol-dedup.
+reads: flows --tol-fd; solve --tol-spectral, --tol-hessian, --tol-dedup.
+Both of solve's routes end in the same fixed Newton polish, which takes
+no tolerance.  gen --out writes the config alone.
 Exit status:
 0 all checks passed, 1 at least one failed, 2 bad usage or bad input
 data, 3 a numeric procedure gave up.  A reader that closes stdout early
@@ -64,7 +65,6 @@ from .arrangement import (
 from .errors import DomainError, NumericError, UsageError
 from .relations import euler_relation, g_single, involution_suite
 from .spectrum import (
-    _POLISH,
     hessian_direct,
     hessian_formula,
     jacobian_formula,
@@ -78,7 +78,7 @@ __all__ = ["main"]
 _TOLERANCES = {
     "verify": {},
     "flows": {"fd": 1e-6},
-    "solve": {"newton": _POLISH[1], "spectral": 1e-9, "hessian": 1e-8, "dedup": 1e-7},
+    "solve": {"spectral": 1e-9, "hessian": 1e-8, "dedup": 1e-7},
 }
 
 
@@ -120,11 +120,12 @@ def _resolve_z(raw, spec, seed):
 
 
 def _config_echo(raw, spec, z, seed):
-    echo = dict(spec.to_config(), seed=seed)
+    echo = spec.to_config()
     if z is not None:
         echo["z"] = [rat_str(x) for x in z]
     elif "z" in raw:
         echo["z"] = raw["z"]
+    echo["seed"] = seed
     return echo
 
 
@@ -160,14 +161,14 @@ def _say(text):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(report, out_path):
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        passed = sum(1 for c in report["checks"] if c["status"] == "pass")
-        text = f"wrote {out_path}: {passed}/{len(report['checks'])} checks passed"
-    _say(text)
+def _emit(report, out_path, part=None):
+    """Print the report, or write it to out_path: only report[part] when part is given."""
+    if not out_path:
+        return _say(json.dumps(report, indent=2))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(report if part is None else report[part], indent=2) + "\n")
+    passed = sum(1 for c in report["checks"] if c["status"] == "pass")
+    _say(f"wrote {out_path}: {passed}/{len(report['checks'])} checks passed")
 
 
 def _recorder(checks, stages):
@@ -184,7 +185,8 @@ def _recorder(checks, stages):
     return record
 
 
-def _finish(command, raw, spec, z, seed, checks, stages, started, out_path, extra=None):
+def _finish(command, raw, spec, z, seed, checks, stages, started, out_path, extra=None,
+            part=None):
     report = {
         "report": "report_v1",
         "command": command,
@@ -194,7 +196,7 @@ def _finish(command, raw, spec, z, seed, checks, stages, started, out_path, extr
     }
     if extra:
         report.update(extra)
-    _emit(report, out_path)
+    _emit(report, out_path, part)
     return 0 if all(c["status"] != "fail" for c in checks) else 1
 
 
@@ -314,9 +316,8 @@ def _cmd_solve(args):
     stages = {"joint_spectrum": round(time.perf_counter() - mark, 6)}
     mark = time.perf_counter()
     counts = {}
-    newton = newton_multistart(spec, z, seed=seed, tol=args.tol_newton,
-                               dedup_tol=args.tol_dedup, target_count=expected,
-                               stats=counts)
+    newton = newton_multistart(spec, z, seed=seed, dedup_tol=args.tol_dedup,
+                               target_count=expected, stats=counts)
     stages["newton"] = round(time.perf_counter() - mark, 6)
     checks.append(_check("critical_count_spectral", len(spectral.points) == expected,
                          None, len(spectral.points), expected))
@@ -480,27 +481,14 @@ def _cmd_gen(args):
         raise UsageError("gen needs --n and --k")
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
+    checks, stages = [], {}
+    record = _recorder(checks, stages)
     spec = random_generic(args.n, args.k, rng, coeff_bound=args.coeff_bound)
+    record(_check("generic_minors", True, None, math.comb(spec.n, spec.k), 0))
     z = sample_z(spec, rng)
-    config = dict(spec.to_config(), z=[rat_str(x) for x in z], seed=seed)
-    checks = [
-        _check("generic_minors", True, None, len(list(k_subsets(spec.n, spec.k))), 0),
-        _check("base_point_off_discriminant", spec.is_off_discriminant(z), None, 1, 0),
-    ]
-    report = {
-        "report": "report_v1",
-        "command": "gen",
-        "config": config,
-        "checks": checks,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(config, indent=2) + "\n")
-        _say(f"wrote {args.out}")
-    else:
-        _emit(report, None)
-    return 0 if all(c["status"] == "pass" for c in checks) else 1
+    record(_check("base_point_off_discriminant", spec.is_off_discriminant(z), None, 1, 0))
+    return _finish("gen", {}, spec, z, seed, checks, stages, started, args.out,
+                   part="config")
 
 
 # -- entry point ------------------------------------------------------------------

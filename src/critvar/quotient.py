@@ -15,21 +15,24 @@ Reduction to the basis is a rewrite with three moves:
   * a k-fold product containing j1 sheds it through a first-kind relation
     again, landing on basis monomials.
 
-Degrees below k climb with sum_j z_j p_j = |a|, so every monomial, and by
-linearity every polynomial, has a normal form.  Which move applies
-depends on the monomial alone, and each move writes it as a fixed
-rational combination of other monomials.  So the normal form of a
-monomial is that combination of its children's normal forms, whatever
-order a worklist would expand them in: the rewrite is linear and the
-arithmetic exact, so sharing a child's normal form between its parents
-gives the same Fractions as expanding it afresh under each (a worklist
-that skips a monomial whose merged coefficient cancels to zero skips a
-zero term).  reduce_monomial is that recursion, memoised per algebra as
-(den, sparse int coordinates) per monomial and combined in int over one
-lcm, so the dim * n products behind the operators share every
-intermediate monomial.  A monomial met again while its own children are
-being reduced would make the rewrite cycle; that raises DomainError
-naming it.
+Degrees below k climb by one rule: sum_j z_j p_j = |a| on the fiber, and
+for a k-subset I it is (1/d_I) sum_{j not in I} f_(j,I)(z) p_j, nonzero
+terms off the discriminant.  With I the smallest k-subset holding the
+monomial and j1, each new factor is fresh and not j1, so the unit climbs
+straight onto basis monomials.  So every monomial, and by linearity every
+polynomial, has a normal form.  Which move applies depends on the
+monomial alone, and each move writes it as a fixed rational combination
+of other monomials.  So the normal form of a monomial is that
+combination of its children's normal forms, whatever order a worklist
+would expand them in: the rewrite is linear and the arithmetic exact, so
+sharing a child's normal form between its parents gives the same
+Fractions as expanding it afresh under each (a worklist that skips a
+monomial whose merged coefficient cancels to zero skips a zero term).
+reduce_monomial is that recursion, memoised per algebra as (den, sparse
+int coordinates) per monomial and combined in int over one lcm, so the
+dim * n products behind the operators share every intermediate monomial.
+A monomial met again while its own children are being reduced would make
+the rewrite cycle; that raises DomainError naming it.
 
 Multiplication by p_j then becomes an exact rational matrix K_j on the
 basis; these commuting operators carry the whole structure, and their
@@ -106,13 +109,7 @@ def eliminate_first_kind(spec, j, forbidden=()):
         raise UsageError(
             f"forbidden set {forbidden} too large for a (k-1)-subset, k={spec.k}"
         )
-    iprime = list(forbidden)
-    cursor = 1
-    while len(iprime) < spec.k - 1:
-        if cursor != j and cursor not in iprime:
-            iprime.append(cursor)
-        cursor += 1
-    iprime = tuple(sorted(iprime))
+    iprime = _smallest_subset(spec.n, spec.k - 1, forbidden, j)
     pivot = spec.plucker((j,) + iprime)
     repl = {}
     for l in range(1, spec.n + 1):
@@ -120,6 +117,19 @@ def eliminate_first_kind(spec, j, forbidden=()):
             continue
         repl[l] = -spec.plucker((l,) + iprime) / pivot
     return repl
+
+
+def _smallest_subset(n, size, held, avoid=None):
+    """The lexicographically smallest size-subset of 1..n holding `held`, avoiding `avoid`."""
+    free = [i for i in range(1, n + 1) if i != avoid and i not in held]
+    return tuple(sorted([*held, *free[: size - len(held)]]))
+
+
+def _weighted_sum(spec, iset, z):
+    """(f_(j,I)(z) / d_I, j) for j outside the k-subset I: sum_j z_j p_j on the fiber."""
+    d = spec.plucker(iset)
+    return [(_signed_disc(spec, (j,) + iset, z) / d, j)
+            for j in range(1, spec.n + 1) if j not in iset]
 
 
 def _signed_disc(spec, seq, z):
@@ -222,10 +232,11 @@ class QuotientAlgebra:
         return []
 
     def _raise_degree(self, key):
-        # 1 = (1/|a|) sum_j z_j p_j on the fiber
+        # 1 = sum_{j not in I} f_(j,I)(z) / (d_I |a|) p_j, I holding key and j1
+        iset = _smallest_subset(self.spec.n, self.spec.k, {*key, self.j1})
         atot = self.spec.weight_total
-        return [(zj / atot, tuple(sorted(key + (j,))))
-                for j, zj in enumerate(self.z, start=1) if zj]
+        return [(c / atot, tuple(sorted(key + (j,))))
+                for c, j in _weighted_sum(self.spec, iset, self.z)]
 
     def _drop_by_second_kind(self, key, support):
         jset = tuple(support[: self.spec.k + 1])
@@ -416,12 +427,8 @@ def euler_operator_residual(alg, start=None):
 
 def weighted_sum_operator_residual(alg, iset, start=None):
     """(sum_j z_j K_j - (1/d_I) sum_{j not in I} f_{(j,I)}(z) K_j) start, I a k-subset."""
-    iset = tuple(sorted(iset))
-    spec = alg.spec
-    d = spec.plucker(iset)
-    terms = [(alg.z[j - 1], (j,)) for j in range(1, spec.n + 1) if alg.z[j - 1]]
-    terms += [(-_signed_disc(spec, (j,) + iset, alg.z) / d, (j,))
-              for j in range(1, spec.n + 1) if j not in iset]
+    terms = [(zj, (j,)) for j, zj in enumerate(alg.z, start=1) if zj]
+    terms += [(-c, (j,)) for c, j in _weighted_sum(alg.spec, tuple(sorted(iset)), alg.z)]
     return _combination(alg, terms, start)
 
 

@@ -447,7 +447,6 @@ def newton_multistart(
     spec,
     z,
     seed=0,
-    tol=_POLISH[1],
     dedup_tol=1e-7,
     target_count=None,
     stats=None,
@@ -468,15 +467,14 @@ def newton_multistart(
     after a redraw, so the path misses the discriminant with probability
     one and distinct starts end at distinct points; for real z on the
     first draw, z stays put.  Two full Newton steps at z and the _POLISH
-    polish every route ends with (down to tol relative to _gradient_floor)
-    finish each path.  When a path is lost, or ends within dedup_tol of
-    another, the round is redone, up to _RETRACKS times, through a fresh
-    (a_m, z_m) from the same generator: the leg to (a, z) may pass near the
-    discriminant, and shorter steps on it lose the same path again.  Each
-    round tracks the whole fiber, with steps a quarter as long, since which
-    start ends at which point depends on the middle point.  A count still
-    short of target_count raises NumericError with the counts; a short
-    list is never returned.
+    polish every route ends with finish each path.  When a path is lost,
+    or ends within dedup_tol of another, the round is redone, up to
+    _RETRACKS times, through a fresh (a_m, z_m) from the same generator:
+    the leg to (a, z) may pass near the discriminant, and shorter steps on
+    it lose the same path again.  Each round tracks the whole fiber, with
+    steps a quarter as long, since which start ends at which point depends
+    on the middle point.  A count still short of target_count raises
+    NumericError with the counts; a short list is never returned.
 
     Points come back sorted by momenta.  If stats is a dict it receives
     "vertex_starts" (summed over draws), "chambers" (on the last draw),
@@ -518,7 +516,7 @@ def newton_multistart(
         # the tracker's corrector stops at gradient 1e-10; two full Newton
         # steps at z first bring a path down to rounding
         ends[rows], _ = _polish(b, a, zc, ends[rows], 2, 0.0)
-        ends[rows], ok[rows] = _polish(b, a, zc, ends[rows], _POLISH[0], tol)
+        ends[rows], ok[rows] = _polish(b, a, zc, ends[rows], *_POLISH)
         gaps = np.abs(ends[:, None] - ends[None]).max(axis=2)
         gaps[~ok], gaps[:, ~ok] = np.inf, np.inf
         np.fill_diagonal(gaps, np.inf)

@@ -223,3 +223,15 @@ def test_sampling_determinism():
 def test_generation_budget():
     with pytest.raises(GenerationError):
         random_generic(4, 2, random.Random(1), coeff_bound=9, tries=0)
+
+
+def test_an_accepted_draw_computes_each_minor_once(monkeypatch):
+    # Random(1) accepts its first (6,3) draw: C(6,3) = 20 minors, none computed twice
+    calls = []
+    det = ratmat.det
+    monkeypatch.setattr(ratmat, "det", lambda rows: calls.append(rows) or det(rows))
+    spec = random_generic(6, 3, random.Random(1))
+    assert len(calls) == 20
+    monkeypatch.undo()
+    again = ArrangementSpec(6, 3, spec.b, spec.a)
+    assert spec == again and spec.tables() == again.tables()  # (a, b, minors)

@@ -276,8 +276,22 @@ def test_gen_emits_a_config_verify_accepts(tmp_path, capsys):
     capsys.readouterr()
     cfg = json.loads(out.read_text())
     assert cfg["n"] == 4 and cfg["k"] == 2 and len(cfg["b"]) == 4
+    # the file is the config of gen's report alone, in the order it is echoed
+    rc, report = run_json(capsys, ["gen", "--n", "4", "--k", "2", "--seed", "7"])
+    assert rc == 0 and report["config"] == cfg
+    assert list(cfg) == ["n", "k", "b", "a", "z", "seed"]
     rc, report = run_json(capsys, ["verify", "--config", str(out)])
     assert rc == 0
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_verify_near_k_equal_n_proves_on_the_unit(tmp_path, capsys):
+    # (10,8), dim 9: the unit climbs on squarefree monomials, so its orbit is cheap
+    out = tmp_path / "near.json"
+    assert main(["gen", "--n", "10", "--k", "8", "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc, report = run_json(capsys, ["verify", "--config", str(out)])
+    assert rc == 0 and report["diagnostics"]["verify"]["path"] == "unit_orbit"
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
@@ -372,6 +386,11 @@ def test_commands_take_only_the_tolerances_they_read(config_path, capsys):
         main(["flows", "--config", config_path, "--tol-newton", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol-newton" in capsys.readouterr().err
+    # route two's last polish is route one's, so solve has no Newton tolerance either
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", config_path, "--tol-newton", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-newton" in capsys.readouterr().err
     rc, report = run_json(capsys, ["solve", "--config", config_path, "--tol-dedup", "1e-6"])
     assert rc == 0 and len(report["points"]) == 3
 
@@ -461,12 +480,13 @@ def test_report_schema_is_pinned(tmp_path, capsys):
         assert [c["name"] for c in report["checks"]] == checks, command
         assert all(list(c) == ["name", "status", "residual", "count", "expected"]
                    for c in report["checks"]), command
-        assert list(report["timing"]) == (["seconds"] if command == "gen"
-                                          else ["seconds", "stages"]), command
+        assert list(report["timing"]) == ["seconds", "stages"], command
         if diagnostics is not None:
             assert {key: list(value) for key, value in report["diagnostics"].items()} \
                 == diagnostics, command
     assert all(list(point) == ["t", "p", "gradient_norm"] for point in reports["solve"]["points"])
+    # gen's stages are keyed by check name, as verify's and flows' are
+    assert list(reports["gen"]["timing"]["stages"]) == _REPORT_SCHEMA["gen"][1]
 
 
 def test_flows_stages_are_keyed_by_check_name(config_path, capsys):

@@ -84,8 +84,10 @@ def _reduce_by_worklist(alg, mono):
     """The rewrite as a worklist of (monomial, coefficient), popped until empty.
 
     The reference for the memoised recursion: each monomial popped is
-    expanded by the same three moves and degree raising, but nothing is
-    shared between calls and coefficients merge in Fraction.
+    expanded by the same three moves, but nothing is shared between calls
+    and coefficients merge in Fraction.  It raises degree by
+    (1/|a|) sum_j z_j p_j over every j, not by the recursion's weighted sum
+    over j outside one k-subset, so the two raising rules are compared too.
     """
     spec, k = alg.spec, alg.spec.k
     out = [Fraction(0)] * alg.dim
@@ -403,14 +405,30 @@ def _unit_by_solve(alg):
 
 
 def test_unit_element_two_routes():
-    # degree raising from the empty product against the solve route
-    for n, k, seed in [(3, 1, 1), (5, 1, 4), (4, 2, 2), (5, 3, 3), (6, 2, 5)]:
-        alg = random_algebra(n, k, seed + 60)
+    # degree raising from the empty product against the solve route, with
+    # k = n - 1 (dim 1) and k = n - 2 up to n = 11, and j1 other than 1
+    for n, k, seed, j1 in [(3, 1, 1, 1), (5, 1, 4, 1), (4, 2, 2, 1), (5, 3, 3, 1),
+                           (6, 2, 5, 1), (6, 2, 5, 4), (5, 4, 6, 1), (7, 6, 7, 7),
+                           (9, 8, 8, 2), (11, 10, 9, 6), (6, 4, 10, 1), (8, 6, 11, 8),
+                           (10, 8, 12, 3), (11, 9, 13, 1), (11, 9, 14, 11)]:
+        alg = random_algebra(n, k, seed + 60, j1=j1)
         assert alg.element_one() == _unit_by_solve(alg)
         # and the unit actually multiplies like a unit
         for j in range(1, n + 1):
             lhs = mat_vec(alg.bethe_operator(j), alg.element_one())
             assert lhs == alg.reduce_monomial((j,))
+
+
+@pytest.mark.parametrize("n, k, seed", [(10, 8, 108), (11, 10, 120)])
+def test_the_unit_climbs_on_squarefree_monomials_without_j1(n, k, seed):
+    # each raise multiplies by a fresh p_j, j not j1, so the unit's walk meets
+    # only subsets of the other n - 1 indices of size at most k
+    spec = random_generic(n, k, random.Random(seed))
+    for j1 in (1, n):
+        alg = QuotientAlgebra(spec, sample_z(spec, random.Random(1)), j1=j1)
+        alg.element_one()
+        assert all(len(set(key)) == len(key) and j1 not in key for key in alg._nf)
+        assert len(alg._nf) <= sum(math.comb(n - 1, d) for d in range(k + 1))
 
 
 def is_zero_class(alg, poly):
