@@ -5,7 +5,8 @@ Subcommands
 verify   algebraic identity battery for one instance (minor relations,
          rank of the discriminant span, brackets of the generators, and,
          when a base point is supplied, the full operator algebra; its
-         identities are proved on the certified cyclic unit vector).
+         identities are proved on the unit vector u once one operator is
+         certified cyclic from u and the operators commute).
 solve    critical points of one instance two ways (commuting-operator
          spectra, and a homotopy from the real chambers), cross-checked
          against each other and the determinant identities.
@@ -19,8 +20,10 @@ rationals), optional "z" (n rationals, or "sample"), "seed",
 
 Every run emits a report_v1 JSON document: command, the resolved config,
 one entry per check (name, status pass/fail/skipped, residual, count,
-expected), and timing with "stages": for gen, verify and flows the
-seconds spent on each check, keyed by check name in run order.  solve's
+expected), and timing with "stages": for verify and flows the seconds
+spent on each check, keyed by check name in run order.  gen has no
+checks; its "diagnostics.gen" counts the nonzero minors and the
+discriminant forms nonzero at z, of C(n, k) and C(n, k+1).  solve's
 stages are the spectral route ("joint_spectrum") and route two ("newton"),
 and its "diagnostics.newton" gives route two's counts: vertex starts, chambers
 of the real fiber, redraws, tracked paths and the paths tracked again
@@ -28,10 +31,11 @@ through a fresh middle point after one was lost or merged; verify's
 "diagnostics.verify" gives the path its operator identities took
 ("unit_orbit", "full_matrix", or null without a base point), the
 identities checked out of the total, and "commutators": the K_c certified
-cyclic ("cyclic") and the prime of its Krylov certificate, or nulls, and
-the commutator "products" computed: all C(n, 2) pairs commute once
+cyclic from u ("cyclic") and the prime of its Krylov certificate, or nulls,
+and the commutator "products" computed: all C(n, 2) pairs commute once
 [K_c, K_j] = 0 for every j, as the centralizer of a cyclic matrix is its
-polynomials; with no K_c certified every pair is computed.  Complex
+polynomials; with no K_c certified every pair is computed, check
+unit_vector_cyclic is skipped and every identity runs in full.  Complex
 numbers are [re, im] pairs.  Each command takes only the tolerances it
 reads: flows --tol-fd; solve --tol-spectral, --tol-hessian, --tol-dedup.
 Both of solve's routes end in the same fixed Newton polish, which takes
@@ -53,7 +57,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import ratmat
 from .arrangement import (
     ArrangementSpec,
     k_subsets,
@@ -250,22 +253,19 @@ def _cmd_verify(args):
     record(_check("quotient_dimension", dim == math.comb(spec.n - 1, spec.k),
                   None, dim, math.comb(spec.n - 1, spec.k)))
 
-    # all C(n, 2) pairs from n - 1 when K_c is certified cyclic (qt.cyclic_operator)
+    # one certificate (qt.cyclic_operator): u is cyclic for K_c, so all C(n, 2)
+    # pairs commute once n - 1 do, and then P(K) = 0 iff P(K) u = 0
     cyclic, prime = qt.cyclic_operator(alg)
     pairs = ([(cyclic, j) for j in range(1, n + 1) if j != cyclic] if cyclic
              else [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
     worst = max(_mat_residual(qt.commutator_residual(alg, i, j)) for i, j in pairs)
     record(_check("operator_commutators", worst == 0, worst, math.comb(n, 2), 0))
-    commute = worst == 0
     diag["identities_checked"] += math.comb(n, 2)
     diag["commutators"] = {"cyclic": cyclic, "prime": prime, "products": len(pairs)}
-
-    # With commuting operators and a cyclic unit, P(K) = 0 iff P(K) u = 0
-    # (see qt.unit_orbit); otherwise every identity is checked in full.
-    rank = ratmat.rank(qt.unit_orbit(alg))
-    record(_check("unit_vector_cyclic", rank == dim, None, rank, dim))
-    start = qt.unit_column(alg) if commute and rank == dim else None
-    diag["path"] = "full_matrix" if start is None else "unit_orbit"
+    record(_check("unit_vector_cyclic", True, None, dim, dim) if cyclic
+           else _skip("unit_vector_cyclic", "no operator certified cyclic from u"))
+    on_unit = cyclic is not None and worst == 0
+    diag["path"] = "unit_orbit" if on_unit else "full_matrix"
 
     families = [
         ("first_kind_operators", qt.first_kind_operator_residual, k_subsets(n, k - 1)),
@@ -276,7 +276,7 @@ def _cmd_verify(args):
     for name, residual, subsets in families:
         worst, count = 0.0, 0
         for sub in subsets:
-            worst = max(worst, _mat_residual(residual(alg, sub, start)))
+            worst = max(worst, _mat_residual(residual(alg, sub, on_unit)))
             count += 1
         record(_check(name, worst == 0, worst, count, 0))
         diag["identities_checked"] += count
@@ -481,14 +481,15 @@ def _cmd_gen(args):
         raise UsageError("gen needs --n and --k")
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
-    checks, stages = [], {}
-    record = _recorder(checks, stages)
     spec = random_generic(args.n, args.k, rng, coeff_bound=args.coeff_bound)
-    record(_check("generic_minors", True, None, math.comb(spec.n, spec.k), 0))
     z = sample_z(spec, rng)
-    record(_check("base_point_off_discriminant", spec.is_off_discriminant(z), None, 1, 0))
-    return _finish("gen", {}, spec, z, seed, checks, stages, started, args.out,
-                   part="config")
+    # facts of the draw, which random_generic and sample_z enforce: not checks
+    facts = {"nonzero_minors": sum(1 for key in k_subsets(spec.n, spec.k)
+                                   if spec.plucker(key)),
+             "nonzero_discriminant_forms": sum(1 for key in k_subsets(spec.n, spec.k + 1)
+                                               if spec.discriminant_value(key, z))}
+    return _finish("gen", {}, spec, z, seed, [], {}, started, args.out,
+                   {"diagnostics": {"gen": facts}}, part="config")
 
 
 # -- entry point ------------------------------------------------------------------

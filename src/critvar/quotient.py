@@ -37,21 +37,23 @@ the rewrite cycle; that raises DomainError naming it.
 Multiplication by p_j then becomes an exact rational matrix K_j on the
 basis; these commuting operators carry the whole structure, and their
 joint spectrum recovers the critical points themselves (the numeric side
-of that lives in spectrum.py).  They commute if the n-1 commutators with
-one K_c certified cyclic vanish (cyclic_operator, commutator_residual).
+of that lives in spectrum.py).  One Krylov certificate from the unit u
+(cyclic_operator) licenses two shortcuts: the operators commute if the
+n-1 commutators with the certified K_c vanish (commutator_residual), and
+then an identity P(K) = 0 holds if P(K) u = 0.
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
 its terms at z become (c, indices) pairs, an index -j standing for
-K_j^-1, and _combination sums c K_I start over them as one integer sum of
-orbit-table columns.  Each K_j^(+-1) is cleared to A_j / D_j once; the
-table entry for I is K_I start, one A_j applied in int to the entry one
-index shorter.  Each start block's table is kept per algebra (start=None
-is the identity, giving full matrices); the unit's holds K_I u = e_I,
-the certificate unit_orbit reads.  multiplication_matrix, normal_form
-(applied to the unit) and the operator forms of the first-kind,
-second-kind and Euler relations, taken straight from relations.py, all
-go through it.  relations.py and laurent.py are imported by the functions
-that read them, so the algebra and its operators load neither.
+K_j^-1, and _combination sums c K_I over them, applied to the identity
+or (on_unit) to the unit column u, as one integer sum of orbit-table
+columns.  Each K_j^(+-1) is cleared to A_j / D_j once; the table entry
+for I is K_I applied to the start, one A_j applied in int to the entry
+one index shorter.  The two tables are kept per algebra, keyed by
+on_unit.  multiplication_matrix, normal_form (on the unit) and the
+operator forms of the first-kind, second-kind and Euler relations, taken
+straight from relations.py, all go through it.  relations.py and
+laurent.py are imported by the functions that read them, so the algebra
+and its operators load neither.
 
 The module also realizes the singular-vector model: inside the big
 coordinate space V with one axis v_I per k-subset I, the weighted
@@ -73,7 +75,7 @@ import operator
 from fractions import Fraction
 
 from . import ratmat
-from .arrangement import _perm_sign, k_subsets, rat_str
+from .arrangement import _perm_sign, k_subsets
 from .errors import DomainError, UsageError
 
 __all__ = [
@@ -85,8 +87,6 @@ __all__ = [
     "weighted_sum_operator_residual",
     "commutator_residual",
     "cyclic_operator",
-    "unit_column",
-    "unit_orbit",
 ]
 
 
@@ -289,12 +289,11 @@ class QuotientAlgebra:
 
     def multiplication_matrix(self, poly):
         """P(K_1..K_n) for a Laurent polynomial in p alone (z already frozen)."""
-        return _combination(self, _poly_terms(self, poly), None)
+        return _combination(self, _poly_terms(self, poly), False)
 
     def normal_form(self, poly):
         """Basis coordinates of the class of an arbitrary Laurent polynomial."""
-        return [row[0] for row in _combination(self, _poly_terms(self, poly),
-                                               unit_column(self))]
+        return [row[0] for row in _combination(self, _poly_terms(self, poly), True)]
 
     # -- singular-vector model ------------------------------------------------
 
@@ -361,90 +360,58 @@ class QuotientAlgebra:
         """Full rank: the map's matrix B G^-1 Y_basis has the rank of Y_basis."""
         return ratmat.rank(self._special_rows()[1]) == self.dim
 
-    # -- serialization ----------------------------------------------------------
-
-    def describe(self):
-        return {
-            "n": self.spec.n,
-            "k": self.spec.k,
-            "z": [rat_str(v) for v in self.z],
-            "excluded_index": self.j1,
-            "dim": self.dim,
-            "basis": [list(mono) for mono in self.basis],
-            "operators": {
-                str(j): [[rat_str(x) for x in row] for row in self.bethe_operator(j)]
-                for j in range(1, self.spec.n + 1)
-            },
-        }
-
 
 # -- identities the operators satisfy, as exact residual matrices -------------
 #
-# Each residual is P(K) start for a polynomial identity P; start=None stands
-# for the identity matrix, so the residual is P(K) itself.
+# Each residual is P(K) for a polynomial identity P, or P(K) u on_unit.
 
 
-def unit_column(alg):
-    """The unit element as an m x 1 block, the start the verify battery uses."""
-    return [[x] for x in alg.element_one()]
-
-
-def unit_orbit(alg):
-    """W, with one column K_I u per basis monomial I, u the unit column.
-
-    A certificate that the identities may be checked on u alone.  K_j is
-    multiplication by p_j, so P(K) [1] = [P] for every polynomial P, and
-    K_I u = [p_I] = e_I: W is the identity matrix.  When the K_j commute
-    and W has full rank (u is cyclic), P(K) u = 0 gives
-    P(K) K^alpha u = K^alpha P(K) u = 0 for every alpha; the K^alpha u
-    span the algebra, so P(K) = 0.  The columns are read off the unit's
-    orbit table, the one the identity families sum.
-    """
-    table = _orbit_table(alg, unit_column(alg))
-    cols = [_orbit_entry(alg, table, mono) for mono in alg.basis]
-    return [[Fraction(col[0][r], den) for den, col in cols] for r in range(alg.dim)]
-
-
-def first_kind_operator_residual(alg, iset, start=None):
-    """(sum_j d_{j,I} K_j) start for a (k-1)-subset I; the zero matrix."""
+def first_kind_operator_residual(alg, iset, on_unit=False):
+    """sum_j d_{j,I} K_j for a (k-1)-subset I; the zero matrix."""
     from . import relations
     poly = relations.first_kind(alg.spec, tuple(sorted(iset)))
-    return _combination(alg, _poly_terms(alg, poly), start)
+    return _combination(alg, _poly_terms(alg, poly), on_unit)
 
 
-def second_kind_operator_residual(alg, jset, start=None):
-    """f_J(z) K_{j_1}..K_{j_{k+1}} minus its expansion into k-fold products, on start."""
+def second_kind_operator_residual(alg, jset, on_unit=False):
+    """f_J(z) K_{j_1}..K_{j_{k+1}} minus its expansion into k-fold products."""
     from . import relations
     poly = relations.second_kind(alg.spec, tuple(sorted(jset)))
-    return _combination(alg, _poly_terms(alg, poly), start)
+    return _combination(alg, _poly_terms(alg, poly), on_unit)
 
 
-def euler_operator_residual(alg, start=None):
-    """(sum_j z_j K_j - |a| id) start; the unit relation in operator form."""
+def euler_operator_residual(alg, on_unit=False):
+    """sum_j z_j K_j - |a| id; the unit relation in operator form."""
     from . import relations
-    return _combination(alg, _poly_terms(alg, relations.euler_relation(alg.spec)), start)
+    return _combination(alg, _poly_terms(alg, relations.euler_relation(alg.spec)), on_unit)
 
 
-def weighted_sum_operator_residual(alg, iset, start=None):
-    """(sum_j z_j K_j - (1/d_I) sum_{j not in I} f_{(j,I)}(z) K_j) start, I a k-subset."""
+def weighted_sum_operator_residual(alg, iset, on_unit=False):
+    """sum_j z_j K_j - (1/d_I) sum_{j not in I} f_{(j,I)}(z) K_j, I a k-subset."""
     terms = [(zj, (j,)) for j, zj in enumerate(alg.z, start=1) if zj]
     terms += [(-c, (j,)) for c, j in _weighted_sum(alg.spec, tuple(sorted(iset)), alg.z)]
-    return _combination(alg, terms, start)
+    return _combination(alg, terms, on_unit)
 
 
 def cyclic_operator(alg):
-    """(c, p) for the first K_c certified cyclic modulo the prime p, else (None, None).
+    """(c, p) for the first K_c certified cyclic from u modulo the prime p, else (None, None).
 
-    With A_c = D_c K_c in int, the Krylov matrix [e_1, A_c e_1, ..,
-    A_c^(m-1) e_1] has full rank mod p, so an integer determinant is
-    nonzero: e_1 is a cyclic vector of K_c over Q.  What commutes with a
-    cyclic matrix is a polynomial in it (Horn & Johnson, Matrix Analysis,
-    2nd ed., 3.2.4), so [K_c, K_j] = 0 for every j makes all pairs commute.
+    With A_c = D_c K_c in int and u the unit's cleared numerators, the
+    Krylov matrix [u, A_c u, .., A_c^(m-1) u] has full rank mod p, so an
+    integer determinant is nonzero: the K_c^i u span Q^m.  That proves two
+    facts.  K_c is cyclic, and what commutes with a cyclic matrix is a
+    polynomial in it (Horn & Johnson, Matrix Analysis, 2nd ed., 3.2.4), so
+    [K_c, K_j] = 0 for every j makes all pairs commute.  Then P(K) is a
+    polynomial in K_c too, and P(K) u = 0 gives P(K) K_c^i u = 0 for every
+    i: P(K) = 0.  On commuting operators u serves whenever any vector
+    does: a cyclic K_c then holds every K_j in Q[K_c], so the algebra is
+    Q[p_c] and its powers 1, p_c, p_c^2, .. (the K_c^i u) span it.
     """
     p = _PRIME
+    unit = ratmat._cleared([alg.element_one()])[1][0]
     for c in range(1, alg.spec.n + 1):
         op = [[x % p for x in row] for row in alg.int_operator(c)[1]]
-        krylov = [[int(r == 0) for r in range(alg.dim)]]
+        krylov = [[x % p for x in unit]]
         while len(krylov) < alg.dim:
             krylov.append([sum(map(operator.mul, row, krylov[-1])) % p for row in op])
         if ratmat._rank_mod(krylov, p) == alg.dim:
@@ -502,9 +469,9 @@ def _poly_terms(alg, poly):
     return terms
 
 
-def _combination(alg, terms, start):
-    """sum of c K_I start over the (c, I) in terms, one integer sum of table columns."""
-    table = _orbit_table(alg, start)
+def _combination(alg, terms, on_unit):
+    """sum of c K_I (applied to u on_unit) over the (c, I) in terms, one integer sum."""
+    table = _orbit_table(alg, on_unit)
     entries = [(c, _orbit_entry(alg, table, indices)) for c, indices in terms]
     den = math.lcm(*(c.denominator * d for c, (d, _) in entries))
     sums = [[0] * alg.dim for _ in table[()][1]]
@@ -515,17 +482,16 @@ def _combination(alg, terms, start):
     return [[Fraction(col[r], den) for col in sums] for r in range(alg.dim)]
 
 
-def _orbit_table(alg, start):
-    """index tuple -> (den, int columns) of K_I start, kept per algebra and start."""
-    key = None if start is None else tuple(map(tuple, start))
-    if key not in alg._orbits:
-        den, ints = ratmat._cleared(ratmat.identity(alg.dim) if start is None else start)
-        alg._orbits[key] = {(): (den, [list(col) for col in zip(*ints)])}
-    return alg._orbits[key]
+def _orbit_table(alg, on_unit):
+    """index tuple -> (den, int columns) of K_I applied to u or the identity, per algebra."""
+    if on_unit not in alg._orbits:
+        start = [alg.element_one()] if on_unit else ratmat.identity(alg.dim)
+        alg._orbits[on_unit] = {(): ratmat._cleared(start)}  # columns; I is symmetric
+    return alg._orbits[on_unit]
 
 
 def _orbit_entry(alg, table, indices):
-    """K_I start as (den, int columns): K_{i_r} applied to the entry for I minus i_r."""
+    """The entry for I, (den, int columns): K_{i_r} applied to the entry for I minus i_r."""
     if indices not in table:
         den, cols = _orbit_entry(alg, table, indices[:-1])
         dj, op = alg.int_operator(indices[-1])

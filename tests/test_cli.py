@@ -60,31 +60,34 @@ def test_verify_reports_every_identity(config_path, capsys):
         "commutators": {"cyclic": 1, "prime": 2**31 - 1, "products": 3}}}
 
 
-@pytest.mark.parametrize("attr, fake, failing", [
-    ("unit_orbit", lambda alg: zeros(alg.dim, alg.dim), "unit_vector_cyclic"),
-    ("commutator_residual", lambda alg, i, j: ratmat.identity(alg.dim),
-     "operator_commutators"),
+@pytest.mark.parametrize("attr, fake, rc, statuses, commutators", [
+    ("cyclic_operator", lambda alg: (None, None), 0,
+     {"unit_vector_cyclic": "skipped"}, {"cyclic": None, "prime": None, "products": 6}),
+    ("commutator_residual", lambda alg, i, j: ratmat.identity(alg.dim), 1,
+     {"operator_commutators": "fail"}, {"cyclic": 1, "prime": 2**31 - 1, "products": 3}),
 ], ids=["cyclicity", "commutators"])
 def test_uncertified_unit_vector_falls_back_to_full_matrices(config_path, capsys,
-                                                             monkeypatch, attr, fake,
-                                                             failing):
-    # either half of the certificate failing sends every family to full matrices
-    starts = []
+                                                             monkeypatch, attr, fake, rc,
+                                                             statuses, commutators):
+    # no K_c certified cyclic from u, or commutators that do not vanish,
+    # sends every family to full matrices
+    flags = []
     second_kind = qt.second_kind_operator_residual
 
-    def spy(alg, jset, start=None):
-        starts.append(start)
-        return second_kind(alg, jset, start)
+    def spy(alg, jset, on_unit=False):
+        flags.append(on_unit)
+        return second_kind(alg, jset, on_unit)
 
     monkeypatch.setattr(qt, attr, fake)
     monkeypatch.setattr(qt, "second_kind_operator_residual", spy)
-    rc, report = run_json(capsys, ["verify", "--config", config_path])
-    assert rc == 1
-    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == [failing]
-    assert starts and all(start is None for start in starts)
+    got, report = run_json(capsys, ["verify", "--config", config_path])
+    assert got == rc
+    assert {c["name"]: c["status"] for c in report["checks"]
+            if c["status"] != "pass"} == statuses
+    assert flags and not any(flags)
     assert report["diagnostics"]["verify"] == {
         "path": "full_matrix", "identities_checked": 21, "identities_total": 21,
-        "commutators": {"cyclic": 1, "prime": 2**31 - 1, "products": 3}}
+        "commutators": commutators}
 
 
 @pytest.fixture
@@ -139,6 +142,39 @@ def test_no_certified_operator_multiplies_every_pair(six_two_path, capsys, monke
     diag = report["diagnostics"]["verify"]
     assert diag["commutators"] == {"cyclic": None, "prime": None, "products": 15}
     assert diag["identities_checked"] == diag["identities_total"]
+
+
+def test_a_zero_unit_certifies_nothing_and_every_identity_runs_in_full(six_two_path,
+                                                                       capsys, monkeypatch):
+    # with u = 0 no Krylov matrix from u has full rank: every pair is multiplied
+    # out, and each identity is proved on the full matrices, so verify passes
+    monkeypatch.setattr(qt.QuotientAlgebra, "element_one",
+                        lambda alg: [Fraction(0)] * alg.dim)
+    calls = _commutator_spy(monkeypatch)
+    rc, report = run_json(capsys, ["verify", "--config", six_two_path])
+    assert rc == 0
+    assert calls == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses.pop("unit_vector_cyclic") == "skipped"
+    assert set(statuses.values()) == {"pass"}
+    diag = report["diagnostics"]["verify"]
+    assert diag["path"] == "full_matrix"
+    assert diag["commutators"] == {"cyclic": None, "prime": None, "products": 15}
+    assert diag["identities_checked"] == diag["identities_total"]
+
+
+def test_a_unit_path_verify_builds_one_orbit_table(six_two_path, capsys, monkeypatch):
+    algebras = []
+    certify = qt.cyclic_operator
+
+    def spy(alg):
+        algebras.append(alg)
+        return certify(alg)
+
+    monkeypatch.setattr(qt, "cyclic_operator", spy)
+    rc, report = run_json(capsys, ["verify", "--config", six_two_path])
+    assert rc == 0 and report["diagnostics"]["verify"]["path"] == "unit_orbit"
+    assert [list(alg._orbits) for alg in algebras] == [[True]]
 
 
 def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
@@ -444,8 +480,8 @@ def test_exact_commands_run_without_numpy(tmp_path):
 # --seed 5: the top-level keys, the check names in run order and the diagnostics keys
 # (the check entries, timing and solve points are pinned in the test).
 _REPORT_SCHEMA = {
-    "gen": (["report", "command", "config", "checks", "timing"],
-            ["generic_minors", "base_point_off_discriminant"], None),
+    "gen": (["report", "command", "config", "checks", "timing", "diagnostics"], [],
+            {"gen": ["nonzero_minors", "nonzero_discriminant_forms"]}),
     "verify": (["report", "command", "config", "checks", "timing", "diagnostics"],
                ["minor_relations", "discriminant_span_rank", "generator_brackets",
                 "quotient_dimension", "operator_commutators", "unit_vector_cyclic",
@@ -485,8 +521,10 @@ def test_report_schema_is_pinned(tmp_path, capsys):
             assert {key: list(value) for key, value in report["diagnostics"].items()} \
                 == diagnostics, command
     assert all(list(point) == ["t", "p", "gradient_norm"] for point in reports["solve"]["points"])
-    # gen's stages are keyed by check name, as verify's and flows' are
-    assert list(reports["gen"]["timing"]["stages"]) == _REPORT_SCHEMA["gen"][1]
+    # gen has no checks, so no stages; its facts count every minor and form at z
+    assert reports["gen"]["timing"]["stages"] == {}
+    assert reports["gen"]["diagnostics"]["gen"] == {
+        "nonzero_minors": math.comb(5, 2), "nonzero_discriminant_forms": math.comb(5, 3)}
 
 
 def test_flows_stages_are_keyed_by_check_name(config_path, capsys):

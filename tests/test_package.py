@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
@@ -19,6 +20,13 @@ def test_every_exported_name_is_its_home_modules_object():
         obj = getattr(critvar, name)
         assert obj.__module__.startswith("critvar."), name
         assert obj is getattr(importlib.import_module(obj.__module__), name), name
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in
+                                          pkgutil.iter_modules(critvar.__path__)))
+def test_every_name_in_a_layers_all_is_its_attribute(module):
+    layer = importlib.import_module(f"critvar.{module}")
+    assert [name for name in getattr(layer, "__all__", ()) if not hasattr(layer, name)] == []
 
 
 def test_unknown_names_and_dir():

@@ -20,8 +20,6 @@ from critvar.quotient import (
     euler_operator_residual,
     first_kind_operator_residual,
     second_kind_operator_residual,
-    unit_column,
-    unit_orbit,
     weighted_sum_operator_residual,
 )
 from critvar.relations import build_relations, euler_relation, g_comb
@@ -143,9 +141,6 @@ def test_memoised_rewrite_matches_the_worklist():
         assert alg.element_one() == _reduce_by_worklist(alg, ())
         for key in alg.all_subsets:
             assert alg.reduce_monomial(key) == _reduce_by_worklist(alg, key)
-        described = alg.describe()["operators"]
-        assert described == {str(j): [[rat_str(x) for x in row] for row in op]
-                             for j, op in enumerate(ops, start=1)}
 
 
 def test_reduce_monomial_returns_a_fresh_list():
@@ -220,17 +215,43 @@ def test_eliminate_first_kind():
 
 
 def _identity_families(alg):
-    """name -> residual(start) for every instance of every identity family."""
+    """name -> residual(on_unit) for every instance of every identity family."""
     n, k = alg.spec.n, alg.spec.k
     return {
-        "first_kind": lambda start: [first_kind_operator_residual(alg, iset, start)
-                                     for iset in k_subsets(n, k - 1)],
-        "second_kind": lambda start: [second_kind_operator_residual(alg, jset, start)
-                                      for jset in k_subsets(n, k + 1)],
-        "euler": lambda start: [euler_operator_residual(alg, start)],
-        "weighted_sum": lambda start: [weighted_sum_operator_residual(alg, iset, start)
-                                       for iset in k_subsets(n, k)],
+        "first_kind": lambda on_unit: [first_kind_operator_residual(alg, iset, on_unit)
+                                       for iset in k_subsets(n, k - 1)],
+        "second_kind": lambda on_unit: [second_kind_operator_residual(alg, jset, on_unit)
+                                        for jset in k_subsets(n, k + 1)],
+        "euler": lambda on_unit: [euler_operator_residual(alg, on_unit)],
+        "weighted_sum": lambda on_unit: [weighted_sum_operator_residual(alg, iset, on_unit)
+                                         for iset in k_subsets(n, k)],
     }
+
+
+def _unit_column(alg):
+    """The unit as an m x 1 block, the vector the on_unit residuals are applied to."""
+    return [[x] for x in alg.element_one()]
+
+
+def _unit_orbit(alg):
+    """W, one column K_I u per basis monomial I, by Fraction products.
+
+    Reads the cached integer operators, as the orbit table does, and checks
+    the unit's table against it.  K_j is multiplication by p_j, so K_I u =
+    [p_I] = e_I: on honest operators W is the identity, and u is cyclic.
+    """
+    ops = {j: [[Fraction(x, d) for x in row] for row in a]
+           for j in range(1, alg.spec.n + 1) for d, a in [alg.int_operator(j)]}
+    cols = []
+    for mono in alg.basis:
+        vec = alg.element_one()
+        for i in mono:
+            vec = mat_vec(ops[i], vec)
+        cols.append(vec)
+    table = qt._orbit_table(alg, True)
+    entries = [qt._orbit_entry(alg, table, mono) for mono in alg.basis]
+    assert cols == [[Fraction(x, den) for x in col] for den, (col,) in entries]
+    return ratmat.transpose(cols)
 
 
 def test_operator_identities():
@@ -241,27 +262,26 @@ def test_operator_identities():
             for j in range(i + 1, n + 1):
                 assert commutator_residual(alg, i, j) == zero
         # K_I u = [p_I] = e_I: the unit column is cyclic, with W the identity
-        assert unit_orbit(alg) == ratmat.identity(alg.dim)
-        unit = unit_column(alg)
+        assert _unit_orbit(alg) == ratmat.identity(alg.dim)
         for family in _identity_families(alg).values():
-            assert all(res == zero for res in family(None))
-            assert all(res == zeros(alg.dim, 1) for res in family(unit))
+            assert all(res == zero for res in family(False))
+            assert all(res == zeros(alg.dim, 1) for res in family(True))
 
 
 def test_corrupted_operator_fails_on_the_unit_column():
     # the unit column comes from the operators before the corruption
     for j, entry in [(1, (0, 0)), (1, (2, 3)), (3, (5, 1)), (3, (0, 4)), (5, (4, 2))]:
         alg = random_algebra(5, 2, 44)
-        unit = unit_column(alg)
+        unit = _unit_column(alg)
         assert all(alg.z[i - 1] != 0 for i in (1, 3))
         alg.operators()
         alg._ops[j][entry[0]][entry[1]] += Fraction(1, 7)
         assert any(commutator_residual(alg, j, i) != zeros(alg.dim, alg.dim)
                    for i in range(1, 6) if i != j)
         for name, family in _identity_families(alg).items():
-            on_unit = family(unit)
-            # the chain on a start block is the full residual applied to it
-            assert on_unit == [ratmat.mat_mul(res, unit) for res in family(None)], name
+            on_unit = family(True)
+            # the chain on the unit is the full residual applied to it
+            assert on_unit == [ratmat.mat_mul(res, unit) for res in family(False)], name
             if name != "euler" or alg.z[j - 1] != 0:  # z_j = 0 drops K_j from Euler
                 assert any(x != 0 for res in on_unit for row in res for x in row), name
 
@@ -287,7 +307,7 @@ def test_cyclic_certificate_and_the_n_minus_one_verdict(shape, seed, bump):
     cyclic, prime = qt.cyclic_operator(alg)
     assert (cyclic is None) == (prime is None)
     if cyclic is not None:
-        vec, krylov = [Fraction(int(r == 0)) for r in range(alg.dim)], []
+        vec, krylov = alg.element_one(), []
         for _ in range(alg.dim):
             krylov.append(vec)
             vec = [sum(x * y for x, y in zip(row, vec)) for row in ops[cyclic]]
@@ -329,19 +349,19 @@ def test_table_residuals_match_full_matrices():
     # k = 1, k = n - 1 (dim 1), and two middle cases
     for n, k, seed in [(4, 1, 91), (4, 3, 92), (5, 2, 93), (6, 3, 94)]:
         alg = random_algebra(n, k, seed)
-        unit = unit_column(alg)
+        unit = _unit_column(alg)
         zero = zeros(alg.dim, alg.dim)
         for name, family in _identity_families(alg).items():
-            full = family(None)
+            full = family(False)
             assert all(res == zero for res in full), name
-            assert family(unit) == [ratmat.mat_mul(res, unit) for res in full], name
+            assert family(True) == [ratmat.mat_mul(res, unit) for res in full], name
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 ki, kj = alg.bethe_operator(i), alg.bethe_operator(j)
                 assert commutator_residual(alg, i, j) == zero == [
                     [x - y for x, y in zip(r1, r2)]
                     for r1, r2 in zip(ratmat.mat_mul(ki, kj), ratmat.mat_mul(kj, ki))]
-        assert unit_orbit(alg) == ratmat.identity(alg.dim)
+        assert _unit_orbit(alg) == ratmat.identity(alg.dim)
         # the relations as matrices, against Fraction products
         rels = build_relations(alg.spec)
         for poly in [*rels.first.values(), *rels.second.values(), euler_relation(alg.spec)]:
@@ -353,7 +373,7 @@ def test_table_follows_the_operators_not_the_rewrite():
     # corrupted, non-commuting operators: the table and the Fraction products
     # still agree entry for entry, and the unit's table never calls the rewrite
     alg = random_algebra(5, 2, 95)
-    unit = unit_column(alg)
+    unit = _unit_column(alg)
     alg.operators()
     alg._ops[3][1][2] += Fraction(2, 9)
     alg._ops[4][0][5] -= 1
@@ -370,9 +390,9 @@ def test_table_follows_the_operators_not_the_rewrite():
         full = _combination_by_products(alg, terms)
         assert alg.multiplication_matrix(poly) == full
         assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
-    assert unit_orbit(alg) != ratmat.identity(alg.dim)
+    assert _unit_orbit(alg) != ratmat.identity(alg.dim)
     for name, family in _identity_families(alg).items():
-        assert family(unit) == [ratmat.mat_mul(res, unit) for res in family(None)], name
+        assert family(True) == [ratmat.mat_mul(res, unit) for res in family(False)], name
 
 
 def test_corrupted_integer_operator_makes_table_residuals_nonzero():
@@ -380,16 +400,15 @@ def test_corrupted_integer_operator_makes_table_residuals_nonzero():
     # with the Fraction operators intact, must show in every table check
     for j, (r, c) in [(2, (0, 0)), (3, (4, 1)), (5, (2, 5))]:
         alg = random_algebra(5, 2, 96)
-        unit = unit_column(alg)
         den, ints = alg.int_operator(j)
         ints[r][c] += den
         zero = zeros(alg.dim, 1)
         assert any(commutator_residual(alg, j, i) != zeros(alg.dim, alg.dim)
                    for i in range(1, 6) if i != j)
-        assert unit_orbit(alg) != ratmat.identity(alg.dim)
+        assert _unit_orbit(alg) != ratmat.identity(alg.dim)
         for name, family in _identity_families(alg).items():
             if name != "euler" or alg.z[j - 1] != 0:  # z_j = 0 drops K_j from Euler
-                assert any(res != zero for res in family(unit)), name
+                assert any(res != zero for res in family(True)), name
         # the Fraction operators themselves are untouched
         assert alg.bethe_operator(j) == random_algebra(5, 2, 96).bethe_operator(j)
 
@@ -645,10 +664,3 @@ def test_constructor_validation():
     cspec = ArrangementSpec(n=2, k=1, b=((1,), (1,)), a=(1 + 0j, 1 + 0j))
     with pytest.raises(UsageError):
         QuotientAlgebra(cspec, [0, 1])
-
-
-def test_describe_round_trip_shape():
-    alg = plane_algebra()
-    d = alg.describe()
-    assert d["dim"] == 1 and d["basis"] == [[2, 3]]
-    assert d["operators"]["3"] == [["3"]]
