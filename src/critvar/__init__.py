@@ -27,7 +27,7 @@ _HOMES = {
     "errors": ("CritvarError", "DomainError", "GenerationError", "NumericError",
                "UsageError"),
     "lagrangian": ("chart_complete", "chart_coords", "chart_vector", "flow_f", "flow_g",
-                   "generating_fd_residual", "generating_map", "projection_jacobian",
+                   "generating_fd_residual", "projection_jacobian",
                    "projection_jacobian_fd", "sample_chart_point", "scale_action",
                    "transition_expected", "transition_jacobian_fd"),
     "laurent": ("LaurentPoly", "poisson"),
@@ -36,7 +36,7 @@ _HOMES = {
                   "g_comb", "g_single", "involution_suite", "second_kind"),
     "spectrum": ("CriticalPoint", "SpectrumResult", "hessian_direct", "hessian_formula",
                  "jacobian_formula", "joint_spectrum", "match_point_sets",
-                 "newton_multistart", "poly_roots", "smoothness_witness"),
+                 "newton_multistart", "poly_roots"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = sorted(_HOME)

@@ -34,10 +34,10 @@ identities checked out of the total, and "commutators": the K_c certified
 cyclic from u ("cyclic") and the prime of its Krylov certificate, or nulls,
 and the commutator "products" computed: all C(n, 2) pairs commute once
 [K_c, K_j] = 0 for every j, as the centralizer of a cyclic matrix is its
-polynomials; with no K_c certified every pair is computed, check
-unit_vector_cyclic is skipped and every identity runs in full.  Complex
-numbers are [re, im] pairs.  Each command takes only the tolerances it
-reads: flows --tol-fd; solve --tol-spectral, --tol-hessian, --tol-dedup.
+polynomials; with no K_c certified every pair is computed and every
+identity runs in full.  Complex numbers are [re, im] pairs.  Each
+command takes only the tolerances it reads: flows --tol-fd; solve
+--tol-spectral, --tol-hessian, --tol-dedup.
 Both of solve's routes end in the same fixed Newton polish, which takes
 no tolerance.  gen --out writes the config alone.
 Exit status:
@@ -240,7 +240,7 @@ def _cmd_verify(args):
             + math.comb(n, k + 1) + 1 + math.comb(n, k),
             "commutators": {"cyclic": None, "prime": None, "products": 0}}
     if z is None:
-        for name in ("quotient_dimension", "operator_commutators", "unit_vector_cyclic",
+        for name in ("quotient_dimension", "operator_commutators",
                      "first_kind_operators", "second_kind_operators",
                      "euler_operator", "weighted_sum_operators",
                      "special_vector_map"):
@@ -262,8 +262,6 @@ def _cmd_verify(args):
     record(_check("operator_commutators", worst == 0, worst, math.comb(n, 2), 0))
     diag["identities_checked"] += math.comb(n, 2)
     diag["commutators"] = {"cyclic": cyclic, "prime": prime, "products": len(pairs)}
-    record(_check("unit_vector_cyclic", True, None, dim, dim) if cyclic
-           else _skip("unit_vector_cyclic", "no operator certified cyclic from u"))
     on_unit = cyclic is not None and worst == 0
     diag["path"] = "unit_orbit" if on_unit else "full_matrix"
 
@@ -451,6 +449,7 @@ def _cmd_flows(args):
     ok_flow, count = True, 0
     s = Fraction(3, 7)
     for iset, (zz, pp) in samples[: len(charts)]:
+        g_values = [gj.evaluate(zz, pp) for gj in singles]
         for sub in list(k_subsets(spec.n, spec.k - 1))[:3]:
             z2, p2 = lag.flow_f(spec, sub, s, zz, pp)
             ok_flow = ok_flow and member(z2, p2)
@@ -461,8 +460,8 @@ def _cmd_flows(args):
             except DomainError:
                 continue
             ok_flow = ok_flow and member(z2, p2)
-            for gj in singles:
-                ok_flow = ok_flow and gj.evaluate(z2, p2) == gj.evaluate(zz, pp)
+            for gj, value in zip(singles, g_values):
+                ok_flow = ok_flow and gj.evaluate(z2, p2) == value
             count += 1
         z2, p2 = lag.scale_action(Fraction(-5, 3), zz, pp)
         ok_flow = ok_flow and member(z2, p2)

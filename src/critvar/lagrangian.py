@@ -43,7 +43,6 @@ __all__ = [
     "chart_complete",
     "chart_coords",
     "chart_vector",
-    "generating_map",
     "generating_fd_residual",
     "transition_expected",
     "transition_jacobian_fd",
@@ -148,27 +147,6 @@ def _completion_jacobian(spec, iset, z, p):
         return zf + pf
 
     return [_derivative(completed, base, pos, _FD_STEP) for pos in range(spec.n)]
-
-
-def generating_map(spec, iset, z_part, p_part):
-    """The dependent z_j (j outside I) straight from the generating function.
-
-    z_j = a_j/p_j + sum_m (a_{i_m}/p_{i_m} - z_{i_m}) dp_{i_m}/dp_j with
-    dp_{i_m}/dp_j = (-1)^m d_{(j, I minus i_m)} / d_I; unwinding the signs
-    this is the same expression completion uses, so exact agreement is a
-    guard on both derivations rather than news.
-    """
-    iset = spec._check_subset(iset, spec.k)
-    z, p = chart_complete(spec, iset, z_part, p_part)
-    a, _, minors = spec.tables(z_part, p_part)
-    comp, d_full, signed = _chart(spec, iset, minors)
-    out = []
-    for j in comp:
-        val = a[j - 1] / p[j - 1]
-        for m, (i, c) in enumerate(zip(iset, signed)):
-            val = val + (a[i - 1] / p[i - 1] - z[i - 1]) * ((-1) ** (m + 1) * c[j] / d_full)
-        out.append(val)
-    return out
 
 
 def generating_fd_residual(spec, iset, z, p):

@@ -37,23 +37,27 @@ the rewrite cycle; that raises DomainError naming it.
 Multiplication by p_j then becomes an exact rational matrix K_j on the
 basis; these commuting operators carry the whole structure, and their
 joint spectrum recovers the critical points themselves (the numeric side
-of that lives in spectrum.py).  One Krylov certificate from the unit u
-(cyclic_operator) licenses two shortcuts: the operators commute if the
-n-1 commutators with the certified K_c vanish (commutator_residual), and
-then an identity P(K) = 0 holds if P(K) u = 0.
+of that lives in spectrum.py).  Each is stored once, in int: K_j = A_j /
+D_j (int_operator), column c of A_j read off the normal form of p_j p_I
+for basis class c, D_j the lcm of the columns' denominators, and
+K_j^-1 = D_j A_j^-1 cleared the same way; bethe_operator is a Fraction
+view of it.  The unit u is the normal form of the empty monomial.  One
+Krylov certificate from u (cyclic_operator) licenses two shortcuts: the
+operators commute if the n-1 commutators with the certified K_c vanish
+(commutator_residual), and then an identity P(K) = 0 holds if
+P(K) u = 0.
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
 its terms at z become (c, indices) pairs, an index -j standing for
 K_j^-1, and _combination sums c K_I over them, applied to the identity
 or (on_unit) to the unit column u, as one integer sum of orbit-table
-columns.  Each K_j^(+-1) is cleared to A_j / D_j once; the table entry
-for I is K_I applied to the start, one A_j applied in int to the entry
-one index shorter.  The two tables are kept per algebra, keyed by
-on_unit.  multiplication_matrix, normal_form (on the unit) and the
-operator forms of the first-kind, second-kind and Euler relations, taken
-straight from relations.py, all go through it.  relations.py and
-laurent.py are imported by the functions that read them, so the algebra
-and its operators load neither.
+columns.  The table entry for I is K_I applied to the start, one A_j
+applied in int to the entry one index shorter.  The two tables are kept
+per algebra, keyed by on_unit.  multiplication_matrix, normal_form (on
+the unit) and the operator forms of the first-kind, second-kind and
+Euler relations, taken straight from relations.py, all go through it.
+relations.py and laurent.py are imported by the functions that read
+them, so the algebra and its operators load neither.
 
 The module also realizes the singular-vector model: inside the big
 coordinate space V with one axis v_I per k-subset I, the weighted
@@ -64,7 +68,8 @@ prod_{i in I} a_i) is a well-defined isomorphism independent of which
 k-subset represents it.  That projection, P = B G^-1 B^T S with B the
 singular basis as columns and G = B^T S B, is never built: B G^-1 is
 injective, so P x = 0 exactly when B^T S x = 0, and the map is decided on
-the dim x C(n, k) matrix Y = B^T S D^-1, D = diag(d_J).
+the dim x C(n, k) matrix Y = B^T S D^-1, D = diag(d_J): on the int rows
+of B^T S, each cleared once, against the int normal forms of the p_J.
 """
 
 from __future__ import annotations
@@ -160,11 +165,9 @@ class QuotientAlgebra:
         self.all_subsets = tuple(k_subsets(spec.n, spec.k))
         self.v_index = {key: r for r, key in enumerate(self.all_subsets)}
         self._nf = {}
-        self._ops = {}
         self._int_ops = {}
         self._lines = {}
         self._orbits = {}
-        self._one = None
         self._sing = None
         self._rows = None
 
@@ -262,30 +265,45 @@ class QuotientAlgebra:
 
     # -- multiplication operators --------------------------------------------
 
-    def bethe_operator(self, j):
-        """Matrix of multiplication by p_j on the basis (column per basis class)."""
-        if not 1 <= j <= self.spec.n:
+    def int_operator(self, j):
+        """(D, A) with K_j = A / D in int, cached; j < 0 gives K_|j|^-1 (p_j is a unit).
+
+        Column c of A is D times the normal form of p_j p_I, I basis class c,
+        and D the lcm of the columns' denominators; K_j^-1 = D A^-1, cleared.
+        """
+        if not 1 <= abs(j) <= self.spec.n:
             raise UsageError(f"hyperplane index {j} out of range")
-        if j not in self._ops:
-            cols = [self.reduce_monomial(mono + (j,)) for mono in self.basis]
-            self._ops[j] = [[cols[c][r] for c in range(self.dim)] for r in range(self.dim)]
-        return self._ops[j]
+        if j not in self._int_ops:
+            if j > 0:
+                cols = [self._normal_form(tuple(sorted(mono + (j,)))) for mono in self.basis]
+                den = math.lcm(*(d for d, _ in cols))
+                ints = [[0] * self.dim for _ in range(self.dim)]
+                for c, (d, coords) in enumerate(cols):
+                    for r, x in coords.items():
+                        ints[r][c] = x * (den // d)
+                self._int_ops[j] = den, ints
+            else:
+                den, ints = self.int_operator(-j)
+                self._int_ops[j] = ratmat._cleared(
+                    [[den * x for x in row] for row in ratmat.inverse(ints)])
+        return self._int_ops[j]
+
+    def bethe_operator(self, j):
+        """Matrix of multiplication by p_j on the basis (column per basis class).
+
+        A fresh Fraction view of int_operator(j), which is what is stored.
+        """
+        if j < 1:
+            raise UsageError(f"hyperplane index {j} out of range")
+        den, ints = self.int_operator(j)
+        return [[Fraction(x, den) if x else _ZERO for x in row] for row in ints]
 
     def operators(self):
         return [self.bethe_operator(j) for j in range(1, self.spec.n + 1)]
 
-    def int_operator(self, j):
-        """(D, A) with K_j = A / D in int, cached; j < 0 gives K_|j|^-1 (p_j is a unit)."""
-        if j not in self._int_ops:
-            op = self.bethe_operator(abs(j))
-            self._int_ops[j] = ratmat._cleared(op if j > 0 else ratmat.inverse(op))
-        return self._int_ops[j]
-
     def element_one(self):
         """Coordinates of the unit: the empty monomial, rewritten onto the basis."""
-        if self._one is None:
-            self._one = self.reduce_monomial(())
-        return self._one
+        return self.reduce_monomial(())
 
     def multiplication_matrix(self, poly):
         """P(K_1..K_n) for a Laurent polynomial in p alone (z already frozen)."""
@@ -325,20 +343,22 @@ class QuotientAlgebra:
         return [math.prod(self.spec.a[i - 1] for i in key) for key in self.all_subsets]
 
     def _special_rows(self):
-        """(Y, its basis columns) with Y = B^T S D^-1, D = diag(d_J); cached.
+        """Rows T_i in int, each a positive multiple t_i of row i of B^T S; cached.
 
-        Raises DomainError unless G = B^T S B is invertible, the condition
-        for the projection P = B G^-1 B^T S to exist.
+        With each basis vector b cleared to b' and S to sigma, both in int,
+        T_i = b'_i sigma, so Y_iJ = T_iJ / (t_i d_J).  Raises DomainError
+        unless G = B^T S B is invertible, the condition for the projection
+        P = B G^-1 B^T S to exist; G's rank is that of the int matrix of the
+        T_i . b'_j, which only rescales its rows and columns.
         """
         if self._rows is None:
-            basis, diag = self.sing_basis(), self.s_diagonal()
-            bts = [[x * s for x, s in zip(bvec, diag)] for bvec in basis]
-            if ratmat.rank(ratmat.mat_mul(bts, ratmat.transpose(basis))) < self.dim:
+            sigma = ratmat._cleared([self.s_diagonal()])[1][0]
+            cols = [ratmat._cleared([bvec])[1][0] for bvec in self.sing_basis()]
+            rows = [[x * s for x, s in zip(col, sigma)] for col in cols]
+            if ratmat.rank([[sum(map(operator.mul, row, col)) for col in cols]
+                            for row in rows]) < self.dim:
                 raise DomainError("the form S degenerates on the singular subspace")
-            dets = [self.spec.plucker(key) for key in self.all_subsets]
-            rows = [[x / d for x, d in zip(row, dets)] for row in bts]
-            cols = [self.v_index[key] for key in self.basis]
-            self._rows = rows, [[row[c] for c in cols] for row in rows]
+            self._rows = rows
         return self._rows
 
     def mu_consistency(self):
@@ -348,17 +368,34 @@ class QuotientAlgebra:
         no matter how J relates to the basis: with R holding the reduced p_J
         as columns, column J of P D^-1 must equal column J of
         P_basis D_basis^-1 R, that is column J of Y must equal column J of
-        Y_basis R.  An empty list certifies the map is well defined on all
-        of V's axes.
+        Y_basis R.  In int, with p_J = sum_I (c_I / e) p_I, each minor d = u / v
+        and L the lcm of the u_I, entry i reads
+        (sum_I T_iI c_I v_I L / u_I) u_J = T_iJ L e v_J.  An empty list
+        certifies the map is well defined on all of V's axes.
         """
-        y, y_basis = self._special_rows()
-        reduced = ratmat.transpose([self.reduce_monomial(key) for key in self.all_subsets])
-        lhs = ratmat.mat_mul(y_basis, reduced)
-        return [key for key, u, v in zip(self.all_subsets, zip(*lhs), zip(*y)) if u != v]
+        rows = self._special_rows()
+        pos = [self.v_index[key] for key in self.basis]
+        minors = [self.spec.plucker(key) for key in self.basis]
+        bad = []
+        for key, col in zip(self.all_subsets, zip(*rows)):
+            e, coords = self._normal_form(key)
+            lcm = math.lcm(*(minors[r].numerator for r in coords))
+            terms = [(pos[r], x * minors[r].denominator * (lcm // minors[r].numerator))
+                     for r, x in coords.items()]
+            dj = self.spec.plucker(key)
+            u, scale = dj.numerator, lcm * e * dj.denominator
+            if any(sum(row[c] * m for c, m in terms) * u != t * scale
+                   for row, t in zip(rows, col)):
+                bad.append(key)
+        return bad
 
     def mu_is_isomorphism(self):
-        """Full rank: the map's matrix B G^-1 Y_basis has the rank of Y_basis."""
-        return ratmat.rank(self._special_rows()[1]) == self.dim
+        """Full rank: the map's matrix B G^-1 Y_basis has the rank of Y_basis.
+
+        That is the rank of T on the basis columns, Y_basis rescaled.
+        """
+        cols = [self.v_index[key] for key in self.basis]
+        return ratmat.rank([[row[c] for c in cols] for row in self._special_rows()]) == self.dim
 
 
 # -- identities the operators satisfy, as exact residual matrices -------------
@@ -408,7 +445,7 @@ def cyclic_operator(alg):
     Q[p_c] and its powers 1, p_c, p_c^2, .. (the K_c^i u) span it.
     """
     p = _PRIME
-    unit = ratmat._cleared([alg.element_one()])[1][0]
+    unit = _unit(alg)[1]
     for c in range(1, alg.spec.n + 1):
         op = [[x % p for x in row] for row in alg.int_operator(c)[1]]
         krylov = [[x % p for x in unit]]
@@ -436,6 +473,12 @@ def commutator_residual(alg, i, j):
                         else Fraction(x, rho_i * gam_j) - Fraction(y, rho_j * gam_i))
         out.append(line)
     return out
+
+
+def _unit(alg):
+    """(den, int coordinates) of the unit u: the normal form of the empty monomial."""
+    den, coords = alg._normal_form(())
+    return den, [coords.get(r, 0) for r in range(alg.dim)]
 
 
 def _lines(alg, j):
@@ -479,14 +522,19 @@ def _combination(alg, terms, on_unit):
         scale = c.numerator * (den // (c.denominator * d))
         for acc, col in zip(sums, cols):
             acc[:] = [x + scale * y for x, y in zip(acc, col)]
-    return [[Fraction(col[r], den) for col in sums] for r in range(alg.dim)]
+    return [[Fraction(col[r], den) if col[r] else _ZERO for col in sums]
+            for r in range(alg.dim)]
 
 
 def _orbit_table(alg, on_unit):
     """index tuple -> (den, int columns) of K_I applied to u or the identity, per algebra."""
     if on_unit not in alg._orbits:
-        start = [alg.element_one()] if on_unit else ratmat.identity(alg.dim)
-        alg._orbits[on_unit] = {(): ratmat._cleared(start)}  # columns; I is symmetric
+        if on_unit:
+            den, unit = _unit(alg)
+            start = den, [unit]
+        else:
+            start = 1, [[int(r == c) for r in range(alg.dim)] for c in range(alg.dim)]
+        alg._orbits[on_unit] = {(): start}  # columns; the identity is symmetric
     return alg._orbits[on_unit]
 
 

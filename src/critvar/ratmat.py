@@ -19,9 +19,6 @@ from fractions import Fraction
 from .errors import DomainError, UsageError
 
 __all__ = [
-    "identity",
-    "transpose",
-    "mat_mul",
     "rank",
     "nullspace",
     "inverse",
@@ -30,29 +27,10 @@ __all__ = [
 ]
 
 
-def identity(m):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-
-
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
-
-
 def _cleared(mat):
     """(D, D * mat over int) with D the lcm of the denominators of int/Fraction entries."""
     den = math.lcm(*(x.denominator for row in mat for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]
-
-
-def mat_mul(a, b):
-    """Exact product, accumulated in int on the denominator-cleared operands."""
-    if len(a[0]) != len(b):
-        raise UsageError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    da, ai = _cleared(a)
-    db, bi = _cleared(b)
-    den = da * db
-    cols = list(zip(*bi))
-    return [[Fraction(sum(map(operator.mul, row, col)), den) for col in cols] for row in ai]
 
 
 def _echelon(rows, width=None):

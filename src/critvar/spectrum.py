@@ -45,7 +45,6 @@ __all__ = [
     "hessian_direct",
     "hessian_formula",
     "jacobian_formula",
-    "smoothness_witness",
 ]
 
 
@@ -612,21 +611,3 @@ def jacobian_formula(spec, p):
         total = total + term
     return (-1) ** (spec.n - spec.k) * total
 
-
-def smoothness_witness(spec, z, t, iset):
-    """The mixed second-derivative determinant over a k-subset, both ways.
-
-    Returns (direct determinant, closed form (-1)^k d_I prod a_j / f_j^2);
-    the closed form never vanishes off the hyperplanes, which is the local
-    smoothness certificate for the critical-point equations.
-    """
-    a, b, minors = spec.tables(z, t)
-    iset = spec._check_subset(sorted(iset), spec.k)
-    fs = spec.hyperplane_values(z, t)
-    rows = [[-a[j - 1] * b[j - 1][l] / (fs[j - 1] * fs[j - 1]) for j in iset]
-            for l in range(spec.k)]
-    direct = ratmat.det(rows)
-    closed = (-1) ** spec.k * minors[iset]
-    for j in iset:
-        closed = closed * a[j - 1] / (fs[j - 1] * fs[j - 1])
-    return direct, closed

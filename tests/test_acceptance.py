@@ -21,8 +21,8 @@ from critvar.spectrum import (
     joint_spectrum,
     match_point_sets,
     newton_multistart,
-    smoothness_witness,
 )
+from test_spectrum import smoothness_witness
 
 F = Fraction
 

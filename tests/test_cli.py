@@ -16,7 +16,7 @@ import critvar
 from critvar import quotient as qt
 from critvar import cli, ratmat, spectrum
 from critvar.cli import main
-from test_ratmat import zeros
+from test_ratmat import identity
 
 
 @pytest.fixture
@@ -47,10 +47,8 @@ def test_verify_reports_every_identity(config_path, capsys):
     assert report["command"] == "verify"
     names = {c["name"] for c in report["checks"]}
     assert {"minor_relations", "generator_brackets", "operator_commutators",
-            "unit_vector_cyclic", "special_vector_map"} <= names
+            "special_vector_map"} <= names
     assert all(c["status"] == "pass" for c in report["checks"])
-    cyclic = next(c for c in report["checks"] if c["name"] == "unit_vector_cyclic")
-    assert cyclic["count"] == cyclic["expected"] == 3
     # one entry per check, in run order
     assert list(report["timing"]["stages"]) == [c["name"] for c in report["checks"]]
     # 6 commutator pairs (from 3 products with K_1), 4 + 4 first and second
@@ -62,8 +60,8 @@ def test_verify_reports_every_identity(config_path, capsys):
 
 @pytest.mark.parametrize("attr, fake, rc, statuses, commutators", [
     ("cyclic_operator", lambda alg: (None, None), 0,
-     {"unit_vector_cyclic": "skipped"}, {"cyclic": None, "prime": None, "products": 6}),
-    ("commutator_residual", lambda alg, i, j: ratmat.identity(alg.dim), 1,
+     {}, {"cyclic": None, "prime": None, "products": 6}),
+    ("commutator_residual", lambda alg, i, j: identity(alg.dim), 1,
      {"operator_commutators": "fail"}, {"cyclic": 1, "prime": 2**31 - 1, "products": 3}),
 ], ids=["cyclicity", "commutators"])
 def test_uncertified_unit_vector_falls_back_to_full_matrices(config_path, capsys,
@@ -113,14 +111,14 @@ def _commutator_spy(monkeypatch):
 def test_a_perturbed_operator_fails_the_cyclic_commutators(six_two_path, capsys,
                                                            monkeypatch):
     # one entry of K_3 off by one: [K_1, K_3] is among the n - 1 products
-    build = qt.QuotientAlgebra.bethe_operator
+    build = qt.QuotientAlgebra.int_operator
 
     def perturbed(alg, j):
-        op = build(alg, j)
-        return [[x + (j == 3 and (r, c) == (1, 2)) for c, x in enumerate(row)]
-                for r, row in enumerate(op)]
+        den, ints = build(alg, j)
+        return den, [[x + den * (j == 3 and (r, c) == (1, 2)) for c, x in enumerate(row)]
+                     for r, row in enumerate(ints)]
 
-    monkeypatch.setattr(qt.QuotientAlgebra, "bethe_operator", perturbed)
+    monkeypatch.setattr(qt.QuotientAlgebra, "int_operator", perturbed)
     calls = _commutator_spy(monkeypatch)
     rc, report = run_json(capsys, ["verify", "--config", six_two_path])
     assert rc == 1
@@ -148,14 +146,14 @@ def test_a_zero_unit_certifies_nothing_and_every_identity_runs_in_full(six_two_p
                                                                        capsys, monkeypatch):
     # with u = 0 no Krylov matrix from u has full rank: every pair is multiplied
     # out, and each identity is proved on the full matrices, so verify passes
-    monkeypatch.setattr(qt.QuotientAlgebra, "element_one",
-                        lambda alg: [Fraction(0)] * alg.dim)
+    normal_form = qt.QuotientAlgebra._normal_form
+    monkeypatch.setattr(qt.QuotientAlgebra, "_normal_form",
+                        lambda alg, key: (1, {}) if key == () else normal_form(alg, key))
     calls = _commutator_spy(monkeypatch)
     rc, report = run_json(capsys, ["verify", "--config", six_two_path])
     assert rc == 0
     assert calls == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
     statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert statuses.pop("unit_vector_cyclic") == "skipped"
     assert set(statuses.values()) == {"pass"}
     diag = report["diagnostics"]["verify"]
     assert diag["path"] == "full_matrix"
@@ -186,7 +184,6 @@ def test_verify_without_base_point_skips_operator_checks(tmp_path, capsys):
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["minor_relations"] == "pass"
     assert statuses["operator_commutators"] == "skipped"
-    assert statuses["unit_vector_cyclic"] == "skipped"
     assert list(report["timing"]["stages"]) == [
         "minor_relations", "discriminant_span_rank", "generator_brackets"]
     # 3 commutator pairs, 1 + 3 first and second kind, 1 Euler, 3 weighted sums
@@ -484,9 +481,9 @@ _REPORT_SCHEMA = {
             {"gen": ["nonzero_minors", "nonzero_discriminant_forms"]}),
     "verify": (["report", "command", "config", "checks", "timing", "diagnostics"],
                ["minor_relations", "discriminant_span_rank", "generator_brackets",
-                "quotient_dimension", "operator_commutators", "unit_vector_cyclic",
-                "first_kind_operators", "second_kind_operators", "euler_operator",
-                "weighted_sum_operators", "special_vector_map"],
+                "quotient_dimension", "operator_commutators", "first_kind_operators",
+                "second_kind_operators", "euler_operator", "weighted_sum_operators",
+                "special_vector_map"],
                {"verify": ["path", "identities_checked", "identities_total",
                            "commutators"]}),
     "solve": (["report", "command", "config", "checks", "timing", "points",

@@ -24,7 +24,7 @@ from critvar.quotient import (
 )
 from critvar.relations import build_relations, euler_relation, g_comb
 from ringref import add, mul, pvar, sub, zvar
-from test_ratmat import _inverse_by_rref, _solve, mat_vec, zeros
+from test_ratmat import _inverse_by_rref, _solve, identity, mat_mul, mat_vec, transpose, zeros
 
 
 def line_algebra():
@@ -136,11 +136,35 @@ def test_memoised_rewrite_matches_the_worklist():
         alg = random_algebra(n, k, seed, j1=j1)
         ops = [[_reduce_by_worklist(alg, mono + (j,)) for mono in alg.basis]
                for j in range(1, n + 1)]
-        ops = [ratmat.transpose(cols) for cols in ops]
+        ops = [transpose(cols) for cols in ops]
         assert alg.operators() == ops
         assert alg.element_one() == _reduce_by_worklist(alg, ())
         for key in alg.all_subsets:
             assert alg.reduce_monomial(key) == _reduce_by_worklist(alg, key)
+
+
+def _operator_by_columns(alg, j):
+    """K_j from Fraction columns of reduce_monomial, its cleared form, and K_j^-1's."""
+    op = transpose([alg.reduce_monomial(mono + (j,)) for mono in alg.basis])
+    return op, ratmat._cleared(op), ratmat._cleared(ratmat.inverse(op))
+
+
+@pytest.mark.parametrize("n, k, seed", [(5, 1, 111), (5, 4, 112), (6, 3, 113), (7, 3, 114),
+                                        (8, 3, 115)])
+def test_integer_operators_match_the_cleared_fraction_columns(n, k, seed):
+    # the stored (D, A) is built from the normal forms in int; clearing the
+    # Fraction matrix of the same columns, or its inverse, gives it exactly
+    for j1 in (1, n):
+        alg, ref = random_algebra(n, k, seed, j1=j1), random_algebra(n, k, seed, j1=j1)
+        for j in range(1, n + 1):
+            op, cleared, inv = _operator_by_columns(ref, j)
+            assert alg.int_operator(j) == cleared
+            assert alg.int_operator(-j) == inv
+            assert alg.bethe_operator(j) == op
+    with pytest.raises(UsageError):
+        alg.int_operator(0)
+    with pytest.raises(UsageError):
+        alg.bethe_operator(-1)
 
 
 def test_reduce_monomial_returns_a_fresh_list():
@@ -251,7 +275,7 @@ def _unit_orbit(alg):
     table = qt._orbit_table(alg, True)
     entries = [qt._orbit_entry(alg, table, mono) for mono in alg.basis]
     assert cols == [[Fraction(x, den) for x in col] for den, (col,) in entries]
-    return ratmat.transpose(cols)
+    return transpose(cols)
 
 
 def test_operator_identities():
@@ -262,26 +286,33 @@ def test_operator_identities():
             for j in range(i + 1, n + 1):
                 assert commutator_residual(alg, i, j) == zero
         # K_I u = [p_I] = e_I: the unit column is cyclic, with W the identity
-        assert _unit_orbit(alg) == ratmat.identity(alg.dim)
+        assert _unit_orbit(alg) == identity(alg.dim)
         for family in _identity_families(alg).values():
             assert all(res == zero for res in family(False))
             assert all(res == zeros(alg.dim, 1) for res in family(True))
 
 
+def _bump_operator(alg, j, entry, delta):
+    """Move one entry of the stored K_j by delta, in its integer form (D, A)."""
+    den, ints = alg.int_operator(j)
+    mat = [[Fraction(x, den) for x in row] for row in ints]
+    mat[entry[0]][entry[1]] += delta
+    alg._int_ops[j] = ratmat._cleared(mat)
+
+
 def test_corrupted_operator_fails_on_the_unit_column():
-    # the unit column comes from the operators before the corruption
+    # the unit column comes from the rewrite, before the corruption
     for j, entry in [(1, (0, 0)), (1, (2, 3)), (3, (5, 1)), (3, (0, 4)), (5, (4, 2))]:
         alg = random_algebra(5, 2, 44)
         unit = _unit_column(alg)
         assert all(alg.z[i - 1] != 0 for i in (1, 3))
-        alg.operators()
-        alg._ops[j][entry[0]][entry[1]] += Fraction(1, 7)
+        _bump_operator(alg, j, entry, Fraction(1, 7))
         assert any(commutator_residual(alg, j, i) != zeros(alg.dim, alg.dim)
                    for i in range(1, 6) if i != j)
         for name, family in _identity_families(alg).items():
             on_unit = family(True)
             # the chain on the unit is the full residual applied to it
-            assert on_unit == [ratmat.mat_mul(res, unit) for res in family(False)], name
+            assert on_unit == [mat_mul(res, unit) for res in family(False)], name
             if name != "euler" or alg.z[j - 1] != 0:  # z_j = 0 drops K_j from Euler
                 assert any(x != 0 for res in on_unit for row in res for x in row), name
 
@@ -316,7 +347,7 @@ def test_cyclic_certificate_and_the_n_minus_one_verdict(shape, seed, bump):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             got = commutator_residual(alg, i, j)
-            left, right = ratmat.mat_mul(ops[i], ops[j]), ratmat.mat_mul(ops[j], ops[i])
+            left, right = mat_mul(ops[i], ops[j]), mat_mul(ops[j], ops[i])
             assert got == [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
             verdict[i, j] = got == zero
     if cyclic is not None:
@@ -337,10 +368,10 @@ def _combination_by_products(alg, terms):
     """sum of c K_{i_r}..K_{i_1} over (c, indices), by Fraction matrix products."""
     total = zeros(alg.dim, alg.dim)
     for c, indices in terms:
-        mat = ratmat.identity(alg.dim)
+        mat = identity(alg.dim)
         for i in indices:
             op = alg.bethe_operator(abs(i))
-            mat = ratmat.mat_mul(op if i > 0 else ratmat.inverse(op), mat)
+            mat = mat_mul(op if i > 0 else ratmat.inverse(op), mat)
         total = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(total, mat)]
     return total
 
@@ -354,14 +385,14 @@ def test_table_residuals_match_full_matrices():
         for name, family in _identity_families(alg).items():
             full = family(False)
             assert all(res == zero for res in full), name
-            assert family(True) == [ratmat.mat_mul(res, unit) for res in full], name
+            assert family(True) == [mat_mul(res, unit) for res in full], name
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 ki, kj = alg.bethe_operator(i), alg.bethe_operator(j)
                 assert commutator_residual(alg, i, j) == zero == [
                     [x - y for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(ratmat.mat_mul(ki, kj), ratmat.mat_mul(kj, ki))]
-        assert _unit_orbit(alg) == ratmat.identity(alg.dim)
+                    for r1, r2 in zip(mat_mul(ki, kj), mat_mul(kj, ki))]
+        assert _unit_orbit(alg) == identity(alg.dim)
         # the relations as matrices, against Fraction products
         rels = build_relations(alg.spec)
         for poly in [*rels.first.values(), *rels.second.values(), euler_relation(alg.spec)]:
@@ -375,13 +406,13 @@ def test_table_follows_the_operators_not_the_rewrite():
     alg = random_algebra(5, 2, 95)
     unit = _unit_column(alg)
     alg.operators()
-    alg._ops[3][1][2] += Fraction(2, 9)
-    alg._ops[4][0][5] -= 1
+    _bump_operator(alg, 3, (1, 2), Fraction(2, 9))
+    _bump_operator(alg, 4, (0, 5), -1)
 
     def no_rewrite(mono):
-        raise AssertionError("the orbit table read reduce_monomial")
+        raise AssertionError("the orbit table ran a rewrite move")
 
-    alg.reduce_monomial = no_rewrite
+    alg._move = no_rewrite
     p = [pvar(5, j) for j in range(1, 6)]
     inv = pvar(5, 4, exp=-1)
     for poly in [sub(mul(p[2], p[3]), mul(p[3], p[4])), add(mul(p[2], inv, p[1]), 3),
@@ -390,14 +421,14 @@ def test_table_follows_the_operators_not_the_rewrite():
         full = _combination_by_products(alg, terms)
         assert alg.multiplication_matrix(poly) == full
         assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
-    assert _unit_orbit(alg) != ratmat.identity(alg.dim)
+    assert _unit_orbit(alg) != identity(alg.dim)
     for name, family in _identity_families(alg).items():
-        assert family(True) == [ratmat.mat_mul(res, unit) for res in family(False)], name
+        assert family(True) == [mat_mul(res, unit) for res in family(False)], name
 
 
 def test_corrupted_integer_operator_makes_table_residuals_nonzero():
     # the table reads the cached integer operators: corrupting one of those,
-    # with the Fraction operators intact, must show in every table check
+    # with the rewrite intact, must show in every table check
     for j, (r, c) in [(2, (0, 0)), (3, (4, 1)), (5, (2, 5))]:
         alg = random_algebra(5, 2, 96)
         den, ints = alg.int_operator(j)
@@ -405,19 +436,22 @@ def test_corrupted_integer_operator_makes_table_residuals_nonzero():
         zero = zeros(alg.dim, 1)
         assert any(commutator_residual(alg, j, i) != zeros(alg.dim, alg.dim)
                    for i in range(1, 6) if i != j)
-        assert _unit_orbit(alg) != ratmat.identity(alg.dim)
+        assert _unit_orbit(alg) != identity(alg.dim)
         for name, family in _identity_families(alg).items():
             if name != "euler" or alg.z[j - 1] != 0:  # z_j = 0 drops K_j from Euler
                 assert any(res != zero for res in family(True)), name
-        # the Fraction operators themselves are untouched
-        assert alg.bethe_operator(j) == random_algebra(5, 2, 96).bethe_operator(j)
+        # the Fraction view shows the stored form; the rewrite is untouched
+        honest = random_algebra(5, 2, 96)
+        assert alg.bethe_operator(j) != honest.bethe_operator(j)
+        assert ([alg.reduce_monomial(mono + (j,)) for mono in alg.basis]
+                == [honest.reduce_monomial(mono + (j,)) for mono in alg.basis])
 
 
 def _unit_by_solve(alg):
     """The unit as the solution u of (prod_{i in I} K_i) u = e_I, I the first basis class."""
-    mat = ratmat.identity(alg.dim)
+    mat = identity(alg.dim)
     for i in alg.basis[0]:
-        mat = ratmat.mat_mul(mat, alg.bethe_operator(i))
+        mat = mat_mul(mat, alg.bethe_operator(i))
     rhs = [Fraction(0)] * alg.dim
     rhs[0] = Fraction(1)
     return _solve(mat, rhs)
@@ -533,7 +567,7 @@ def _scaled_axis(alg, key):
 
 
 def _mu_by_axes(alg):
-    return ratmat.transpose([_scaled_axis(alg, mono) for mono in alg.basis])
+    return transpose([_scaled_axis(alg, mono) for mono in alg.basis])
 
 
 def _mu_consistency_per_subset(alg):
@@ -550,6 +584,20 @@ def test_special_vector_map_matches_the_per_vector_projection():
         alg = random_algebra(n, k, seed, j1=j1)
         assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == []
         assert alg.mu_is_isomorphism() and ratmat.rank(_mu_by_axes(alg)) == alg.dim
+
+
+def _corrupt_normal_forms(alg, keys):
+    """Add 1/7 to coordinate 0 of the stored normal form of each k-subset in keys.
+
+    Every k-subset is reduced first, so no stored normal form is built on a
+    corrupted one: reduce_monomial and mu_consistency both read the change.
+    """
+    for key in alg.all_subsets:
+        den, coords = alg._normal_form(key)
+        if key in keys:
+            coords = {r: 7 * x for r, x in coords.items()}
+            coords[0] = coords.get(0, 0) + den
+            alg._nf[key] = 7 * den, coords
 
 
 @st.composite
@@ -579,15 +627,7 @@ def test_special_vector_map_on_the_rows_matches_the_gram_projection(case):
     assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == []
     assert alg.mu_is_isomorphism() and ratmat.rank(_mu_by_axes(alg)) == alg.dim
     keys = {alg.all_subsets[i] for i in corrupt}
-    honest = alg.reduce_monomial
-
-    def reduce_monomial(mono):
-        coords = honest(mono)
-        if tuple(sorted(mono)) in keys:
-            coords[0] += Fraction(1, 7)
-        return coords
-
-    alg.reduce_monomial = reduce_monomial
+    _corrupt_normal_forms(alg, keys)
     bad = [key for key in alg.all_subsets if key in keys]
     assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == bad
 
@@ -620,16 +660,8 @@ def test_a_degenerate_form_raises_and_exits_two(tmp_path, capsys, monkeypatch):
 def test_corrupted_reduction_gives_the_same_bad_subsets():
     alg = random_algebra(5, 2, 76)
     corrupt = {alg.all_subsets[0], alg.basis[2], alg.all_subsets[-1]}
-    honest = alg.reduce_monomial
-
-    def reduce_monomial(mono):
-        coords = honest(mono)
-        if tuple(sorted(mono)) in corrupt:
-            coords[0] += Fraction(1, 7)
-        return coords
-
     alg.operators()  # built from the honest rewrite
-    alg.reduce_monomial = reduce_monomial
+    _corrupt_normal_forms(alg, corrupt)
     bad = [key for key in alg.all_subsets if key in corrupt]
     assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == bad
 
@@ -649,7 +681,7 @@ def test_normal_form_is_the_matrix_applied_to_the_unit():
             full = alg.multiplication_matrix(poly)
             assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
         assert alg.multiplication_matrix(inv[0]) == ratmat.inverse(alg.bethe_operator(1))
-        assert alg.multiplication_matrix(mul(p[0], p[1])) == ratmat.mat_mul(
+        assert alg.multiplication_matrix(mul(p[0], p[1])) == mat_mul(
             alg.bethe_operator(1), alg.bethe_operator(2))
 
 
