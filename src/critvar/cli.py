@@ -37,7 +37,7 @@ and the commutator "products" computed: all C(n, 2) pairs commute once
 polynomials; with no K_c certified every pair is computed and every
 identity runs in full.  Complex numbers are [re, im] pairs.  Each
 command takes only the tolerances it reads: flows --tol-fd; solve
---tol-spectral, --tol-hessian, --tol-dedup.
+--tol-spectral, --tol-hessian.
 Both of solve's routes end in the same fixed Newton polish, which takes
 no tolerance.  gen --out writes the config alone.
 Exit status:
@@ -81,7 +81,7 @@ __all__ = ["main"]
 _TOLERANCES = {
     "verify": {},
     "flows": {"fd": 1e-6},
-    "solve": {"spectral": 1e-9, "hessian": 1e-8, "dedup": 1e-7},
+    "solve": {"spectral": 1e-9, "hessian": 1e-8},
 }
 
 
@@ -314,8 +314,7 @@ def _cmd_solve(args):
     stages = {"joint_spectrum": round(time.perf_counter() - mark, 6)}
     mark = time.perf_counter()
     counts = {}
-    newton = newton_multistart(spec, z, seed=seed, dedup_tol=args.tol_dedup,
-                               target_count=expected, stats=counts)
+    newton = newton_multistart(spec, z, seed=seed, target_count=expected, stats=counts)
     stages["newton"] = round(time.perf_counter() - mark, 6)
     checks.append(_check("critical_count_spectral", len(spectral.points) == expected,
                          None, len(spectral.points), expected))

@@ -59,17 +59,30 @@ Euler relations, taken straight from relations.py, all go through it.
 relations.py and laurent.py are imported by the functions that read
 them, so the algebra and its operators load neither.
 
-The module also realizes the singular-vector model: inside the big
-coordinate space V with one axis v_I per k-subset I, the weighted
-antisymmetrized sums cut out a subspace Sing V of the same dimension
-C(n-1, k), and the map sending the class of d_I p_I to the orthogonal
-projection of v_I (orthogonal for the diagonal form S with entries
-prod_{i in I} a_i) is a well-defined isomorphism independent of which
-k-subset represents it.  That projection, P = B G^-1 B^T S with B the
-singular basis as columns and G = B^T S B, is never built: B G^-1 is
-injective, so P x = 0 exactly when B^T S x = 0, and the map is decided on
-the dim x C(n, k) matrix Y = B^T S D^-1, D = diag(d_J): on the int rows
-of B^T S, each cleared once, against the int normal forms of the p_J.
+The module also realizes the singular-vector model.  V has one axis e_I
+per k-subset I, and Sing V is the kernel of the contraction iota_a e_J =
+sum_m (-1)^m a_(j_m) e_(J - j_m), j_0 < j_1 < .. the elements of J.  The
+spec refuses a zero weight and |a| = 0, so two theorems hold:
+
+  * Sing V has the basis b_I = iota_a(e_1 ^ e_I) / a_1 = e_I + sum_m
+    (-1)^(m+1) (a_(i_m) / a_1) e_({1} u I - i_m), one per k-subset I
+    avoiding 1 (a_1 != 0).  iota_a^2 = 0 puts b_I in the kernel; a kernel
+    vector minus its b_I parts is e_1 ^ y, y free of 1, and the part of
+    iota_a(e_1 ^ y) free of 1 is a_1 y, so y = 0.
+  * The diagonal form S, prod_(i in I) a_i, is nondegenerate on Sing V
+    (|a| != 0): iota_a is S-adjoint to eps ^, eps = sum_j e_j, so Sing V's
+    S-complement is the image of eps ^; iota_a(eps ^ y) + eps ^ iota_a y
+    = |a| y, so eps ^ y in Sing V gives |a| y = eps ^ iota_a y and
+    eps ^ y = 0.  It is the contravariant form of Schechtman & Varchenko
+    (Invent. Math. 106, 1991).
+
+So G = B^T S B, B the b_I as columns, is invertible, and the map sending
+the class of d_I p_I to the S-orthogonal projection P e_I is a
+well-defined isomorphism independent of which k-subset represents it.
+P = B G^-1 B^T S is never built: B G^-1 is injective, so P x = 0 exactly
+when B^T S x = 0, and the map is decided on Y = B^T S D^-1, D = diag(d_J):
+on the int rows of B^T S, each cleared once, against the int normal
+forms of the p_J.
 """
 
 from __future__ import annotations
@@ -315,27 +328,18 @@ class QuotientAlgebra:
 
     # -- singular-vector model ------------------------------------------------
 
-    def sing_constraints(self):
-        """One row per (k-1)-subset: weighted antisymmetrized coordinate sums."""
-        spec = self.spec
-        rows = []
-        for iprime in k_subsets(spec.n, spec.k - 1):
-            row = [Fraction(0)] * len(self.all_subsets)
-            for j in range(1, spec.n + 1):
-                if j in iprime:
-                    continue
-                seq = (j,) + iprime
-                row[self.v_index[tuple(sorted(seq))]] += _perm_sign(seq) * spec.a[j - 1]
-            rows.append(row)
-        return rows
-
     def sing_basis(self):
+        """The b_I = iota_a(e_1 ^ e_I) / a_1 of the module docstring, I avoiding 1 in lex order."""
         if self._sing is None:
-            self._sing = ratmat.nullspace(self.sing_constraints())
-            if len(self._sing) != self.dim:
-                raise DomainError(
-                    f"singular subspace has dimension {len(self._sing)}, expected {self.dim}"
-                )
+            a, basis = self.spec.a, []
+            for iset in itertools.combinations(range(2, self.spec.n + 1), self.spec.k):
+                bvec = [_ZERO] * len(self.all_subsets)
+                bvec[self.v_index[iset]] = Fraction(1)
+                for m, i in enumerate(iset):
+                    rest = (1,) + iset[:m] + iset[m + 1:]
+                    bvec[self.v_index[rest]] = (-1) ** (m + 1) * a[i - 1] / a[0]
+                basis.append(bvec)
+            self._sing = basis
         return self._sing
 
     def s_diagonal(self):
@@ -346,19 +350,13 @@ class QuotientAlgebra:
         """Rows T_i in int, each a positive multiple t_i of row i of B^T S; cached.
 
         With each basis vector b cleared to b' and S to sigma, both in int,
-        T_i = b'_i sigma, so Y_iJ = T_iJ / (t_i d_J).  Raises DomainError
-        unless G = B^T S B is invertible, the condition for the projection
-        P = B G^-1 B^T S to exist; G's rank is that of the int matrix of the
-        T_i . b'_j, which only rescales its rows and columns.
+        T_i = b'_i sigma, so Y_iJ = T_iJ / (t_i d_J).  No rank of G is
+        taken: it is invertible on every instance (module docstring).
         """
         if self._rows is None:
             sigma = ratmat._cleared([self.s_diagonal()])[1][0]
-            cols = [ratmat._cleared([bvec])[1][0] for bvec in self.sing_basis()]
-            rows = [[x * s for x, s in zip(col, sigma)] for col in cols]
-            if ratmat.rank([[sum(map(operator.mul, row, col)) for col in cols]
-                            for row in rows]) < self.dim:
-                raise DomainError("the form S degenerates on the singular subspace")
-            self._rows = rows
+            self._rows = [[x * s for x, s in zip(ratmat._cleared([bvec])[1][0], sigma)]
+                          for bvec in self.sing_basis()]
         return self._rows
 
     def mu_consistency(self):

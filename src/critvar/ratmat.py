@@ -1,7 +1,7 @@
 """Dense exact linear algebra over Fraction.
 
-Matrices are plain lists of row lists.  Rank, nullspace, inverse and the
-exact determinant share one fraction-free elimination in int (_echelon),
+Matrices are plain lists of row lists.  Rank, inverse and the exact
+determinant share one fraction-free elimination in int (_echelon),
 which serves the sizes that occur (at most a few hundred rows); _rank_mod,
 the rank modulo a prime, bounds the rank from below.  det
 alone also takes float or complex entries, by LU in complex.  The
@@ -20,7 +20,6 @@ from .errors import DomainError, UsageError
 
 __all__ = [
     "rank",
-    "nullspace",
     "inverse",
     "det",
     "charpoly",
@@ -94,20 +93,6 @@ def _rank_mod(rows, p):
                     row[c:] = [(x - f * y) % p for x, y in zip(row[c:], prow)]
             rank += 1
     return rank
-
-
-def nullspace(a):
-    """Basis of the exact kernel, one vector per free column (the RREF's)."""
-    ints, pivots, _ = _echelon(a)
-    cols = len(a[0]) if a else 0
-    basis = []
-    for fc in sorted(set(range(cols)) - set(pivots)):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row, pc in zip(ints, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
 
 
 def inverse(a):

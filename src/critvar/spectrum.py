@@ -282,6 +282,7 @@ _ASCENT_STEPS = 100  # damped Newton steps a chamber's start gets to reach its m
 _RETRACKS = 2  # rounds that retrack the fiber through a fresh middle point, steps quartered
 _MAX_STEP = 0.25  # largest share of a segment that path tracking steps by
 _MIN_STEP = 1e-4  # smallest share of a segment that path tracking steps by
+_DEDUP_TOL = 1e-7  # two route-two end points this close count as one merged path
 
 
 def _apply(mat, rows):
@@ -442,14 +443,7 @@ def _track(b, a_from, a_to, z_from, z_to, t, shrink=1.0):
     return t, ok
 
 
-def newton_multistart(
-    spec,
-    z,
-    seed=0,
-    dedup_tol=1e-7,
-    target_count=None,
-    stats=None,
-):
+def newton_multistart(spec, z, seed=0, target_count=None, stats=None):
     """All critical points of the master function at z, carried from a real fiber.
 
     For real z and positive weights the critical points are real, one in
@@ -467,7 +461,7 @@ def newton_multistart(
     one and distinct starts end at distinct points; for real z on the
     first draw, z stays put.  Two full Newton steps at z and the _POLISH
     polish every route ends with finish each path.  When a path is lost,
-    or ends within dedup_tol of another, the round is redone, up to
+    or ends within _DEDUP_TOL of another, the round is redone, up to
     _RETRACKS times, through a fresh (a_m, z_m) from the same generator:
     the leg to (a, z) may pass near the discriminant, and shorter steps on
     it lose the same path again.  Each round tracks the whole fiber, with
@@ -519,7 +513,7 @@ def newton_multistart(
         gaps = np.abs(ends[:, None] - ends[None]).max(axis=2)
         gaps[~ok], gaps[:, ~ok] = np.inf, np.inf
         np.fill_diagonal(gaps, np.inf)
-        bad = ~ok | (gaps < dedup_tol).any(axis=1)
+        bad = ~ok | (gaps < _DEDUP_TOL).any(axis=1)
         if not bad.any():
             break
     if bad.any() or len(ends) != want:

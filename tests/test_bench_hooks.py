@@ -79,7 +79,7 @@ def test_traced_verify_and_flows_count_brackets_and_membership(monkeypatch, tmp_
 
 def test_traced_verify_spans_the_whole_special_vector_map(monkeypatch, tmp_path, capsys):
     # one quotient.special_vector span per call of mu_consistency and
-    # mu_is_isomorphism, and the rows of B^T S with the Gram check inside them
+    # mu_is_isomorphism, and the rows of B^T S inside them
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)

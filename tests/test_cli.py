@@ -424,7 +424,12 @@ def test_commands_take_only_the_tolerances_they_read(config_path, capsys):
         main(["solve", "--config", config_path, "--tol-newton", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol-newton" in capsys.readouterr().err
-    rc, report = run_json(capsys, ["solve", "--config", config_path, "--tol-dedup", "1e-6"])
+    # route two merges end points at a fixed distance, so no dedup tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", config_path, "--tol-dedup", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-dedup" in capsys.readouterr().err
+    rc, report = run_json(capsys, ["solve", "--config", config_path, "--tol-spectral", "1e-8"])
     assert rc == 0 and len(report["points"]) == 3
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,17 @@ from critvar.quotient import (
 )
 from critvar.relations import build_relations, euler_relation, g_comb
 from ringref import add, mul, pvar, sub, zvar
-from test_ratmat import _inverse_by_rref, _solve, identity, mat_mul, mat_vec, transpose, zeros
+from test_ratmat import (
+    _inverse_by_rref,
+    _nullspace_by_rref,
+    _rref,
+    _solve,
+    identity,
+    mat_mul,
+    mat_vec,
+    transpose,
+    zeros,
+)
 
 
 def line_algebra():
@@ -611,6 +622,15 @@ def _special_vector_case(draw):
     return n, k, draw(st.integers(0, 10**6)), weights, draw(st.integers(1, n)), corrupt
 
 
+def _weighted_algebra(case):
+    """The algebra of a _special_vector_case: a random generic b with the drawn weights."""
+    n, k, seed, weights, j1, _ = case
+    rng = random.Random(seed)
+    spec = random_generic(n, k, rng, coeff_bound=4)
+    spec = ArrangementSpec(n=n, k=k, b=spec.b, a=tuple(Fraction(w) for w in weights))
+    return QuotientAlgebra(spec, sample_z(spec, rng, bound=6), j1=j1)
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(_special_vector_case())
 @example((5, 1, 1, [3, -2, 1, 4, -1], 2, {0, 3}))  # k = 1, j1 != 1, indefinite S
@@ -619,11 +639,7 @@ def _special_vector_case(draw):
 def test_special_vector_map_on_the_rows_matches_the_gram_projection(case):
     # P x = 0 exactly when B^T S x = 0: deciding the map on Y = B^T S D^-1
     # gives the per-vector projection's verdict, honest or corrupted
-    n, k, seed, weights, j1, corrupt = case
-    rng = random.Random(seed)
-    spec = random_generic(n, k, rng, coeff_bound=4)
-    spec = ArrangementSpec(n=n, k=k, b=spec.b, a=tuple(Fraction(w) for w in weights))
-    alg = QuotientAlgebra(spec, sample_z(spec, rng, bound=6), j1=j1)
+    alg, corrupt = _weighted_algebra(case), case[-1]
     assert alg.mu_consistency() == _mu_consistency_per_subset(alg) == []
     assert alg.mu_is_isomorphism() and ratmat.rank(_mu_by_axes(alg)) == alg.dim
     keys = {alg.all_subsets[i] for i in corrupt}
@@ -643,18 +659,76 @@ def test_a_singular_vector_off_the_basis_axes_breaks_the_isomorphism():
         assert ratmat.rank(_mu_by_axes(alg)) < alg.dim
 
 
-def test_a_degenerate_form_raises_and_exits_two(tmp_path, capsys, monkeypatch):
-    # G = B^T S B must be invertible for the projection to exist
-    monkeypatch.setattr(QuotientAlgebra, "s_diagonal",
-                        lambda self: [Fraction(0)] * len(self.all_subsets))
+def _iota_rows(alg):
+    """iota_a, one row per (k-1)-subset: e_J -> sum_m (-1)^m a_(j_m) e_(J - j_m)."""
+    rows = []
+    for lower in k_subsets(alg.spec.n, alg.spec.k - 1):
+        row = [0] * len(alg.all_subsets)
+        for key in alg.all_subsets:
+            if set(lower) < set(key):
+                m = next(m for m, j in enumerate(key) if j not in lower)
+                row[alg.v_index[key]] = (-1) ** m * alg.spec.a[key[m] - 1]
+        rows.append(row)
+    return rows
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_special_vector_case())
+@example((5, 1, 1, [3, -2, 1, 4, -1], 2, set()))  # k = 1, j1 != 1
+@example((5, 4, 2, [-1, 2, -3, 1, 2], 5, set()))  # k = n - 1: dim 1
+@example((7, 3, 3, [2, -1, 1, -3, 1, 2, -1], 4, set()))  # dim 20
+def test_the_closed_form_singular_basis_is_the_rref_kernel(case):
+    # b_I = iota_a(e_1 ^ e_I) / a_1 is the Fraction RREF kernel of iota_a
+    # whatever j1 is, and G = B^T S B is invertible once |a| != 0
+    alg = _weighted_algebra(case)
+    assert alg.sing_basis() == _nullspace_by_rref(_iota_rows(alg))
+    assert len(_gram_inverse(alg)) == alg.dim  # DomainError if G were singular
+
+
+def test_the_form_degenerates_on_the_singular_vectors_when_the_weights_sum_to_zero():
+    # |a| != 0 is sharp: at weights summing to zero, which the spec refuses,
+    # the same closed form spans ker iota_a but G = B^T S B is singular
+    n, k, weights = 5, 2, tuple(map(Fraction, (3, -1, 2, -5, 1)))
+    with pytest.raises(UsageError, match="sum to zero"):
+        ArrangementSpec(n=n, k=k, b=random_generic(n, k, random.Random(0)).b, a=weights)
+    subsets = tuple(k_subsets(n, k))
+    alg = SimpleNamespace(spec=SimpleNamespace(n=n, k=k, a=weights), all_subsets=subsets,
+                          v_index={key: r for r, key in enumerate(subsets)}, _sing=None)
+    basis, sdiag = QuotientAlgebra.sing_basis(alg), QuotientAlgebra.s_diagonal(alg)
+    assert basis == _nullspace_by_rref(_iota_rows(alg)) and len(basis) == math.comb(n - 1, k)
+    gram = [[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis] for br in basis]
+    assert len(_rref(gram)[1]) < len(basis)
+
+
+def test_the_special_vector_stage_runs_one_exact_elimination(tmp_path, capsys, monkeypatch):
+    # the singular basis is in closed form and G is invertible by theorem, so
+    # the stage's only elimination is mu_is_isomorphism's rank of Y_basis
+    calls, inside = [], []
+    echelon = ratmat._echelon
+
+    def spy(rows, width=None):
+        if inside:
+            calls.append((len(rows), len(rows[0])))
+        return echelon(rows, width)
+
+    def stage(method):
+        def wrapper(self):
+            inside.append(method.__name__)
+            try:
+                return method(self)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(ratmat, "_echelon", spy)
+    for method in (QuotientAlgebra.mu_consistency, QuotientAlgebra.mu_is_isomorphism):
+        monkeypatch.setattr(QuotientAlgebra, method.__name__, stage(method))
     alg = random_algebra(5, 2, 77)
-    for method in (alg.mu_consistency, alg.mu_is_isomorphism):
-        with pytest.raises(DomainError, match="the form S degenerates on the singular subspace"):
-            method()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**alg.spec.to_config(), "z": [rat_str(v) for v in alg.z]}))
-    assert main(["verify", "--config", str(path)]) == 2
-    assert "the form S degenerates on the singular subspace" in capsys.readouterr().err
+    assert main(["verify", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == [(alg.dim, alg.dim)]
 
 
 def test_corrupted_reduction_gives_the_same_bad_subsets():
