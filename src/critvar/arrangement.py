@@ -31,6 +31,8 @@ __all__ = [
     "sample_z",
 ]
 
+_DISC_TOL = 1e-12  # relative size below which a float discriminant value counts as zero
+
 
 def parse_rat(x):
     """Exact rational from an int or a 'p/q' / 'p' string."""
@@ -200,11 +202,11 @@ class ArrangementSpec:
             raise UsageError(f"indices {seq} out of range 1..{self.n}")
         return seq
 
-    def is_off_discriminant(self, z, tol=1e-12):
+    def is_off_discriminant(self, z):
         """True when every (k+1)-fold intersection is empty at this z.
 
         Exact for rational z.  A float value v counts as zero when |v| <=
-        tol * sum_m |d_{J minus j_m} z_{j_m}|, the size of the terms it sums.
+        _DISC_TOL * sum_m |d_{J minus j_m} z_{j_m}|, the size of the terms it sums.
         """
         if len(z) != self.n:
             raise UsageError("z has wrong length")
@@ -212,7 +214,7 @@ class ArrangementSpec:
         for iseq in k_subsets(self.n, self.k + 1):
             terms = [c * z[i - 1] for i, c in self.discriminant_coeffs(iseq)]
             v = sum(terms)
-            if (v == 0) if exact else abs(v) <= tol * sum(map(abs, terms)):
+            if (v == 0) if exact else abs(v) <= _DISC_TOL * sum(map(abs, terms)):
                 return False
         return True
 

@@ -6,14 +6,19 @@ generators specialized at z, form an algebra of dimension C(n-1, k).
 A monomial basis: the products p_I over the k-subsets I of {1..n} that
 avoid one chosen index j1 (the smallest hyperplane index by default).
 
-Reduction to the basis is a rewrite with three moves:
+Reduction to the basis is a rewrite with four moves:
 
   * a repeated factor p_i is traded for fresh variables through a
     first-kind relation whose index set contains the rest of the support,
   * a squarefree product over k+1 indices J drops to k-fold products by
     the second-kind relation divided by the nonzero scalar f_J(z),
   * a k-fold product containing j1 sheds it through a first-kind relation
-    again, landing on basis monomials.
+    again, landing on basis monomials,
+  * p_j^-1 p_I, I a k-subset, is p_(I - j) when j is in I; otherwise the
+    second-kind relation f_J(z) p_J = sum_(i in J) a_i c_i p_(J - i) on
+    J = I u {j}, (i, c_i) the pairs of discriminant_coeffs(J), divided by
+    p_j gives p_j^-1 p_I = (f_J(z) p_I - sum_(i in I) a_i c_i p_(I - i)) /
+    (a_j c_j), and a_j c_j = +-a_j d_I is nonzero.
 
 Degrees below k climb by one rule: sum_j z_j p_j = |a| on the fiber, and
 for a k-subset I it is (1/d_I) sum_{j not in I} f_(j,I)(z) p_j, nonzero
@@ -40,12 +45,12 @@ joint spectrum recovers the critical points themselves (the numeric side
 of that lives in spectrum.py).  Each is stored once, in int: K_j = A_j /
 D_j (int_operator), column c of A_j read off the normal form of p_j p_I
 for basis class c, D_j the lcm of the columns' denominators, and
-K_j^-1 = D_j A_j^-1 cleared the same way; bethe_operator is a Fraction
-view of it.  The unit u is the normal form of the empty monomial.  One
-Krylov certificate from u (cyclic_operator) licenses two shortcuts: the
-operators commute if the n-1 commutators with the certified K_c vanish
-(commutator_residual), and then an identity P(K) = 0 holds if
-P(K) u = 0.
+K_j^-1 read off the normal forms of p_j^-1 p_I the same way, with no
+matrix inverted; bethe_operator is a Fraction view of K_j.  The unit u
+is the normal form of the empty monomial.  One Krylov certificate from u
+(cyclic_operator) licenses two shortcuts: the operators commute if the
+n-1 commutators with the certified K_c vanish (commutator_residual), and
+then an identity P(K) = 0 holds if P(K) u = 0.
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
 its terms at z become (c, indices) pairs, an index -j standing for
@@ -233,9 +238,12 @@ class QuotientAlgebra:
     def _move(self, key):
         """One rewrite step on a sorted monomial: (coefficient, monomial) pairs.
 
-        Empty exactly on the basis monomials.
+        Empty exactly on the basis monomials.  A key's one negative index
+        -j, sorted in front, stands for p_j^-1.
         """
         k = self.spec.k
+        if key and key[0] < 0:
+            return self._divide(key)
         support = sorted(set(key))
         if len(key) < k:
             return self._raise_degree(key)
@@ -264,6 +272,17 @@ class QuotientAlgebra:
                  tuple(sorted(rest + [v for v in jset if v != j])))
                 for j, d in self.spec.discriminant_coeffs(jset)]
 
+    def _divide(self, key):
+        # p_j^-1 p_I: p_(I - j), or the second-kind relation on I u {j} over p_j
+        j, rest = -key[0], key[1:]
+        if j in rest:
+            return [(Fraction(1), tuple(v for v in rest if v != j))]
+        jset = tuple(sorted(rest + (j,)))
+        terms = {i: self.spec.a[i - 1] * c for i, c in self.spec.discriminant_coeffs(jset)}
+        pivot = terms.pop(j)
+        return [(self.spec.discriminant_value(jset, self.z) / pivot, rest)] + [
+            (-t / pivot, tuple(v for v in rest if v != i)) for i, t in terms.items()]
+
     def _split_repeat(self, key, support):
         i = next(v for v in support if key.count(v) > 1)
         shorter = list(key)
@@ -281,24 +300,19 @@ class QuotientAlgebra:
     def int_operator(self, j):
         """(D, A) with K_j = A / D in int, cached; j < 0 gives K_|j|^-1 (p_j is a unit).
 
-        Column c of A is D times the normal form of p_j p_I, I basis class c,
-        and D the lcm of the columns' denominators; K_j^-1 = D A^-1, cleared.
+        Column c of A is D times the normal form of p_j p_I, I basis class c
+        (of p_|j|^-1 p_I for j < 0), and D the lcm of the columns' denominators.
         """
         if not 1 <= abs(j) <= self.spec.n:
             raise UsageError(f"hyperplane index {j} out of range")
         if j not in self._int_ops:
-            if j > 0:
-                cols = [self._normal_form(tuple(sorted(mono + (j,)))) for mono in self.basis]
-                den = math.lcm(*(d for d, _ in cols))
-                ints = [[0] * self.dim for _ in range(self.dim)]
-                for c, (d, coords) in enumerate(cols):
-                    for r, x in coords.items():
-                        ints[r][c] = x * (den // d)
-                self._int_ops[j] = den, ints
-            else:
-                den, ints = self.int_operator(-j)
-                self._int_ops[j] = ratmat._cleared(
-                    [[den * x for x in row] for row in ratmat.inverse(ints)])
+            cols = [self._normal_form(tuple(sorted(mono + (j,)))) for mono in self.basis]
+            den = math.lcm(*(d for d, _ in cols))
+            ints = [[0] * self.dim for _ in range(self.dim)]
+            for c, (d, coords) in enumerate(cols):
+                for r, x in coords.items():
+                    ints[r][c] = x * (den // d)
+            self._int_ops[j] = den, ints
         return self._int_ops[j]
 
     def bethe_operator(self, j):

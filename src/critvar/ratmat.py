@@ -1,13 +1,14 @@
 """Dense exact linear algebra over Fraction.
 
-Matrices are plain lists of row lists.  Rank, inverse and the exact
-determinant share one fraction-free elimination in int (_echelon),
-which serves the sizes that occur (at most a few hundred rows); _rank_mod,
-the rank modulo a prime, bounds the rank from below.  det
-alone also takes float or complex entries, by LU in complex.  The
-characteristic polynomial is computed modulo word-size primes in int64
-numpy arrays (imported inside charpoly, so importing this module loads
-no numpy) and recombined exactly under a proven bound.
+Matrices are plain lists of row lists.  Rank and the exact determinant
+share one fraction-free elimination in int (_echelon), which serves the
+sizes that occur (at most a few hundred rows); _rank_mod, the rank modulo
+a prime, bounds the rank from below.  No inverse is taken: the quotient
+algebra reads K_j^-1 off its rewrite.  det alone also takes float or
+complex entries, by LU in complex.  The characteristic polynomial is
+computed modulo word-size primes in int64 numpy arrays (imported inside
+charpoly, so importing this module loads no numpy) and recombined exactly
+under a proven bound.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "rank",
-    "inverse",
     "det",
     "charpoly",
 ]
@@ -32,8 +32,8 @@ def _cleared(mat):
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
-def _echelon(rows, width=None):
-    """Fraction-free Gauss-Jordan in int on the first width columns (default all).
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan in int.
 
     Returns (ints, pivots, factor).  Each row is cleared once by the lcm r
     of its denominators.  A row with an entry f in the pivot column becomes
@@ -49,9 +49,8 @@ def _echelon(rows, width=None):
         r, (line,) = _cleared([row])
         den *= r
         ints.append(line)
-    width = (len(ints[0]) if ints else 0) if width is None else width
     pivots = []
-    for c in range(width):
+    for c in range(len(ints[0]) if ints else 0):
         top = len(pivots)
         pivot = next((i for i in range(top, len(ints)) if ints[i][c]), None)
         if pivot is None:
@@ -93,21 +92,6 @@ def _rank_mod(rows, p):
                     row[c:] = [(x - f * y) % p for x, y in zip(row[c:], prow)]
             rank += 1
     return rank
-
-
-def inverse(a):
-    """Exact inverse: _echelon on [A | I] over its first m columns.
-
-    It ends at [diag(d) | B] with B A = diag(d), so A^-1 has entries B_ij / d_i.
-    """
-    m = len(a)
-    if any(len(row) != m for row in a):
-        raise UsageError("inverse of a non-square matrix")
-    ints, pivots, _ = _echelon([list(row) + [int(i == j) for j in range(m)]
-                                for i, row in enumerate(a)], m)
-    if len(pivots) < m:
-        raise DomainError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[m:]] for i, row in enumerate(ints)]
 
 
 def det(mat):

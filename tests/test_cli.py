@@ -125,6 +125,9 @@ def test_a_perturbed_operator_fails_the_cyclic_commutators(six_two_path, capsys,
     check = next(c for c in report["checks"] if c["name"] == "operator_commutators")
     assert check["status"] == "fail" and check["residual"] > 0 and check["count"] == 15
     assert calls == [(1, j) for j in range(2, 7)]
+    # K_3 moves K_I u off e_I for some basis monomials I holding 3
+    check = next(c for c in report["checks"] if c["name"] == "quotient_dimension")
+    assert check["status"] == "fail" and 0 < check["count"] < check["expected"] == 10
     assert report["diagnostics"]["verify"]["commutators"] == {
         "cyclic": 1, "prime": 2**31 - 1, "products": 5}
 
@@ -142,19 +145,23 @@ def test_no_certified_operator_multiplies_every_pair(six_two_path, capsys, monke
     assert diag["identities_checked"] == diag["identities_total"]
 
 
-def test_a_zero_unit_certifies_nothing_and_every_identity_runs_in_full(six_two_path,
-                                                                       capsys, monkeypatch):
-    # with u = 0 no Krylov matrix from u has full rank: every pair is multiplied
-    # out, and each identity is proved on the full matrices, so verify passes
+def test_a_zero_unit_fails_the_dimension_and_every_identity_runs_in_full(six_two_path,
+                                                                          capsys, monkeypatch):
+    # with u = 0 no K_I u is e_I, so quotient_dimension fails with count 0; no
+    # Krylov matrix from u has full rank either: every pair is multiplied out,
+    # and each identity is proved on the full matrices, so those checks pass
     normal_form = qt.QuotientAlgebra._normal_form
     monkeypatch.setattr(qt.QuotientAlgebra, "_normal_form",
                         lambda alg, key: (1, {}) if key == () else normal_form(alg, key))
     calls = _commutator_spy(monkeypatch)
     rc, report = run_json(capsys, ["verify", "--config", six_two_path])
-    assert rc == 0
+    assert rc == 1
     assert calls == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
-    statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert set(statuses.values()) == {"pass"}
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name.pop("quotient_dimension") == {
+        "name": "quotient_dimension", "status": "fail", "residual": None, "count": 0,
+        "expected": 10}
+    assert {c["status"] for c in by_name.values()} == {"pass"}
     diag = report["diagnostics"]["verify"]
     assert diag["path"] == "full_matrix"
     assert diag["commutators"] == {"cyclic": None, "prime": None, "products": 15}

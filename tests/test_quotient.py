@@ -1,7 +1,9 @@
 import functools
 import json
 import math
+import operator
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -157,7 +159,7 @@ def test_memoised_rewrite_matches_the_worklist():
 def _operator_by_columns(alg, j):
     """K_j from Fraction columns of reduce_monomial, its cleared form, and K_j^-1's."""
     op = transpose([alg.reduce_monomial(mono + (j,)) for mono in alg.basis])
-    return op, ratmat._cleared(op), ratmat._cleared(ratmat.inverse(op))
+    return op, ratmat._cleared(op), ratmat._cleared(_inverse_by_rref(op))
 
 
 @pytest.mark.parametrize("n, k, seed", [(5, 1, 111), (5, 4, 112), (6, 3, 113), (7, 3, 114),
@@ -375,14 +377,44 @@ def test_a_derogatory_operator_is_not_certified():
     assert qt.cyclic_operator(alg) == (2, 2**31 - 1)
 
 
-def _combination_by_products(alg, terms):
-    """sum of c K_{i_r}..K_{i_1} over (c, indices), by Fraction matrix products."""
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(shape=st.sampled_from(_SMALL_SHAPES), seed=st.integers(0, 10**6), j1=st.integers(1, 7))
+def test_inverse_operators_are_the_fraction_inverses(shape, seed, j1):
+    # K_j^-1 comes from the rewrite's normal forms of p_j^-1 p_I, not from an
+    # elimination: it must equal the Fraction Gauss-Jordan inverse of K_j
+    n, k = shape
+    alg = random_algebra(n, k, seed, j1=(j1 - 1) % n + 1)
+    for j in range(1, n + 1):
+        assert alg.int_operator(-j) == ratmat._cleared(_inverse_by_rref(alg.bethe_operator(j)))
+
+
+def test_all_inverse_operators_at_ten_four_in_two_seconds():
+    # `critvar gen --n 10 --k 4 --seed 5`, dim 126: K_2^-1 by Gauss-Jordan on
+    # [A | I] did not finish in 2.5 minutes; K_j (K_j^-1 u) = u, checked in int
+    rng = random.Random(5)
+    spec = random_generic(10, 4, rng, coeff_bound=9)
+    alg = QuotientAlgebra(spec, sample_z(spec, rng))
+    start = time.perf_counter()
+    inverses = {j: alg.int_operator(-j) for j in range(1, 11)}
+    assert time.perf_counter() - start <= 2.0
+    unit = qt._unit(alg)[1]
+    for j, (e, inv) in inverses.items():
+        d, op = alg.int_operator(j)
+        back = [sum(map(operator.mul, row, unit)) for row in inv]
+        assert [sum(map(operator.mul, row, back)) for row in op] == [d * e * x for x in unit]
+
+
+def _combination_by_products(alg, terms, inverse=None):
+    """sum of c K_{i_r}..K_{i_1} over (c, indices), by Fraction matrix products.
+
+    K_j^-1 is inverse(j), by default the Fraction RREF inverse of K_j.
+    """
+    inverse = inverse or (lambda j: _inverse_by_rref(alg.bethe_operator(j)))
     total = zeros(alg.dim, alg.dim)
     for c, indices in terms:
         mat = identity(alg.dim)
         for i in indices:
-            op = alg.bethe_operator(abs(i))
-            mat = mat_mul(op if i > 0 else ratmat.inverse(op), mat)
+            mat = mat_mul(alg.bethe_operator(i) if i > 0 else inverse(-i), mat)
         total = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(total, mat)]
     return total
 
@@ -413,10 +445,11 @@ def test_table_residuals_match_full_matrices():
 
 def test_table_follows_the_operators_not_the_rewrite():
     # corrupted, non-commuting operators: the table and the Fraction products
-    # still agree entry for entry, and the unit's table never calls the rewrite
+    # still agree entry for entry, and the unit's table never calls the rewrite;
+    # every K_j^+-1 is built first, so the products read the stored K_4^-1 too
     alg = random_algebra(5, 2, 95)
     unit = _unit_column(alg)
-    alg.operators()
+    stored = {j: alg.int_operator(j) for j in range(-5, 6) if j}
     _bump_operator(alg, 3, (1, 2), Fraction(2, 9))
     _bump_operator(alg, 4, (0, 5), -1)
 
@@ -429,7 +462,9 @@ def test_table_follows_the_operators_not_the_rewrite():
     for poly in [sub(mul(p[2], p[3]), mul(p[3], p[4])), add(mul(p[2], inv, p[1]), 3),
                  mul(p[3], p[2], p[2])]:
         terms = qt._poly_terms(alg, poly)
-        full = _combination_by_products(alg, terms)
+        full = _combination_by_products(
+            alg, terms, lambda j: [[Fraction(x, stored[-j][0]) for x in row]
+                                   for row in stored[-j][1]])
         assert alg.multiplication_matrix(poly) == full
         assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
     assert _unit_orbit(alg) != identity(alg.dim)
@@ -706,10 +741,10 @@ def test_the_special_vector_stage_runs_one_exact_elimination(tmp_path, capsys, m
     calls, inside = [], []
     echelon = ratmat._echelon
 
-    def spy(rows, width=None):
+    def spy(rows):
         if inside:
             calls.append((len(rows), len(rows[0])))
-        return echelon(rows, width)
+        return echelon(rows)
 
     def stage(method):
         def wrapper(self):
@@ -754,7 +789,7 @@ def test_normal_form_is_the_matrix_applied_to_the_unit():
         for poly in polys:
             full = alg.multiplication_matrix(poly)
             assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
-        assert alg.multiplication_matrix(inv[0]) == ratmat.inverse(alg.bethe_operator(1))
+        assert alg.multiplication_matrix(inv[0]) == _inverse_by_rref(alg.bethe_operator(1))
         assert alg.multiplication_matrix(mul(p[0], p[1])) == mat_mul(
             alg.bethe_operator(1), alg.bethe_operator(2))
 
