@@ -24,8 +24,11 @@ expected), and timing with "stages": for verify and flows the seconds
 spent on each check, keyed by check name in run order.  gen has no
 checks; its "diagnostics.gen" counts the nonzero minors and the
 discriminant forms nonzero at z, of C(n, k) and C(n, k+1).  solve's
-stages are the spectral route ("joint_spectrum") and route two ("newton"),
-and its "diagnostics.newton" gives route two's counts: vertex starts, chambers
+stages are the spectral route ("joint_spectrum") and route two ("newton");
+its "diagnostics.spectrum" gives route one's accepted integer combination,
+its number of draws, and the smallest gaps between its eigenvalues and
+between its points' momenta (null for a one-point fiber), and its
+"diagnostics.newton" gives route two's counts: vertex starts, chambers
 of the real fiber, redraws, tracked paths and the paths tracked again
 through a fresh middle point after one was lost or merged; verify's
 "diagnostics.verify" gives the path its operator identities took
@@ -357,7 +360,13 @@ def _cmd_solve(args):
         "points": points,
         "eigenvalue_combination": list(spectral.combination),
         "eigenvalues": [_c_pair(v) for v in spectral.eigenvalues],
-        "diagnostics": {"newton": counts},
+        "diagnostics": {"spectrum": {
+            "combination": list(spectral.combination),
+            "draws": spectral.attempts,
+            # a one-point fiber has no gap; JSON has no infinity
+            "eigenvalue_gap": spectral.min_gap if spectral.min_gap < math.inf else None,
+            "momentum_gap": spectral.momentum_gap if spectral.momentum_gap < math.inf else None,
+        }, "newton": counts},
     }
     return _finish("solve", raw, spec, z, seed, checks, stages, started, args.out, extra)
 

@@ -1,10 +1,12 @@
 """Numeric access to the critical points, by two independent routes.
 
-Route one goes through the algebra: a random integer combination of the
-multiplication operators has an exact characteristic polynomial; its roots
-(all of them at once, by Aberth's simultaneous iteration) are the values
-of that combination at the critical points, and the joint eigenvectors
-hand back every coordinate p_j through Rayleigh quotients.
+Route one goes through the algebra: the right eigenvectors of a random
+integer combination of the multiplication operators, from one float eig,
+are their common eigenvectors, so every coordinate p_j of every point is
+a Rayleigh quotient on them; the t fitted to those momenta is polished by
+the same batched Newton that ends route two.  poly_roots, with
+ratmat.charpoly, is the exact library tool for the same eigenvalues, and
+no command calls it.
 
 Route two never sees the algebra: for real z and positive weights the
 critical points of sum_j a_j log f_j are the maxima of its bounded real
@@ -13,7 +15,7 @@ that fiber to the given weights and z, solving the critical equations
 sum_j a_j b^m_j / f_j = 0 with their analytic Jacobian along the way.
 
 Both routes should produce the same C(n-1, k) points; the test suite and
-the verify command insist on it.  The closed forms for the Hessian and
+the solve command insist on it.  The closed forms for the Hessian and
 for the Jacobian of the coordinate projection live here too, next to the
 direct determinants they are checked against.  numpy is imported inside
 the functions that use it, so the exact commands never load it, and the
@@ -55,12 +57,13 @@ class CriticalPoint(namedtuple("CriticalPoint", "t p grad_norm")):
     __slots__ = ()
 
 
-class SpectrumResult(namedtuple("SpectrumResult",
-                                "points combination eigenvalues attempts min_gap")):
+class SpectrumResult(namedtuple("SpectrumResult", "points combination eigenvalues "
+                                                   "attempts min_gap momentum_gap")):
     """points: CriticalPoint, sorted by momenta; combination: the integer
-    coefficients c_j that were diagonalized; eigenvalues: roots of the exact
-    characteristic polynomial; attempts: how many draws until the spectrum
-    separated; min_gap: smallest eigenvalue spacing of the accepted draw."""
+    coefficients c_j that were diagonalized; eigenvalues: those of the float
+    combination, by np.linalg.eig, sorted; attempts: how many draws until
+    one was accepted; min_gap: smallest eigenvalue spacing of the accepted
+    draw; momentum_gap: smallest distance between two points' momenta."""
 
     __slots__ = ()
 
@@ -172,63 +175,61 @@ def _exact_newton(ints, x):
 
 # -- the operator route -------------------------------------------------------
 
-_CLUSTER_TOL = 1e-6  # eigenvalues this close count as one cluster
-_REDRAWS = 5  # draws before a route gives up: clustered spectra, or short real fibers
+_REDRAWS = 5  # draws before a route gives up: unconverged or merged points, or short real fibers
 
 
 def joint_spectrum(alg, seed=0):
     """Critical points as the joint spectrum of the multiplication operators.
 
-    Draws an integer combination c and takes the roots of the exact
-    characteristic polynomial of sum_j c_j K_j (ratmat.charpoly: modulo
-    primes, recombined under a proven bound).  The combination is summed
-    in int over the cleared operators (int_operator), which also give the
-    float operators, each entry rounded once from A_j / D_j.
-    Only a draw whose eigenvalues sit within _CLUSTER_TOL of each other is
-    discarded; after _REDRAWS such draws a NumericError reports the
-    clustering, rather than silently splitting a true multiple point.
-    Each eigenvector is the last right-singular vector of the combination
-    minus its eigenvalue, every p_j is a Rayleigh quotient on it, and the
-    t fitted to those momenta is polished by Newton at z (see
-    _point_from_momenta).
+    The right eigenvectors of a generic combination sum_j c_j K_j are
+    common eigenvectors of the commuting K_j: K_j v = p_j v, with p the
+    momenta of the point v belongs to.  So one draw is: an integer
+    combination c, summed in int over the cleared operators (int_operator)
+    and rounded once; its eigenvalues and unit eigenvectors from one
+    np.linalg.eig; every p_j of every point as the Rayleigh quotient
+    v^H K_j v, all at once over the stacked float K_j; t fitted to all
+    momenta by one least squares; and one batched _polish at z.  A draw is
+    accepted when every point converges and no two lie within _DEDUP_TOL,
+    the distinctness rule of route two (_unsettled); after _REDRAWS
+    rejected draws a NumericError reports the counts and gaps, rather than
+    returning a fiber with a repeated or unconverged point.
     """
     import numpy as np
     rng = random.Random(seed)
-    n = alg.spec.n
-    dim = alg.dim
+    spec, n = alg.spec, alg.spec.n
     ops = [alg.int_operator(j) for j in range(1, n + 1)]
-    kmats = [_to_complex(den, op) for den, op in ops]
+    kmats = np.array([_to_complex(den, op) for den, op in ops])
     den = math.lcm(*(d for d, _ in ops))
-    tried_gaps = []
+    zc = np.array([complex(v) for v in alg.z])
+    a, b, _ = spec.tables(zc)
+    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+    rejected = []
     for attempt in range(1, _REDRAWS + 1):
         c = [rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(n)]
         scales = [cj * (den // d) for cj, (d, _) in zip(c, ops)]
         ints = [[sum(map(operator.mul, scales, entries)) for entries in zip(*rows)]
                 for rows in zip(*(op for _, op in ops))]
-        eigvals = poly_roots(ratmat.charpoly([[Fraction(x, den) for x in row]
-                                              for row in ints]))
+        eigvals, vecs = np.linalg.eig(_to_complex(den, ints))
+        p = np.einsum("ri,jri->ij", vecs.conj(), kmats @ vecs)
+        t = np.linalg.lstsq(b, (a / p - zc).T, rcond=None)[0].T
+        t, ok = _polish(b, a, zc, t, *_POLISH)
+        bad = _unsettled(t, ok)
         gap = _min_gap(eigvals)
-        if dim > 1 and gap <= _CLUSTER_TOL:
-            tried_gaps.append(gap)
+        if bad.any():
+            rejected.append((int((~ok).sum()), int((bad & ok).sum()), gap))
             continue
-        cmat = _to_complex(den, ints)
-        points = []
-        for lam in eigvals:
-            vec = np.linalg.svd(cmat - lam * np.eye(dim))[2][-1].conj()
-            p = tuple(complex(vec.conj() @ (km @ vec)) for km in kmats)
-            points.append(_point_from_momenta(alg.spec, alg.z, p))
-        points.sort(key=_momenta_key)
+        points = _critical_points(b, a, zc, t)
         return SpectrumResult(
-            points=tuple(points),
+            points=points,
             combination=tuple(c),
-            eigenvalues=tuple(eigvals),
+            eigenvalues=tuple(sorted(map(complex, eigvals), key=lambda r: (r.real, r.imag))),
             attempts=attempt,
             min_gap=gap,
+            momentum_gap=_min_gap([pt.p for pt in points]),
         )
     raise NumericError(
-        f"every one of {_REDRAWS} draws had eigenvalues within {_CLUSTER_TOL} of "
-        f"each other (smallest gaps: {sorted(tried_gaps)}); the fiber looks degenerate"
-    )
+        f"route one rejected every one of {_REDRAWS} draws of {alg.dim} points; "
+        f"(unconverged, merged, smallest eigenvalue gap) per draw: {rejected}")
 
 
 def _to_complex(den, ints):
@@ -250,26 +251,22 @@ def _min_gap(values):
 _POLISH = (20, 1e-12)  # sweeps and gradient tolerance of both routes' final polish
 
 
-def _point_from_momenta(spec, z, p):
-    """Rebuild t from momenta by least squares on f_j = a_j / p_j = z_j + (b t)_j.
-
-    Newton at z then polishes t; when it converges, p becomes a / f at the
-    polished t, and otherwise the given momenta stand.
-    """
+def _unsettled(t, ok):
+    """Rows of t that did not converge, or lie within _DEDUP_TOL of another converged row."""
     import numpy as np
-    a, b, _ = spec.tables(p)
-    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
-    zc = np.array([complex(v) for v in z])
-    t, *_ = np.linalg.lstsq(b, a / np.array(p) - zc, rcond=None)
-    polished, ok = _polish(b, a, zc, [t], *_POLISH)
-    if ok[0]:
-        t = polished[0]
-        p = a / (zc + b @ t)
-    return CriticalPoint(
-        t=tuple(complex(x) for x in t),
-        p=tuple(complex(x) for x in p),
-        grad_norm=float(np.abs(b.T @ (a / (zc + b @ t))).max()),
-    )
+    gaps = np.abs(t[:, None] - t[None]).max(axis=2)
+    gaps[~ok], gaps[:, ~ok] = np.inf, np.inf
+    np.fill_diagonal(gaps, np.inf)
+    return ~ok | (gaps < _DEDUP_TOL).any(axis=1)
+
+
+def _critical_points(b, a, zc, t):
+    """CriticalPoint for every row of t, momenta a / f at t, sorted by momenta."""
+    import numpy as np
+    p = a / (zc + _apply(b, t))
+    grad = np.abs(_apply(b.T, p)).max(axis=1)
+    return tuple(sorted((CriticalPoint(tuple(map(complex, ti)), tuple(map(complex, q)), float(g))
+                         for ti, q, g in zip(t, p, grad)), key=_momenta_key))
 
 
 def _momenta_key(pt):
@@ -282,7 +279,7 @@ _ASCENT_STEPS = 100  # damped Newton steps a chamber's start gets to reach its m
 _RETRACKS = 2  # rounds that retrack the fiber through a fresh middle point, steps quartered
 _MAX_STEP = 0.25  # largest share of a segment that path tracking steps by
 _MIN_STEP = 1e-4  # smallest share of a segment that path tracking steps by
-_DEDUP_TOL = 1e-7  # two route-two end points this close count as one merged path
+_DEDUP_TOL = 1e-7  # two points of either route this close in t count as one (_unsettled)
 
 
 def _apply(mat, rows):
@@ -510,10 +507,7 @@ def newton_multistart(spec, z, seed=0, target_count=None, stats=None):
         # steps at z first bring a path down to rounding
         ends[rows], _ = _polish(b, a, zc, ends[rows], 2, 0.0)
         ends[rows], ok[rows] = _polish(b, a, zc, ends[rows], *_POLISH)
-        gaps = np.abs(ends[:, None] - ends[None]).max(axis=2)
-        gaps[~ok], gaps[:, ~ok] = np.inf, np.inf
-        np.fill_diagonal(gaps, np.inf)
-        bad = ~ok | (gaps < _DEDUP_TOL).any(axis=1)
+        bad = _unsettled(ends, ok)
         if not bad.any():
             break
     if bad.any() or len(ends) != want:
@@ -522,10 +516,7 @@ def newton_multistart(spec, z, seed=0, target_count=None, stats=None):
             f"vertex starts, {counts['chambers']} chambers after {counts['redraws']} redraws, "
             f"{len(ends)} paths, {counts['retracked']} retracked, {int((~ok).sum())} lost "
             f"and {int((bad & ok).sum())} merged")
-    p = a / (zc + _apply(b, ends))
-    grad = np.abs(_apply(b.T, p)).max(axis=1)
-    return tuple(sorted((CriticalPoint(tuple(map(complex, t)), tuple(map(complex, q)), float(g))
-                         for t, q, g in zip(ends, p, grad)), key=_momenta_key))
+    return _critical_points(b, a, zc, ends)
 
 
 def match_point_sets(pa, pb, tol):

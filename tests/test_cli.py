@@ -230,6 +230,31 @@ def test_solve_finds_and_cross_checks_critical_points(config_path, capsys):
     assert set(report["timing"]["stages"]) == {"joint_spectrum", "newton"}
 
 
+def test_solve_reports_route_one_diagnostics(config_path, capsys):
+    rc, report = run_json(capsys, ["solve", "--config", config_path])
+    assert rc == 0
+    diag = report["diagnostics"]["spectrum"]
+    assert list(diag) == ["combination", "draws", "eigenvalue_gap", "momentum_gap"]
+    assert diag["combination"] == report["eigenvalue_combination"]
+    assert diag["draws"] == 1
+    eigs = [complex(*pair) for pair in report["eigenvalues"]]
+    momenta = [[complex(*pair) for pair in pt["p"]] for pt in report["points"]]
+    assert diag["eigenvalue_gap"] == pytest.approx(min(
+        abs(u - v) for i, u in enumerate(eigs) for v in eigs[i + 1:]), rel=1e-12)
+    assert 0 < diag["momentum_gap"] == pytest.approx(min(
+        max(abs(x - y) for x, y in zip(p, q))
+        for i, p in enumerate(momenta) for q in momenta[i + 1:]), rel=1e-6)
+
+
+def test_solve_reaches_dimension_126(tmp_path, capsys):
+    # `critvar gen --n 10 --k 4 --seed 5`: the root iteration on the exact
+    # characteristic polynomial overflowed here and solve gave up with exit 3
+    rc, report = run_json(capsys, ["solve", "--config", _generated(tmp_path, capsys, 10, 4, 5)])
+    assert rc == 0
+    assert len(report["points"]) == math.comb(9, 4) == 126
+    assert all(c["status"] == "pass" for c in report["checks"])
+
+
 def _generated(tmp_path, capsys, n, k, seed):
     path = tmp_path / f"gen_{n}_{k}_{seed}.json"
     assert main(["gen", "--n", str(n), "--k", str(k), "--seed", str(seed),
@@ -385,22 +410,27 @@ def test_malformed_config_gives_exit_two(tmp_path, capsys, edit, reason):
 
 
 def test_numeric_failure_gives_exit_three(config_path, capsys, monkeypatch):
-    # every draw now counts as clustered, so route one runs out of redraws
-    monkeypatch.setattr(spectrum, "_CLUSTER_TOL", math.inf)
+    # every pair of points now counts as merged, so route one runs out of redraws
+    monkeypatch.setattr(spectrum, "_DEDUP_TOL", math.inf)
     assert main(["solve", "--config", config_path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: ")
-    assert f"every one of {spectrum._REDRAWS} draws" in captured.err
+    assert f"rejected every one of {spectrum._REDRAWS} draws of 3 points" in captured.err
+    assert captured.err.count("(0, 3, ") == spectrum._REDRAWS
 
 
-def test_overflowing_characteristic_polynomial_gives_exit_three(config_path, capsys,
-                                                              monkeypatch):
-    monkeypatch.setattr(ratmat, "charpoly", lambda a: [1, 4100] + [0] * 124 + [1])
+def test_route_one_rejecting_every_draw_gives_exit_three_with_its_counts(config_path, capsys,
+                                                                       monkeypatch):
+    # a polish with no sweeps and a zero tolerance converges no point
+    monkeypatch.setattr(spectrum, "_POLISH", (0, 0.0))
     assert main(["solve", "--config", config_path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numeric failure: polynomial value overflows float range")
+    assert captured.err.startswith(
+        f"numeric failure: route one rejected every one of {spectrum._REDRAWS} draws of 3 "
+        "points; (unconverged, merged, smallest eigenvalue gap) per draw: [(3, 0, ")
+    assert captured.err.count("(3, 0, ") == spectrum._REDRAWS
 
 
 def test_route_two_failure_gives_exit_three_with_its_counts(config_path, capsys,
@@ -502,7 +532,8 @@ _REPORT_SCHEMA = {
                "eigenvalue_combination", "eigenvalues", "diagnostics"],
               ["critical_count_spectral", "critical_count_newton", "spectral_newton_match",
                "hessian_identity", "jacobian_from_hessian"],
-              {"newton": ["vertex_starts", "chambers", "redraws", "paths", "retracked"]}),
+              {"spectrum": ["combination", "draws", "eigenvalue_gap", "momentum_gap"],
+               "newton": ["vertex_starts", "chambers", "redraws", "paths", "retracked"]}),
     "flows": (["report", "command", "config", "checks", "timing"],
               ["chart_membership", "chart_transitions_exact", "transition_jacobian_fd",
                "generating_function_fd", "projection_chart_independence",

@@ -50,8 +50,9 @@ print(json.dumps([bare, [name for name in critvar.__all__ if name not in globals
 
 @pytest.mark.parametrize("cls, fields, values", [
     (CriticalPoint, ("t", "p", "grad_norm"), ((0j,), (1j, 2j), 0.0)),
-    (SpectrumResult, ("points", "combination", "eigenvalues", "attempts", "min_gap"),
-     ((), (1, 2), (1j,), 1, 0.5)),
+    (SpectrumResult, ("points", "combination", "eigenvalues", "attempts", "min_gap",
+                      "momentum_gap"),
+     ((), (1, 2), (1j,), 1, 0.5, 0.25)),
     (RelationSet, ("spec", "first", "second", "g"), (None, {}, {}, {})),
     (BracketReport, ("pair_class", "left", "right", "residual"),
      ("FF", (1,), (2,), LaurentPoly(2))),

@@ -341,20 +341,23 @@ def test_charpoly_of_a_triangular_matrix():
     assert ratmat.charpoly(a) == want
 
 
-def test_charpoly_of_a_spectral_large_combination(monkeypatch):
-    # critvar gen --n 7 --k 3 --seed 5000: the first (7,3) instance of spectral-large seed 5
+def test_charpoly_of_a_spectral_large_combination():
+    # critvar gen --n 7 --k 3 --seed 5000, the first (7,3) instance of
+    # spectral-large seed 5: joint_spectrum's combination, summed over the
+    # operators of int_operator, each A_j / D_j
     from critvar.arrangement import random_generic, sample_z
     from critvar.quotient import QuotientAlgebra
     from critvar.spectrum import joint_spectrum
 
     rng = random.Random(5000)
     spec = random_generic(7, 3, rng)
-    z = sample_z(spec, rng)
-    seen, charpoly = [], ratmat.charpoly
-    monkeypatch.setattr(ratmat, "charpoly", lambda a: seen.append(a) or charpoly(a))
-    joint_spectrum(QuotientAlgebra(spec, z), seed=5000)
-    assert len(seen[0]) == 20
-    assert charpoly(seen[0]) == _charpoly_int(seen[0])
+    alg = QuotientAlgebra(spec, sample_z(spec, rng))
+    ops = [alg.int_operator(j) for j in range(1, spec.n + 1)]
+    coeffs = joint_spectrum(alg, seed=5000).combination
+    comb = [[sum(c * Fraction(op[r][s], den) for c, (den, op) in zip(coeffs, ops))
+             for s in range(alg.dim)] for r in range(alg.dim)]
+    assert len(comb) == 20
+    assert ratmat.charpoly(comb) == _charpoly_int(comb)
 
 
 def test_charpoly_small():

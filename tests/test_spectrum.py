@@ -201,17 +201,29 @@ def test_route_two_completes_far_fibers(n, i):
     _assert_complete(spec, z, i, [pt.p for pt in points])
 
 
-def test_route_two_completes_a_dim_70_fiber():
+def _dim_70_instance():
     # random_generic(9, 4, Random(9040)) at sample_z(spec, Random(0)), where
-    # loops of z stopped at 69 of 70 points.  joint_spectrum gives up here
-    # after minutes (its root iteration is still moving after 200 sweeps),
-    # so the stored momenta come from the same operators in float: the
+    # loops of z stopped at 69 of 70 points.  The stored momenta are the
     # Rayleigh quotients of the eigenvectors of sum_j (-1)^(j-1) (j+1) K_j,
     # each point then refined by 40-digit Newton from the t fitted to them
     spec = random_generic(9, 4, random.Random(9040))
     z = sample_z(spec, random.Random(0))
     stored = json.loads(ROUTE_ONE_9_4.read_text(encoding="utf-8"))
-    _assert_complete(spec, z, 0, [tuple(complex(*x) for x in p) for p in stored["p"]])
+    return spec, z, [tuple(complex(*x) for x in p) for p in stored["p"]]
+
+
+def test_route_two_completes_a_dim_70_fiber():
+    spec, z, stored = _dim_70_instance()
+    _assert_complete(spec, z, 0, stored)
+
+
+def test_route_one_reaches_a_dim_70_fiber():
+    # the exact characteristic polynomial's root iteration was still moving
+    # after 200 sweeps and minutes here, for seeds 0 and 1 alike
+    spec, z, stored = _dim_70_instance()
+    res = joint_spectrum(QuotientAlgebra(spec, z), seed=0)
+    ok, worst = match_point_sets(stored, [pt.p for pt in res.points], 1e-9)
+    assert ok, f"route one differs from the 40-digit momenta by {worst}"
 
 
 def test_route_two_redraws_a_degenerate_real_fiber():
@@ -467,13 +479,15 @@ def test_second_order_on_the_float_image(monkeypatch, n, k, integral):
 
 
 def test_combination_from_the_integer_operators_is_the_fraction_sum():
-    # joint_spectrum sums the cleared integer operators; the charpoly it
-    # takes must be that of sum_j c_j K_j over Fraction
+    # joint_spectrum sums the cleared integer operators; the eigenvalues it
+    # takes must be those of sum_j c_j K_j over Fraction
     rng = random.Random(63)
     spec = random_generic(6, 2, rng, coeff_bound=4)
     alg = QuotientAlgebra(spec, sample_z(spec, rng, bound=6))
     res = joint_spectrum(alg, seed=4)
     ops = alg.operators()
-    comb = [[sum(c * op[r][s] for c, op in zip(res.combination, ops))
+    comb = [[complex(sum(c * op[r][s] for c, op in zip(res.combination, ops)))
              for s in range(alg.dim)] for r in range(alg.dim)]
-    assert res.eigenvalues == tuple(poly_roots(ratmat.charpoly(comb)))
+    ok, worst = match_point_sets(
+        [(lam,) for lam in res.eigenvalues], [(lam,) for lam in np.linalg.eigvals(comb)], 1e-9)
+    assert ok, f"eigenvalues off by {worst}"
