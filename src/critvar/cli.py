@@ -24,7 +24,8 @@ expected), and timing with "stages": for verify and flows the seconds
 spent on each check, keyed by check name in run order.  gen has no
 checks; its "diagnostics.gen" counts the nonzero minors and the
 discriminant forms nonzero at z, of C(n, k) and C(n, k+1).  solve's
-stages are the spectral route ("joint_spectrum") and route two ("newton");
+stages are the spectral route ("joint_spectrum"), route two ("newton")
+and the Hessian and Jacobian checks at route two's points ("second_order");
 its "diagnostics.spectrum" gives route one's accepted integer combination,
 its number of draws, and the smallest gaps between its eigenvalues and
 between its points' momenta (null for a one-point fiber), and its
@@ -255,8 +256,8 @@ def _cmd_verify(args):
     # P -> P(K) u maps the quotient onto Q^m, and the p_I span the quotient,
     # so its dimension is m = C(n-1, k)
     alg = qt.QuotientAlgebra(spec, z)
-    table, dim = qt._orbit_table(alg, True), alg.dim
-    units = sum(qt._orbit_entry(alg, table, key) == (1, [[int(r == c) for r in range(dim)]])
+    table = qt._orbit_table(alg, True)
+    units = sum(qt._orbit_entry(alg, table, key) == [(1, {c: 1})]
                 for c, key in enumerate(alg.basis))
     record(_check("quotient_dimension", units == math.comb(n - 1, k),
                   None, units, math.comb(n - 1, k)))
@@ -335,6 +336,7 @@ def _cmd_solve(args):
     checks.append(_check("spectral_newton_match", ok, worst,
                          min(len(spectral.points), len(newton)), 0))
 
+    mark = time.perf_counter()
     worst_h = worst_j = 0.0
     for pt in newton:
         h_direct = complex(hessian_direct(spec, z, pt.t))
@@ -344,6 +346,7 @@ def _cmd_solve(args):
         for aj, pj in zip(spec.a, pt.p):
             hess *= complex(aj) / (pj * pj)
         worst_j = max(worst_j, abs(jac - (-1) ** spec.n * hess) / (1 + abs(jac)))
+    stages["second_order"] = round(time.perf_counter() - mark, 6)
     for name, worst in (("hessian_identity", worst_h), ("jacobian_from_hessian", worst_j)):
         checks.append(_check(name, worst <= args.tol_hessian,
                              worst, len(newton), args.tol_hessian))

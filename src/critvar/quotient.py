@@ -33,36 +33,39 @@ would expand them in: the rewrite is linear and the arithmetic exact, so
 sharing a child's normal form between its parents gives the same
 Fractions as expanding it afresh under each (a worklist that skips a
 monomial whose merged coefficient cancels to zero skips a zero term).
-reduce_monomial is that recursion, memoised per algebra as (den, sparse
-int coordinates) per monomial and combined in int over one lcm, so the
+reduce_monomial is that recursion, memoised per algebra as a sparse
+vector (den, {basis position: int}) in lowest terms per monomial, so the
 dim * n products behind the operators share every intermediate monomial.
 A monomial met again while its own children are being reduced would make
-the rewrite cycle; that raises DomainError naming it.
+the rewrite cycle; that raises DomainError naming it.  Every sum of such
+vectors, here and below, is one _lincomb: the terms over the lcm of their
+denominators, the gcd divided out.
 
 Multiplication by p_j then becomes an exact rational matrix K_j on the
 basis; these commuting operators carry the whole structure, and their
 joint spectrum recovers the critical points themselves (the numeric side
-of that lives in spectrum.py).  Each is stored once, in int: K_j = A_j /
-D_j (int_operator), column c of A_j read off the normal form of p_j p_I
-for basis class c, D_j the lcm of the columns' denominators, and
-K_j^-1 read off the normal forms of p_j^-1 p_I the same way, with no
-matrix inverted; bethe_operator is a Fraction view of K_j.  The unit u
-is the normal form of the empty monomial.  One Krylov certificate from u
-(cyclic_operator) licenses two shortcuts: the operators commute if the
-n-1 commutators with the certified K_c vanish (commutator_residual), and
-then an identity P(K) = 0 holds if P(K) u = 0.
+of that lives in spectrum.py).  Each is stored once, as its columns
+(columns): column c is the memoised normal form of p_j p_I, I basis
+class c, with no copy and no rescaling, and K_j^-1 is read off the
+normal forms of p_j^-1 p_I the same way, with no matrix inverted.  K_j
+applied to a sparse vector (_apply) is a _lincomb of its columns, and
+bethe_operator is a Fraction view.  The unit u is the normal form of the
+empty monomial.  One Krylov certificate from u (cyclic_operator)
+licenses two shortcuts: the operators commute if the n-1 commutators
+with the certified K_c vanish (commutator_residual, column by column),
+and then an identity P(K) = 0 holds if P(K) u = 0.
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
 its terms at z become (c, indices) pairs, an index -j standing for
 K_j^-1, and _combination sums c K_I over them, applied to the identity
-or (on_unit) to the unit column u, as one integer sum of orbit-table
-columns.  The table entry for I is K_I applied to the start, one A_j
-applied in int to the entry one index shorter.  The two tables are kept
-per algebra, keyed by on_unit.  multiplication_matrix, normal_form (on
-the unit) and the operator forms of the first-kind, second-kind and
-Euler relations, taken straight from relations.py, all go through it.
-relations.py and laurent.py are imported by the functions that read
-them, so the algebra and its operators load neither.
+or (on_unit) to the unit u, one _lincomb per start column.  The
+orbit-table entry for I is K_I applied to the start, a list of sparse
+vectors: K_j applied to the entry one index shorter.  The two tables
+are kept per algebra, keyed by on_unit.  multiplication_matrix,
+normal_form (on the unit) and the operator forms of the first-kind,
+second-kind and Euler relations, taken straight from relations.py, all
+go through it.  relations.py and laurent.py are imported by the
+functions that read them, so the algebra and its operators load neither.
 
 The module also realizes the singular-vector model.  V has one axis e_I
 per k-subset I, and Sing V is the kernel of the contraction iota_a e_J =
@@ -94,7 +97,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from . import ratmat
@@ -183,8 +185,7 @@ class QuotientAlgebra:
         self.all_subsets = tuple(k_subsets(spec.n, spec.k))
         self.v_index = {key: r for r, key in enumerate(self.all_subsets)}
         self._nf = {}
-        self._int_ops = {}
-        self._lines = {}
+        self._cols = {}
         self._orbits = {}
         self._sing = None
         self._rows = None
@@ -221,18 +222,7 @@ class QuotientAlgebra:
         except BaseException:
             del memo[key]
             raise
-        if not terms:  # a basis monomial
-            memo[key] = (1, {self.index[key]: 1})
-            return memo[key]
-        den = math.lcm(*(c.denominator * d for c, (d, _) in terms))
-        acc = {}
-        for c, (d, coords) in terms:
-            scale = c.numerator * (den // (c.denominator * d))
-            for r, x in coords.items():
-                acc[r] = acc.get(r, 0) + scale * x
-        acc = {r: x for r, x in acc.items() if x}
-        g = math.gcd(den, *acc.values())
-        memo[key] = (den // g, {r: x // g for r, x in acc.items()})
+        memo[key] = _lincomb(terms) if terms else (1, {self.index[key]: 1})  # a basis monomial
         return memo[key]
 
     def _move(self, key):
@@ -297,33 +287,24 @@ class QuotientAlgebra:
 
     # -- multiplication operators --------------------------------------------
 
-    def int_operator(self, j):
-        """(D, A) with K_j = A / D in int, cached; j < 0 gives K_|j|^-1 (p_j is a unit).
+    def columns(self, j):
+        """K_j as its columns, cached; j < 0 gives K_|j|^-1 (p_j is a unit).
 
-        Column c of A is D times the normal form of p_j p_I, I basis class c
-        (of p_|j|^-1 p_I for j < 0), and D the lcm of the columns' denominators.
+        Column c is the normal form (den, {row: int}) of p_j p_I, I basis
+        class c (of p_|j|^-1 p_I for j < 0), shared with the rewrite's memo:
+        replace a column, never change one in place.
         """
         if not 1 <= abs(j) <= self.spec.n:
             raise UsageError(f"hyperplane index {j} out of range")
-        if j not in self._int_ops:
-            cols = [self._normal_form(tuple(sorted(mono + (j,)))) for mono in self.basis]
-            den = math.lcm(*(d for d, _ in cols))
-            ints = [[0] * self.dim for _ in range(self.dim)]
-            for c, (d, coords) in enumerate(cols):
-                for r, x in coords.items():
-                    ints[r][c] = x * (den // d)
-            self._int_ops[j] = den, ints
-        return self._int_ops[j]
+        if j not in self._cols:
+            self._cols[j] = [self._normal_form(tuple(sorted(mono + (j,)))) for mono in self.basis]
+        return self._cols[j]
 
     def bethe_operator(self, j):
-        """Matrix of multiplication by p_j on the basis (column per basis class).
-
-        A fresh Fraction view of int_operator(j), which is what is stored.
-        """
+        """Matrix of multiplication by p_j on the basis: a fresh Fraction view of columns(j)."""
         if j < 1:
             raise UsageError(f"hyperplane index {j} out of range")
-        den, ints = self.int_operator(j)
-        return [[Fraction(x, den) if x else _ZERO for x in row] for row in ints]
+        return _fractions(self.columns(j), self.dim)
 
     def operators(self):
         return [self.bethe_operator(j) for j in range(1, self.spec.n + 1)]
@@ -436,77 +417,82 @@ def euler_operator_residual(alg, on_unit=False):
 
 
 def weighted_sum_operator_residual(alg, iset, on_unit=False):
-    """sum_j z_j K_j - (1/d_I) sum_{j not in I} f_{(j,I)}(z) K_j, I a k-subset."""
-    terms = [(zj, (j,)) for j, zj in enumerate(alg.z, start=1) if zj]
-    terms += [(-c, (j,)) for c, j in _weighted_sum(alg.spec, tuple(sorted(iset)), alg.z)]
-    return _combination(alg, terms, on_unit)
+    """sum_j (z_j - f_{(j,I)}(z) / d_I) K_j, f_{(j,I)} = 0 for j in I, I a k-subset."""
+    ws = {j: c for c, j in _weighted_sum(alg.spec, tuple(sorted(iset)), alg.z)}
+    return _combination(alg, [(zj - ws.get(j, 0), (j,)) for j, zj in enumerate(alg.z, start=1)],
+                        on_unit)
 
 
 def cyclic_operator(alg):
     """(c, p) for the first K_c certified cyclic from u modulo the prime p, else (None, None).
 
-    With A_c = D_c K_c in int and u the unit's cleared numerators, the
-    Krylov matrix [u, A_c u, .., A_c^(m-1) u] has full rank mod p, so an
-    integer determinant is nonzero: the K_c^i u span Q^m.  That proves two
-    facts.  K_c is cyclic, and what commutes with a cyclic matrix is a
-    polynomial in it (Horn & Johnson, Matrix Analysis, 2nd ed., 3.2.4), so
-    [K_c, K_j] = 0 for every j makes all pairs commute.  Then P(K) is a
-    polynomial in K_c too, and P(K) u = 0 gives P(K) K_c^i u = 0 for every
-    i: P(K) = 0.  On commuting operators u serves whenever any vector
-    does: a cyclic K_c then holds every K_j in Q[K_c], so the algebra is
-    Q[p_c] and its powers 1, p_c, p_c^2, .. (the K_c^i u) span it.
+    With A_c = D_c K_c in int, D_c the lcm of its columns' denominators, and
+    u the unit's cleared numerators, the Krylov matrix [u, A_c u, ..,
+    A_c^(m-1) u] has full rank mod p, so an integer determinant is nonzero:
+    the K_c^i u span Q^m.  That proves two facts.  K_c is cyclic, and what
+    commutes with a cyclic matrix is a polynomial in it (Horn & Johnson,
+    Matrix Analysis, 2nd ed., 3.2.4), so [K_c, K_j] = 0 for every j makes
+    all pairs commute.  Then P(K) is a polynomial in K_c too, and P(K) u = 0
+    gives P(K) K_c^i u = 0 for every i: P(K) = 0.  On commuting operators u
+    serves whenever any vector does: a cyclic K_c then holds every K_j in
+    Q[K_c], so the algebra is Q[p_c] and its powers 1, p_c, p_c^2, .. (the
+    K_c^i u) span it.
     """
     p = _PRIME
-    unit = _unit(alg)[1]
+    unit = alg._normal_form(())[1]
     for c in range(1, alg.spec.n + 1):
-        op = [[x % p for x in row] for row in alg.int_operator(c)[1]]
-        krylov = [[x % p for x in unit]]
+        cols = alg.columns(c)
+        den = math.lcm(*(d for d, _ in cols))
+        op = [[(r, x * (den // d) % p) for r, x in coords.items()] for d, coords in cols]
+        krylov = [[unit.get(r, 0) % p for r in range(alg.dim)]]
         while len(krylov) < alg.dim:
-            krylov.append([sum(map(operator.mul, row, krylov[-1])) % p for row in op])
+            vec = [0] * alg.dim
+            for x, col in zip(krylov[-1], op):
+                for r, y in col:
+                    vec[r] += x * y
+            krylov.append([x % p for x in vec])
         if ratmat._rank_mod(krylov, p) == alg.dim:
             return c, p
     return None, None
 
 
 def commutator_residual(alg, i, j):
-    """K_i K_j - K_j K_i, a fresh Fraction only where nonzero (see _lines).
+    """K_i K_j - K_j K_i, column c the _lincomb of K_i (K_j)_c and -K_j (K_i)_c."""
+    cols_i, cols_j = alg.columns(i), alg.columns(j)
+    return _fractions([_lincomb([(1, _apply(cols_i, col_j)), (-1, _apply(cols_j, col_i))])
+                       for col_i, col_j in zip(cols_i, cols_j)], alg.dim)
 
-    Entry (r, c) of K_i K_j is row r of K_i cleared by its lcm rho against
-    column c of K_j cleared by its lcm gamma, over rho gamma; K_j K_i alike.
+
+def _lincomb(terms, den=1):
+    """sum of c v / den over the (c, v) in terms, v = (d, {row: int}), in lowest terms.
+
+    c is an int or a Fraction, den a positive int; the zero vector is (1, {}).
     """
-    (ri, rows_i, gi, cols_i), (rj, rows_j, gj, cols_j) = _lines(alg, i), _lines(alg, j)
-    out = []
-    for rho_i, row_i, rho_j, row_j in zip(ri, rows_i, rj, rows_j):
-        line = []
-        for gam_j, col_j, gam_i, col_i in zip(gj, cols_j, gi, cols_i):
-            x = sum(map(operator.mul, row_i, col_j))  # (K_i K_j)_rc rho_i gam_j
-            y = sum(map(operator.mul, row_j, col_i))  # (K_j K_i)_rc rho_j gam_i
-            line.append(_ZERO if x * rho_j * gam_i == y * rho_i * gam_j
-                        else Fraction(x, rho_i * gam_j) - Fraction(y, rho_j * gam_i))
-        out.append(line)
+    terms = [(c, d, coords) for c, (d, coords) in terms if c]
+    lcm = math.lcm(*(c.denominator * d for c, d, _ in terms))
+    acc = {}
+    for c, d, coords in terms:
+        scale = c.numerator * (lcm // (c.denominator * d))
+        for r, x in coords.items():
+            acc[r] = acc.get(r, 0) + scale * x
+    acc = {r: x for r, x in acc.items() if x}
+    g = math.gcd(lcm * den, *acc.values())
+    return lcm * den // g, {r: x // g for r, x in acc.items()}
+
+
+def _apply(cols, vec):
+    """K vec in lowest terms, K given by its columns and vec = (den, {row: int})."""
+    den, coords = vec
+    return _lincomb([(x, cols[r]) for r, x in coords.items()], den)
+
+
+def _fractions(cols, dim):
+    """The dim-row Fraction matrix whose columns are the sparse vectors cols."""
+    out = [[_ZERO] * len(cols) for _ in range(dim)]
+    for c, (d, coords) in enumerate(cols):
+        for r, x in coords.items():
+            out[r][c] = Fraction(x, d)
     return out
-
-
-def _unit(alg):
-    """(den, int coordinates) of the unit u: the normal form of the empty monomial."""
-    den, coords = alg._normal_form(())
-    return den, [coords.get(r, 0) for r in range(alg.dim)]
-
-
-def _lines(alg, j):
-    """(row lcms, int rows, column lcms, int columns) of K_j = A_j / D_j; cached.
-
-    A line's lcm is D_j over its gcd with that line of A_j.
-    """
-    if j not in alg._lines:
-        den, ints = alg.int_operator(j)
-        out = []
-        for lines in (ints, list(zip(*ints))):
-            gcds = [math.gcd(den, *line) for line in lines]
-            out += [[den // g for g in gcds],
-                    [[x // g for x in line] for g, line in zip(gcds, lines)]]
-        alg._lines[j] = out
-    return alg._lines[j]
 
 
 def _poly_terms(alg, poly):
@@ -525,37 +511,24 @@ def _poly_terms(alg, poly):
 
 
 def _combination(alg, terms, on_unit):
-    """sum of c K_I (applied to u on_unit) over the (c, I) in terms, one integer sum."""
+    """sum of c K_I (applied to u on_unit) over the (c, I) in terms, a _lincomb per column."""
     table = _orbit_table(alg, on_unit)
     entries = [(c, _orbit_entry(alg, table, indices)) for c, indices in terms]
-    den = math.lcm(*(c.denominator * d for c, (d, _) in entries))
-    sums = [[0] * alg.dim for _ in table[()][1]]
-    for c, (d, cols) in entries:
-        scale = c.numerator * (den // (c.denominator * d))
-        for acc, col in zip(sums, cols):
-            acc[:] = [x + scale * y for x, y in zip(acc, col)]
-    return [[Fraction(col[r], den) if col[r] else _ZERO for col in sums]
-            for r in range(alg.dim)]
+    return _fractions([_lincomb([(c, entry[s]) for c, entry in entries])
+                       for s in range(len(table[()]))], alg.dim)
 
 
 def _orbit_table(alg, on_unit):
-    """index tuple -> (den, int columns) of K_I applied to u or the identity, per algebra."""
+    """index tuple -> sparse columns of K_I applied to u or to the identity, per algebra."""
     if on_unit not in alg._orbits:
-        if on_unit:
-            den, unit = _unit(alg)
-            start = den, [unit]
-        else:
-            start = 1, [[int(r == c) for r in range(alg.dim)] for c in range(alg.dim)]
-        alg._orbits[on_unit] = {(): start}  # columns; the identity is symmetric
+        start = [alg._normal_form(())] if on_unit else [(1, {c: 1}) for c in range(alg.dim)]
+        alg._orbits[on_unit] = {(): start}
     return alg._orbits[on_unit]
 
 
 def _orbit_entry(alg, table, indices):
-    """The entry for I, (den, int columns): K_{i_r} applied to the entry for I minus i_r."""
+    """The entry for I: K_{i_r} applied to each column of the entry for I minus i_r."""
     if indices not in table:
-        den, cols = _orbit_entry(alg, table, indices[:-1])
-        dj, op = alg.int_operator(indices[-1])
-        cols = [[sum(map(operator.mul, row, col)) for row in op] for col in cols]
-        g = math.gcd(den * dj, *(x for col in cols for x in col))
-        table[indices] = (den * dj // g, [[x // g for x in col] for col in cols])
+        cols = alg.columns(indices[-1])
+        table[indices] = [_apply(cols, vec) for vec in _orbit_entry(alg, table, indices[:-1])]
     return table[indices]

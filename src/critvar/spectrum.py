@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -184,32 +183,31 @@ def joint_spectrum(alg, seed=0):
     The right eigenvectors of a generic combination sum_j c_j K_j are
     common eigenvectors of the commuting K_j: K_j v = p_j v, with p the
     momenta of the point v belongs to.  So one draw is: an integer
-    combination c, summed in int over the cleared operators (int_operator)
-    and rounded once; its eigenvalues and unit eigenvectors from one
+    combination c; column s of sum_j c_j K_j as one exact _lincomb of the
+    columns s of the stored K_j (QuotientAlgebra.columns), each entry then
+    rounded once; its eigenvalues and unit eigenvectors from one
     np.linalg.eig; every p_j of every point as the Rayleigh quotient
-    v^H K_j v, all at once over the stacked float K_j; t fitted to all
-    momenta by one least squares; and one batched _polish at z.  A draw is
-    accepted when every point converges and no two lie within _DEDUP_TOL,
-    the distinctness rule of route two (_unsettled); after _REDRAWS
-    rejected draws a NumericError reports the counts and gaps, rather than
-    returning a fiber with a repeated or unconverged point.
+    v^H K_j v, all at once over the stacked float K_j, read off the same
+    columns; t fitted to all momenta by one least squares; and one batched
+    _polish at z.  A draw is accepted when every point converges and no two
+    lie within _DEDUP_TOL, the distinctness rule of route two (_unsettled);
+    after _REDRAWS rejected draws a NumericError reports the counts and
+    gaps, rather than returning a fiber with a repeated or unconverged point.
     """
     import numpy as np
+    from .quotient import _lincomb
     rng = random.Random(seed)
-    spec, n = alg.spec, alg.spec.n
-    ops = [alg.int_operator(j) for j in range(1, n + 1)]
-    kmats = np.array([_to_complex(den, op) for den, op in ops])
-    den = math.lcm(*(d for d, _ in ops))
+    spec, n, m = alg.spec, alg.spec.n, alg.dim
+    cols = [alg.columns(j) for j in range(1, n + 1)]
+    kmats = np.array([_to_complex(op, m) for op in cols])
     zc = np.array([complex(v) for v in alg.z])
     a, b, _ = spec.tables(zc)
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
     rejected = []
     for attempt in range(1, _REDRAWS + 1):
         c = [rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(n)]
-        scales = [cj * (den // d) for cj, (d, _) in zip(c, ops)]
-        ints = [[sum(map(operator.mul, scales, entries)) for entries in zip(*rows)]
-                for rows in zip(*(op for _, op in ops))]
-        eigvals, vecs = np.linalg.eig(_to_complex(den, ints))
+        comb = [_lincomb(zip(c, col)) for col in zip(*cols)]
+        eigvals, vecs = np.linalg.eig(_to_complex(comb, m))
         p = np.einsum("ri,jri->ij", vecs.conj(), kmats @ vecs)
         t = np.linalg.lstsq(b, (a / p - zc).T, rcond=None)[0].T
         t, ok = _polish(b, a, zc, t, *_POLISH)
@@ -232,10 +230,13 @@ def joint_spectrum(alg, seed=0):
         f"(unconverged, merged, smallest eigenvalue gap) per draw: {rejected}")
 
 
-def _to_complex(den, ints):
-    """The complex array of ints / den; int / int rounds once, as complex(Fraction) does."""
+def _to_complex(cols, dim):
+    """The complex matrix with the sparse columns (den, {row: int}); int / int rounds once."""
     import numpy as np
-    return np.array([[x / den for x in row] for row in ints], dtype=complex)
+    out = np.zeros((dim, len(cols)), dtype=complex)
+    for c, (d, coords) in enumerate(cols):
+        out[list(coords), c] = [x / d for x in coords.values()]
+    return out
 
 
 def _min_gap(values):

@@ -110,15 +110,16 @@ def _commutator_spy(monkeypatch):
 
 def test_a_perturbed_operator_fails_the_cyclic_commutators(six_two_path, capsys,
                                                            monkeypatch):
-    # one entry of K_3 off by one: [K_1, K_3] is among the n - 1 products
-    build = qt.QuotientAlgebra.int_operator
+    # entry (1, 2) of K_3 off by one: [K_1, K_3] is among the n - 1 products
+    build = qt.QuotientAlgebra.columns
 
     def perturbed(alg, j):
-        den, ints = build(alg, j)
-        return den, [[x + den * (j == 3 and (r, c) == (1, 2)) for c, x in enumerate(row)]
-                     for r, row in enumerate(ints)]
+        cols = list(build(alg, j))  # a copy: the stored columns stay honest
+        if j == 3:
+            cols[2] = qt._lincomb([(1, cols[2]), (1, (1, {1: 1}))])
+        return cols
 
-    monkeypatch.setattr(qt.QuotientAlgebra, "int_operator", perturbed)
+    monkeypatch.setattr(qt.QuotientAlgebra, "columns", perturbed)
     calls = _commutator_spy(monkeypatch)
     rc, report = run_json(capsys, ["verify", "--config", six_two_path])
     assert rc == 1
@@ -227,7 +228,7 @@ def test_solve_finds_and_cross_checks_critical_points(config_path, capsys):
     # four lines in the plane have C(4, 2) vertices with four orthants each
     assert report["diagnostics"]["newton"] == {
         "vertex_starts": 24, "chambers": 3, "redraws": 0, "paths": 3, "retracked": 0}
-    assert set(report["timing"]["stages"]) == {"joint_spectrum", "newton"}
+    assert set(report["timing"]["stages"]) == {"joint_spectrum", "newton", "second_order"}
 
 
 def test_solve_reports_route_one_diagnostics(config_path, capsys):

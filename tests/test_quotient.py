@@ -1,7 +1,6 @@
 import functools
 import json
 import math
-import operator
 import random
 import time
 from fractions import Fraction
@@ -157,27 +156,71 @@ def test_memoised_rewrite_matches_the_worklist():
 
 
 def _operator_by_columns(alg, j):
-    """K_j from Fraction columns of reduce_monomial, its cleared form, and K_j^-1's."""
+    """K_j from Fraction columns of reduce_monomial, and K_j^-1 by Fraction Gauss-Jordan."""
     op = transpose([alg.reduce_monomial(mono + (j,)) for mono in alg.basis])
-    return op, ratmat._cleared(op), ratmat._cleared(_inverse_by_rref(op))
+    return op, _inverse_by_rref(op)
+
+
+def _sparse_values(cols):
+    """Each (den, {row: int}) column as {row: Fraction}, after checking it is in lowest terms."""
+    for d, coords in cols:
+        assert d > 0 and all(coords.values()) and math.gcd(d, *coords.values()) == 1
+    return [{r: Fraction(x, d) for r, x in coords.items()} for d, coords in cols]
 
 
 @pytest.mark.parametrize("n, k, seed", [(5, 1, 111), (5, 4, 112), (6, 3, 113), (7, 3, 114),
                                         (8, 3, 115)])
 def test_integer_operators_match_the_cleared_fraction_columns(n, k, seed):
-    # the stored (D, A) is built from the normal forms in int; clearing the
-    # Fraction matrix of the same columns, or its inverse, gives it exactly
+    # the stored columns are the normal forms in lowest terms, zeros left out:
+    # as Fractions they are the columns of reduce_monomial, and K_j^-1's are
+    # the columns of the Fraction inverse
     for j1 in (1, n):
         alg, ref = random_algebra(n, k, seed, j1=j1), random_algebra(n, k, seed, j1=j1)
         for j in range(1, n + 1):
-            op, cleared, inv = _operator_by_columns(ref, j)
-            assert alg.int_operator(j) == cleared
-            assert alg.int_operator(-j) == inv
+            op, inv = _operator_by_columns(ref, j)
+            for index, mat in ((j, op), (-j, inv)):
+                assert _sparse_values(alg.columns(index)) == [
+                    {r: x for r, x in enumerate(col) if x} for col in transpose(mat)]
             assert alg.bethe_operator(j) == op
     with pytest.raises(UsageError):
-        alg.int_operator(0)
+        alg.columns(0)
     with pytest.raises(UsageError):
         alg.bethe_operator(-1)
+
+
+_ROWS = 6
+_vectors = st.tuples(st.integers(1, 60),
+                     st.dictionaries(st.integers(0, _ROWS - 1),
+                                     st.integers(-40, 40).filter(bool), max_size=_ROWS))
+_coefficients = st.integers(-6, 6) | st.fractions(max_denominator=12).filter(
+    lambda x: abs(x) <= 6)
+
+
+def _dense(vec):
+    d, coords = vec
+    return [Fraction(coords.get(r, 0), d) for r in range(_ROWS)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(terms=st.lists(st.tuples(_coefficients, _vectors), max_size=5),
+       den=st.integers(1, 30), cols=st.lists(_vectors, min_size=_ROWS, max_size=_ROWS),
+       vec=_vectors)
+@example(terms=[(2, (3, {0: 1, 4: -2})), (Fraction(-2, 3), (1, {0: 1, 4: -2}))], den=5,
+         cols=[(1, {})] * _ROWS, vec=(1, {}))
+def test_lincomb_and_apply_are_the_fraction_sums(terms, den, cols, vec):
+    # every sparse sum of the algebra: the Fraction sum, in lowest terms with
+    # no zero stored, and exactly (1, {}) when it cancels
+    got = qt._lincomb(terms, den)
+    want = [sum((c * _dense(v)[r] for c, v in terms), Fraction(0)) / den for r in range(_ROWS)]
+    assert _sparse_values([got]) == [{r: x for r, x in enumerate(want) if x}]
+    assert (got == (1, {})) == (not any(want))
+    assert qt._lincomb([*terms, *((-c, v) for c, v in terms)], den) == (1, {})
+    # K vec, K given by its columns
+    dense = [_dense(col) for col in cols]
+    want = [sum((dense[s][r] * x for s, x in enumerate(_dense(vec))), Fraction(0))
+            for r in range(_ROWS)]
+    got = qt._apply(cols, vec)
+    assert _sparse_values([got]) == [{r: x for r, x in enumerate(want) if x}]
 
 
 def test_reduce_monomial_returns_a_fresh_list():
@@ -273,12 +316,11 @@ def _unit_column(alg):
 def _unit_orbit(alg):
     """W, one column K_I u per basis monomial I, by Fraction products.
 
-    Reads the cached integer operators, as the orbit table does, and checks
+    Reads the stored operator columns, as the orbit table does, and checks
     the unit's table against it.  K_j is multiplication by p_j, so K_I u =
     [p_I] = e_I: on honest operators W is the identity, and u is cyclic.
     """
-    ops = {j: [[Fraction(x, d) for x in row] for row in a]
-           for j in range(1, alg.spec.n + 1) for d, a in [alg.int_operator(j)]}
+    ops = {j: qt._fractions(alg.columns(j), alg.dim) for j in range(1, alg.spec.n + 1)}
     cols = []
     for mono in alg.basis:
         vec = alg.element_one()
@@ -287,7 +329,7 @@ def _unit_orbit(alg):
         cols.append(vec)
     table = qt._orbit_table(alg, True)
     entries = [qt._orbit_entry(alg, table, mono) for mono in alg.basis]
-    assert cols == [[Fraction(x, den) for x in col] for den, (col,) in entries]
+    assert cols == [[row[0] for row in qt._fractions(entry, alg.dim)] for entry in entries]
     return transpose(cols)
 
 
@@ -306,11 +348,14 @@ def test_operator_identities():
 
 
 def _bump_operator(alg, j, entry, delta):
-    """Move one entry of the stored K_j by delta, in its integer form (D, A)."""
-    den, ints = alg.int_operator(j)
-    mat = [[Fraction(x, den) for x in row] for row in ints]
-    mat[entry[0]][entry[1]] += delta
-    alg._int_ops[j] = ratmat._cleared(mat)
+    """Move entry (r, c) of the stored K_j by delta.
+
+    Column c is replaced, never changed in place: the rewrite's memo holds
+    the same (den, {row: int}), shared with other operators' columns.
+    """
+    r, c = entry
+    cols = alg.columns(j)
+    cols[c] = qt._lincomb([(1, cols[c]), (delta, (1, {r: 1}))])
 
 
 def test_corrupted_operator_fails_on_the_unit_column():
@@ -344,10 +389,8 @@ def test_cyclic_certificate_and_the_n_minus_one_verdict(shape, seed, bump):
     n, k = shape
     alg = random_algebra(n, k, seed)
     if bump is not None:
-        den, ints = alg.int_operator(min(bump[0], n))
-        ints[bump[1] % alg.dim][bump[2] % alg.dim] += den
-    ops = {j: [[Fraction(x, d) for x in row] for row in a]
-           for j in range(1, n + 1) for d, a in [alg.int_operator(j)]}
+        _bump_operator(alg, min(bump[0], n), (bump[1] % alg.dim, bump[2] % alg.dim), 1)
+    ops = {j: alg.bethe_operator(j) for j in range(1, n + 1)}
     cyclic, prime = qt.cyclic_operator(alg)
     assert (cyclic is None) == (prime is None)
     if cyclic is not None:
@@ -372,9 +415,14 @@ def test_cyclic_certificate_and_the_n_minus_one_verdict(shape, seed, bump):
 def test_a_derogatory_operator_is_not_certified():
     # K_1 replaced by the identity, which has no cyclic vector: the certificate moves on
     alg = random_algebra(5, 2, 7)
-    den, ints = alg.int_operator(1)
-    ints[:] = [[den * (r == c) for c in range(alg.dim)] for r in range(alg.dim)]
+    alg.columns(1)[:] = [(1, {c: 1}) for c in range(alg.dim)]
     assert qt.cyclic_operator(alg) == (2, 2**31 - 1)
+    # diag(1, 1/2, .., 1/m) has distinct eigenvalues, and u has no zero
+    # coordinate, so u is cyclic for it: the certificate reads K_1 with its
+    # column denominators, not the bare numerators, which are the identity's
+    assert len(alg._normal_form(())[1]) == alg.dim
+    alg.columns(1)[:] = [(c + 1, {c: 1}) for c in range(alg.dim)]
+    assert qt.cyclic_operator(alg) == (1, 2**31 - 1)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -385,23 +433,21 @@ def test_inverse_operators_are_the_fraction_inverses(shape, seed, j1):
     n, k = shape
     alg = random_algebra(n, k, seed, j1=(j1 - 1) % n + 1)
     for j in range(1, n + 1):
-        assert alg.int_operator(-j) == ratmat._cleared(_inverse_by_rref(alg.bethe_operator(j)))
+        assert qt._fractions(alg.columns(-j), alg.dim) == _inverse_by_rref(alg.bethe_operator(j))
 
 
 def test_all_inverse_operators_at_ten_four_in_two_seconds():
     # `critvar gen --n 10 --k 4 --seed 5`, dim 126: K_2^-1 by Gauss-Jordan on
-    # [A | I] did not finish in 2.5 minutes; K_j (K_j^-1 u) = u, checked in int
+    # [A | I] did not finish in 2.5 minutes; K_j (K_j^-1 u) = u, checked exactly
     rng = random.Random(5)
     spec = random_generic(10, 4, rng, coeff_bound=9)
     alg = QuotientAlgebra(spec, sample_z(spec, rng))
     start = time.perf_counter()
-    inverses = {j: alg.int_operator(-j) for j in range(1, 11)}
+    inverses = {j: alg.columns(-j) for j in range(1, 11)}
     assert time.perf_counter() - start <= 2.0
-    unit = qt._unit(alg)[1]
-    for j, (e, inv) in inverses.items():
-        d, op = alg.int_operator(j)
-        back = [sum(map(operator.mul, row, unit)) for row in inv]
-        assert [sum(map(operator.mul, row, back)) for row in op] == [d * e * x for x in unit]
+    unit = alg._normal_form(())
+    for j, inv in inverses.items():
+        assert qt._apply(alg.columns(j), qt._apply(inv, unit)) == unit
 
 
 def _combination_by_products(alg, terms, inverse=None):
@@ -449,7 +495,7 @@ def test_table_follows_the_operators_not_the_rewrite():
     # every K_j^+-1 is built first, so the products read the stored K_4^-1 too
     alg = random_algebra(5, 2, 95)
     unit = _unit_column(alg)
-    stored = {j: alg.int_operator(j) for j in range(-5, 6) if j}
+    stored = {j: qt._fractions(alg.columns(j), alg.dim) for j in range(-5, 6) if j}
     _bump_operator(alg, 3, (1, 2), Fraction(2, 9))
     _bump_operator(alg, 4, (0, 5), -1)
 
@@ -462,9 +508,7 @@ def test_table_follows_the_operators_not_the_rewrite():
     for poly in [sub(mul(p[2], p[3]), mul(p[3], p[4])), add(mul(p[2], inv, p[1]), 3),
                  mul(p[3], p[2], p[2])]:
         terms = qt._poly_terms(alg, poly)
-        full = _combination_by_products(
-            alg, terms, lambda j: [[Fraction(x, stored[-j][0]) for x in row]
-                                   for row in stored[-j][1]])
+        full = _combination_by_products(alg, terms, lambda j: stored[-j])
         assert alg.multiplication_matrix(poly) == full
         assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
     assert _unit_orbit(alg) != identity(alg.dim)
@@ -473,12 +517,11 @@ def test_table_follows_the_operators_not_the_rewrite():
 
 
 def test_corrupted_integer_operator_makes_table_residuals_nonzero():
-    # the table reads the cached integer operators: corrupting one of those,
+    # the table reads the stored operator columns: corrupting one of those,
     # with the rewrite intact, must show in every table check
-    for j, (r, c) in [(2, (0, 0)), (3, (4, 1)), (5, (2, 5))]:
+    for j, entry in [(2, (0, 0)), (3, (4, 1)), (5, (2, 5))]:
         alg = random_algebra(5, 2, 96)
-        den, ints = alg.int_operator(j)
-        ints[r][c] += den
+        _bump_operator(alg, j, entry, 1)
         zero = zeros(alg.dim, 1)
         assert any(commutator_residual(alg, j, i) != zeros(alg.dim, alg.dim)
                    for i in range(1, 6) if i != j)

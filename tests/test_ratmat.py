@@ -344,7 +344,7 @@ def test_charpoly_of_a_triangular_matrix():
 def test_charpoly_of_a_spectral_large_combination():
     # critvar gen --n 7 --k 3 --seed 5000, the first (7,3) instance of
     # spectral-large seed 5: joint_spectrum's combination, summed over the
-    # operators of int_operator, each A_j / D_j
+    # Fraction operators
     from critvar.arrangement import random_generic, sample_z
     from critvar.quotient import QuotientAlgebra
     from critvar.spectrum import joint_spectrum
@@ -352,9 +352,9 @@ def test_charpoly_of_a_spectral_large_combination():
     rng = random.Random(5000)
     spec = random_generic(7, 3, rng)
     alg = QuotientAlgebra(spec, sample_z(spec, rng))
-    ops = [alg.int_operator(j) for j in range(1, spec.n + 1)]
+    ops = alg.operators()
     coeffs = joint_spectrum(alg, seed=5000).combination
-    comb = [[sum(c * Fraction(op[r][s], den) for c, (den, op) in zip(coeffs, ops))
+    comb = [[sum(c * op[r][s] for c, op in zip(coeffs, ops))
              for s in range(alg.dim)] for r in range(alg.dim)]
     assert len(comb) == 20
     assert ratmat.charpoly(comb) == _charpoly_int(comb)
