@@ -35,7 +35,8 @@ through a fresh middle point after one was lost or merged; verify's
 "diagnostics.verify" gives the path its operator identities took
 ("unit_orbit", "full_matrix", or null without a base point), the
 identities checked out of the total, and "commutators": the K_c certified
-cyclic from u ("cyclic") and the prime of its Krylov certificate, or nulls,
+cyclic from u ("cyclic") and the prime p of its certificate (the scalars
+w K_c^i u mod p satisfy no recurrence shorter than the dimension), or nulls,
 and the commutator "products" computed: all C(n, 2) pairs commute once
 [K_c, K_j] = 0 for every j, as the centralizer of a cyclic matrix is its
 polynomials; with no K_c certified every pair is computed and every

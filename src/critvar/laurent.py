@@ -9,8 +9,8 @@ never stores a zero coefficient, which makes equality a plain dict compare.
 
 There is no ring arithmetic: the relation builders write each generator's
 term map from its formula, and what the library does with a polynomial is
-bracket it (poisson), evaluate it, freeze its z at a point (substitute_z),
-test it for zero at a rational point (vanish_at) and print it (to_text).
+bracket it (poisson), evaluate it, test it for zero at a rational point
+(vanish_at) and print it (to_text).
 
 Values are immutable, so a polynomial may keep tables of itself, which
 nothing can make stale: its coefficients as integers over their common
@@ -126,31 +126,6 @@ class LaurentPoly:
         if total is None:
             return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in vals) else 0j
         return total
-
-    def substitute_z(self, zvals):
-        """Freeze the z variables at exact rational values, leaving a poly in p."""
-        if len(zvals) != self.n:
-            raise UsageError("z vector has wrong length")
-        zvals = [_as_fraction(v) for v in zvals]
-        terms = {}
-        for key, c in self.terms.items():
-            rest = []
-            for v, e in key:
-                if v < self.n:
-                    base = zvals[v]
-                    if base == 0:
-                        if e < 0:
-                            raise DomainError(f"pole: z_{v + 1} is 0 with exponent {e}")
-                        c = Fraction(0)
-                        break
-                    c = c * base ** e
-                else:
-                    rest.append((v, e))
-            if c == 0:
-                continue
-            key = tuple(rest)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return self._raw(self.n, {key: c for key, c in terms.items() if c})
 
     # -- canonical text ----------------------------------------------------
 

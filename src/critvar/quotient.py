@@ -50,18 +50,20 @@ class c, with no copy and no rescaling, and K_j^-1 is read off the
 normal forms of p_j^-1 p_I the same way, with no matrix inverted.  K_j
 applied to a sparse vector (_apply) is a _lincomb of its columns, and
 bethe_operator is a Fraction view.  The unit u is the normal form of the
-empty monomial.  One Krylov certificate from u (cyclic_operator)
-licenses two shortcuts: the operators commute if the n-1 commutators
-with the certified K_c vanish (commutator_residual, column by column),
-and then an identity P(K) = 0 holds if P(K) u = 0.
+empty monomial.  One certificate from u (cyclic_operator: the scalar
+sequence w K_c^i u mod p has a minimal polynomial of degree m) licenses
+two shortcuts: the operators commute if the n-1 commutators with the
+certified K_c vanish (commutator_residual, column by column), and then
+an identity P(K) = 0 holds if P(K) u = 0.
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
-its terms at z become (c, indices) pairs, an index -j standing for
-K_j^-1, and _combination sums c K_I over them, applied to the identity
-or (on_unit) to the unit u, one _lincomb per start column.  The
-orbit-table entry for I is K_I applied to the start, a list of sparse
-vectors: K_j applied to the entry one index shorter.  The two tables
-are kept per algebra, keyed by on_unit.  multiplication_matrix,
+its terms become (c, indices) pairs, unmerged, the z powers taken into c
+and an index -j standing for K_j^-1, and _combination sums c K_I over
+them, applied to the identity or (on_unit) to the unit u, one _lincomb
+per start column (a repeated I is one table entry, a zero c is skipped).
+The orbit-table entry for I is K_I applied to the start, a list of
+sparse vectors: K_j applied to the entry one index shorter.  The two
+tables are kept per algebra, keyed by on_unit.  multiplication_matrix,
 normal_form (on the unit) and the operator forms of the first-kind,
 second-kind and Euler relations, taken straight from relations.py, all
 go through it.  relations.py and laurent.py are imported by the
@@ -70,7 +72,7 @@ functions that read them, so the algebra and its operators load neither.
 The module also realizes the singular-vector model.  V has one axis e_I
 per k-subset I, and Sing V is the kernel of the contraction iota_a e_J =
 sum_m (-1)^m a_(j_m) e_(J - j_m), j_0 < j_1 < .. the elements of J.  The
-spec refuses a zero weight and |a| = 0, so two theorems hold:
+spec refuses a zero weight and |a| = 0, so three theorems hold:
 
   * Sing V has the basis b_I = iota_a(e_1 ^ e_I) / a_1 = e_I + sum_m
     (-1)^(m+1) (a_(i_m) / a_1) e_({1} u I - i_m), one per k-subset I
@@ -83,6 +85,11 @@ spec refuses a zero weight and |a| = 0, so two theorems hold:
     = |a| y, so eps ^ y in Sing V gives |a| y = eps ^ iota_a y and
     eps ^ y = 0.  It is the contravariant form of Schechtman & Varchenko
     (Invent. Math. 106, 1991).
+  * No x != 0 in Sing V has (S x)_J = 0 on every k-subset J avoiding j1,
+    so mu_is_isomorphism, the rank of the rows b_I^T S on those axes,
+    cannot fail: S is diagonal and nonsingular, so x_J = 0 there and
+    x = e_j1 ^ y, y free of j1; the part of iota_a x free of j1 is a_j1 y,
+    so y = 0.
 
 So G = B^T S B, B the b_I as columns, is invertible, and the map sending
 the class of d_I p_I to the S-orthogonal projection P e_I is a
@@ -136,12 +143,8 @@ def eliminate_first_kind(spec, j, forbidden=()):
         )
     iprime = _smallest_subset(spec.n, spec.k - 1, forbidden, j)
     pivot = spec.plucker((j,) + iprime)
-    repl = {}
-    for l in range(1, spec.n + 1):
-        if l == j or l in iprime:
-            continue
-        repl[l] = -spec.plucker((l,) + iprime) / pivot
-    return repl
+    return {l: -spec.plucker((l,) + iprime) / pivot
+            for l in range(1, spec.n + 1) if l != j and l not in iprime}
 
 
 def _smallest_subset(n, size, held, avoid=None):
@@ -153,13 +156,8 @@ def _smallest_subset(n, size, held, avoid=None):
 def _weighted_sum(spec, iset, z):
     """(f_(j,I)(z) / d_I, j) for j outside the k-subset I: sum_j z_j p_j on the fiber."""
     d = spec.plucker(iset)
-    return [(_signed_disc(spec, (j,) + iset, z) / d, j)
-            for j in range(1, spec.n + 1) if j not in iset]
-
-
-def _signed_disc(spec, seq, z):
-    """f on a sequence of k+1 distinct indices: sign of sorting times the form."""
-    return _perm_sign(seq) * spec.discriminant_value(tuple(sorted(seq)), z)
+    return [(_perm_sign(seq) * spec.discriminant_value(tuple(sorted(seq)), z) / d, seq[0])
+            for seq in ((j,) + iset for j in range(1, spec.n + 1) if j not in iset)]
 
 
 class QuotientAlgebra:
@@ -174,9 +172,7 @@ class QuotientAlgebra:
             raise DomainError("z lies on the discriminant; the fiber degenerates")
         if not 1 <= j1 <= spec.n:
             raise UsageError(f"j1 must be a hyperplane index, got {j1}")
-        self.spec = spec
-        self.z = z
-        self.j1 = j1
+        self.spec, self.z, self.j1 = spec, z, j1
         others = [i for i in range(1, spec.n + 1) if i != j1]
         self.basis = tuple(itertools.combinations(others, spec.k))
         self.index = {mono: r for r, mono in enumerate(self.basis)}
@@ -184,11 +180,8 @@ class QuotientAlgebra:
         assert self.dim == math.comb(spec.n - 1, spec.k)
         self.all_subsets = tuple(k_subsets(spec.n, spec.k))
         self.v_index = {key: r for r, key in enumerate(self.all_subsets)}
-        self._nf = {}
-        self._cols = {}
-        self._orbits = {}
-        self._sing = None
-        self._rows = None
+        self._nf, self._cols, self._orbits = {}, {}, {}
+        self._sing = self._rows = None
 
     # -- rewriting to the monomial basis ------------------------------------
 
@@ -198,11 +191,7 @@ class QuotientAlgebra:
         for i in mono:
             if not 1 <= i <= self.spec.n:
                 raise UsageError(f"hyperplane index {i} out of range")
-        den, coords = self._normal_form(mono)
-        out = [_ZERO] * self.dim
-        for r, x in coords.items():
-            out[r] = Fraction(x, den)
-        return out
+        return [row[0] for row in _fractions([self._normal_form(mono)], self.dim)]
 
     def _normal_form(self, key):
         """(den, {basis position: int}) of a sorted monomial, its children combined.
@@ -426,34 +415,58 @@ def weighted_sum_operator_residual(alg, iset, on_unit=False):
 def cyclic_operator(alg):
     """(c, p) for the first K_c certified cyclic from u modulo the prime p, else (None, None).
 
-    With A_c = D_c K_c in int, D_c the lcm of its columns' denominators, and
-    u the unit's cleared numerators, the Krylov matrix [u, A_c u, ..,
-    A_c^(m-1) u] has full rank mod p, so an integer determinant is nonzero:
-    the K_c^i u span Q^m.  That proves two facts.  K_c is cyclic, and what
-    commutes with a cyclic matrix is a polynomial in it (Horn & Johnson,
-    Matrix Analysis, 2nd ed., 3.2.4), so [K_c, K_j] = 0 for every j makes
-    all pairs commute.  Then P(K) is a polynomial in K_c too, and P(K) u = 0
-    gives P(K) K_c^i u = 0 for every i: P(K) = 0.  On commuting operators u
-    serves whenever any vector does: a cyclic K_c then holds every K_j in
-    Q[K_c], so the algebra is Q[p_c] and its powers 1, p_c, p_c^2, .. (the
-    K_c^i u) span it.
+    With A_c = D_c K_c in int (D_c the lcm of its column denominators), u
+    the unit's cleared numerators and w fixed (Lehmer's generator from seed
+    1, w_r = 48271^(r+1) mod p), sparse products on one vector mod p give
+    s_i = w A_c^i u mod p for i < 2m.  A relation sum_(i<m) g_i A_c^i u = 0
+    mod p gives sum_i g_i s_(i+j) = 0 for every j, a recurrence of order
+    below m, and Berlekamp-Massey on 2m terms (_minimal_polynomial; Massey,
+    IEEE Trans. Inf. Theory 15, 1969) finds the least one.  So degree m
+    makes u, A_c u, .., A_c^(m-1) u independent mod p, hence an integer
+    determinant is nonzero: the K_c^i u span Q^m.  That proves two facts.
+    K_c is cyclic, and what commutes with a cyclic matrix is a polynomial in
+    it (Horn & Johnson, Matrix Analysis, 2nd ed., 3.2.4), so [K_c, K_j] = 0
+    for every j makes all pairs commute.  Then P(K) is a polynomial in K_c
+    too, and P(K) u = 0 gives P(K) K_c^i u = 0 for every i: P(K) = 0.  A
+    lower degree (K_c derogatory, or an unlucky w) proves nothing; the next
+    c is tried.  On commuting operators u serves whenever any vector does: a
+    cyclic K_c holds every K_j in Q[K_c], so the algebra is Q[p_c], spanned
+    by the powers of p_c (the K_c^i u).
     """
-    p = _PRIME
+    p, m = _PRIME, alg.dim
     unit = alg._normal_form(())[1]
+    w = [pow(48271, r + 1, p) for r in range(m)]
     for c in range(1, alg.spec.n + 1):
         cols = alg.columns(c)
         den = math.lcm(*(d for d, _ in cols))
         op = [[(r, x * (den // d) % p) for r, x in coords.items()] for d, coords in cols]
-        krylov = [[unit.get(r, 0) % p for r in range(alg.dim)]]
-        while len(krylov) < alg.dim:
-            vec = [0] * alg.dim
-            for x, col in zip(krylov[-1], op):
+        vec, seq = [unit.get(r, 0) % p for r in range(m)], []
+        for _ in range(2 * m):
+            seq.append(sum(x * y for x, y in zip(w, vec)) % p)
+            nxt = [0] * m
+            for x, col in zip(vec, op):
                 for r, y in col:
-                    vec[r] += x * y
-            krylov.append([x % p for x in vec])
-        if ratmat._rank_mod(krylov, p) == alg.dim:
+                    nxt[r] += x * y
+            vec = [x % p for x in nxt]
+        if len(_minimal_polynomial(seq, p)) > m:
             return c, p
     return None, None
+
+
+def _minimal_polynomial(seq, p):
+    """Berlekamp-Massey: [1, c_1, .., c_L], L least with sum_j c_j s_(i-j) = 0 mod p, L <= i."""
+    poly, prev, length, shift, last = [1], [1], 0, 1, 1
+    for i in range(len(seq)):
+        d = sum(x * y for x, y in zip(poly, seq[i::-1])) % p
+        if d:
+            new, f = poly + [0] * (len(prev) + shift - len(poly)), d * pow(last, -1, p)
+            for j, x in enumerate(prev):
+                new[j + shift] = (new[j + shift] - f * x) % p
+            if 2 * length <= i:
+                length, prev, last, shift = i + 1 - length, poly, d, 0
+            poly = new
+        shift += 1
+    return (poly + [0] * length)[:length + 1]
 
 
 def commutator_residual(alg, i, j):
@@ -496,16 +509,20 @@ def _fractions(cols, dim):
 
 
 def _poly_terms(alg, poly):
-    """(c, indices) for each term of a Laurent polynomial at z; index -j is K_j^-1."""
+    """(c, indices) for each term of a Laurent polynomial, its z powers in c; index -j is K_j^-1."""
     from .laurent import LaurentPoly
-    if not isinstance(poly, LaurentPoly) or poly.n != alg.spec.n:
+    n, terms = alg.spec.n, []
+    if not isinstance(poly, LaurentPoly) or poly.n != n:
         raise UsageError("expected a Laurent polynomial on the same n variables")
-    offset = alg.spec.n - 1  # p_j has variable id n + j - 1
-    terms = []
-    for key, c in poly.substitute_z(alg.z).terms.items():
+    for key, c in poly.terms.items():
         indices = ()
         for v, e in key:
-            indices += (v - offset if e > 0 else offset - v,) * abs(e)
+            if v >= n:  # p_j has variable id n + j - 1
+                indices += (v - n + 1 if e > 0 else n - 1 - v,) * abs(e)
+            elif e < 0 and not alg.z[v]:
+                raise DomainError(f"pole: z_{v + 1} is 0 with exponent {e}")
+            else:
+                c *= alg.z[v] ** e
         terms.append((c, indices))
     return terms
 

@@ -2,13 +2,12 @@
 
 Matrices are plain lists of row lists.  Rank and the exact determinant
 share one fraction-free elimination in int (_echelon), which serves the
-sizes that occur (at most a few hundred rows); _rank_mod, the rank modulo
-a prime, bounds the rank from below.  No inverse is taken: the quotient
-algebra reads K_j^-1 off its rewrite.  det alone also takes float or
-complex entries, by LU in complex.  The characteristic polynomial is
-computed modulo word-size primes in int64 numpy arrays (imported inside
-charpoly, so importing this module loads no numpy) and recombined exactly
-under a proven bound.
+sizes that occur (at most a few hundred rows).  No inverse is taken: the
+quotient algebra reads K_j^-1 off its rewrite.  det alone also takes
+float or complex entries, by LU in complex.  The characteristic
+polynomial is computed modulo word-size primes in int64 numpy arrays
+(imported inside charpoly, so importing this module loads no numpy) and
+recombined exactly under a proven bound.
 """
 
 from __future__ import annotations
@@ -76,22 +75,6 @@ def _echelon(rows):
 
 def rank(mat):
     return len(_echelon(mat)[1])
-
-
-def _rank_mod(rows, p):
-    """Rank of an int matrix modulo a prime p: a minor nonzero mod p is nonzero over Q."""
-    rows, rank = [[x % p for x in row] for row in rows], 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is not None:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            prow, inv = rows[rank][c:], pow(rows[rank][c], -1, p)
-            for row in rows[rank + 1 :]:  # zero left of column c already
-                if row[c]:
-                    f = row[c] * inv % p
-                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], prow)]
-            rank += 1
-    return rank
 
 
 def det(mat):

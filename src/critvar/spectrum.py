@@ -588,12 +588,11 @@ def jacobian_formula(spec, p):
     """
     a, _, minors = spec.tables(p)
     total = 0
-    universe = set(range(1, spec.n + 1))
-    for lset in k_subsets(spec.n, spec.n - spec.k):
-        d = minors[tuple(sorted(universe - set(lset)))]
+    for iset, d in minors.items():  # I = L complement
         term = d * d
-        for j in lset:
-            term = term * a[j - 1] / (p[j - 1] * p[j - 1])
+        for j in range(1, spec.n + 1):
+            if j not in iset:
+                term = term * a[j - 1] / (p[j - 1] * p[j - 1])
         total = total + term
     return (-1) ** (spec.n - spec.k) * total
 

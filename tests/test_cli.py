@@ -14,7 +14,7 @@ import pytest
 
 import critvar
 from critvar import quotient as qt
-from critvar import cli, ratmat, spectrum
+from critvar import cli, spectrum
 from critvar.cli import main
 from test_ratmat import identity
 
@@ -134,7 +134,7 @@ def test_a_perturbed_operator_fails_the_cyclic_commutators(six_two_path, capsys,
 
 
 def test_no_certified_operator_multiplies_every_pair(six_two_path, capsys, monkeypatch):
-    monkeypatch.setattr(ratmat, "_rank_mod", lambda rows, p: 0)
+    monkeypatch.setattr(qt, "_minimal_polynomial", lambda seq, p: [1])
     calls = _commutator_spy(monkeypatch)
     rc, report = run_json(capsys, ["verify", "--config", six_two_path])
     assert rc == 0

@@ -27,6 +27,7 @@ from critvar.quotient import (
 from critvar.relations import build_relations, euler_relation, g_comb
 from ringref import add, mul, pvar, sub, zvar
 from test_ratmat import (
+    _charpoly_int,
     _inverse_by_rref,
     _nullspace_by_rref,
     _rref,
@@ -423,6 +424,76 @@ def test_a_derogatory_operator_is_not_certified():
     assert len(alg._normal_form(())[1]) == alg.dim
     alg.columns(1)[:] = [(c + 1, {c: 1}) for c in range(alg.dim)]
     assert qt.cyclic_operator(alg) == (1, 2**31 - 1)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(shape=st.sampled_from(_SMALL_SHAPES), seed=st.integers(0, 10**6))
+def test_weighted_sums_are_combinations_of_first_kind_relations(shape, seed):
+    # (z_j - f_(j,I)(z) / d_I)_j = -(1/d_I) sum_m (-1)^m z_(i_m) coeffs(F_(I - i_m)),
+    # m = 1..k, exactly: weighted_sum_operators passes whenever first_kind_operators does
+    from critvar.relations import first_kind
+    alg = random_algebra(*shape, seed)
+    spec, z, n = alg.spec, alg.z, alg.spec.n
+    for iset in alg.all_subsets:
+        ws = {j: c for c, j in qt._weighted_sum(spec, iset, z)}
+        combo = [Fraction(0)] * n
+        for m, i in enumerate(iset, start=1):
+            terms = first_kind(spec, iset[:m - 1] + iset[m:]).terms
+            for j in range(1, n + 1):
+                combo[j - 1] += (-1) ** m * z[i - 1] * terms.get(((n + j - 1, 1),), 0)
+        assert [zj - ws.get(j, 0) for j, zj in enumerate(z, start=1)] == [
+            -x / spec.plucker(iset) for x in combo]
+
+
+def _certify_recording(alg):
+    """cyclic_operator's (c, p), and the (sequence, polynomial) of each Berlekamp-Massey call."""
+    calls, minimal = [], qt._minimal_polynomial
+
+    def spy(seq, p):
+        calls.append((seq, minimal(seq, p)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qt, "_minimal_polynomial", spy)
+        return qt.cyclic_operator(alg), calls
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(shape=st.sampled_from(_SMALL_SHAPES), seed=st.integers(0, 10**6))
+def test_a_full_degree_recurrence_is_the_characteristic_polynomial(shape, seed):
+    # every polynomial Berlekamp-Massey returns annihilates its 2m terms and
+    # has degree at most m; one of degree m is det(tI - A_c) mod p for the
+    # certified c, A_c = D_c K_c, and no earlier c reached degree m
+    alg = random_algebra(*shape, seed)
+    (cyclic, prime), calls = _certify_recording(alg)
+    p, m = 2**31 - 1, alg.dim
+    for seq, poly in calls:
+        deg = len(poly) - 1
+        assert len(seq) == 2 * m and poly[0] == 1 and deg <= m
+        assert all(sum(c * seq[i - j] for j, c in enumerate(poly)) % p == 0
+                   for i in range(deg, 2 * m))
+    assert [len(poly) - 1 == m for _, poly in calls] == [False] * (len(calls) - 1) + [
+        cyclic is not None]
+    if cyclic is not None:
+        cols = alg.columns(cyclic)
+        den = math.lcm(*(d for d, _ in cols))
+        a_c = [[0] * m for _ in range(m)]
+        for c, (d, coords) in enumerate(cols):
+            for r, x in coords.items():
+                a_c[r][c] = x * (den // d)
+        assert prime == p and calls[-1][1] == [int(x) % p for x in _charpoly_int(a_c)]
+
+
+def test_a_derogatory_operator_gives_a_short_recurrence():
+    # K_1 the identity, then diag(1, 1, 2, .., m - 1): neither has a cyclic
+    # vector, so no sequence w K_1^i u has a recurrence of degree m, and K_2
+    # is certified instead
+    alg = random_algebra(5, 2, 7)
+    for diag in ([1] * alg.dim, [1] + list(range(1, alg.dim))):
+        alg.columns(1)[:] = [(1, {c: x}) for c, x in enumerate(diag)]
+        certified, calls = _certify_recording(alg)
+        assert certified == (2, 2**31 - 1)
+        assert [len(poly) - 1 < alg.dim for _, poly in calls] == [True, False]
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
