@@ -17,23 +17,18 @@ sum_j a_j b^m_j / f_j = 0 with their analytic Jacobian along the way.
 Both routes should produce the same C(n-1, k) points; the test suite and
 the solve command insist on it.  The closed forms for the Hessian and
 for the Jacobian of the coordinate projection live here too, next to the
-direct determinants they are checked against.  numpy is imported inside
-the functions that use it, so the exact commands never load it, and the
+direct determinants they are checked against.  The numpy kernels of both
+routes live in numeric.py, which the entry points here import on their
+first call, so the exact commands neither compile it nor load numpy; the
 generic draws of both routes come from random.Random(seed), not numpy.random.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
-import random
 from collections import namedtuple
-from fractions import Fraction
 
 from . import ratmat
-from .arrangement import k_subsets
-from .errors import NumericError, UsageError
 
 __all__ = [
     "CriticalPoint",
@@ -67,114 +62,17 @@ class SpectrumResult(namedtuple("SpectrumResult", "points combination eigenvalue
     __slots__ = ()
 
 
-# -- polynomial roots ---------------------------------------------------------
-
-
 def poly_roots(coeffs, max_sweeps=200, tol=1e-13):
     """All complex roots of a polynomial, leading coefficient first.
 
-    Aberth's method: every approximation repels the others, so the whole
-    root set converges together.  Starts sit on a circle just outside
-    Fujiwara's root bound 2 max_i |c_i|^(1/i); a bound linear in the
-    coefficients would park the starts so far out that the inward march
-    alone could eat the whole sweep budget.  A root counts as placed
-    when its step is tiny or when the polynomial value sits below the
-    roundoff of its own Horner evaluation, where ill-conditioned
-    coefficients make approximations chatter forever.  That floor is only
-    as good as the rounded coefficients, and a spectrum clustered far from
-    the origin can lose every digit to it; so exact (int or Fraction)
+    Aberth's method, sorted by (real, imag); exact (int or Fraction)
     coefficients get further sweeps whose Newton quotients are evaluated
-    without rounding.  A coefficient outside float range, and a Horner
-    value, step or root that overflows, raise NumericError.
+    without rounding (numeric.poly_roots).  A coefficient outside float
+    range, and a Horner value, step or root that overflows, raise
+    NumericError; the zero polynomial raises UsageError.
     """
-    try:
-        cs = [complex(c) for c in coeffs]
-    except OverflowError:
-        raise NumericError("a polynomial coefficient is outside float range") from None
-    while cs and cs[0] == 0:
-        cs.pop(0)
-    if not cs:
-        raise UsageError("the zero polynomial has no defined root set")
-    deg = len(cs) - 1
-    if deg == 0:
-        return []
-    lead = cs[0]
-    cs = [c / lead for c in cs]
-    radius = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(cs[1:], start=1))
-    radius = max(radius, 1e-12)
-    roots = [
-        radius * cmath.exp(2j * cmath.pi * (i + 0.3) / deg + 0.41j) for i in range(deg)
-    ]
-    eval_eps = (4 * deg + 8) * 2.220446049250313e-16
-
-    def float_newton(x):
-        val = der = 0j
-        mag = 0.0
-        for c in cs:
-            der = der * x + val
-            val = val * x + c
-            mag = mag * abs(x) + abs(c)
-        if not math.isfinite(mag):
-            raise NumericError(f"polynomial value overflows float range at {x}")
-        if abs(val) <= eval_eps * mag:
-            return None
-        return val / der if der != 0 else val
-
-    roots = _aberth(roots, float_newton, max_sweeps, tol)
-    if all(isinstance(c, (int, Fraction)) for c in coeffs):
-        exact = [Fraction(c) for c in coeffs[len(coeffs) - deg - 1 :]]
-        den = math.lcm(*(c.denominator for c in exact))
-        ints = [c.numerator * (den // c.denominator) for c in exact]
-        roots = _aberth(roots, lambda x: _exact_newton(ints, x), max_sweeps, 1e-15)
-    return sorted(roots, key=lambda r: (r.real, r.imag))
-
-
-def _aberth(roots, newton, max_sweeps, tol):
-    """Aberth sweeps until no root moves by tol; newton(x) is p(x)/p'(x), None once placed."""
-    for _ in range(max_sweeps):
-        moved = 0.0
-        new_roots = list(roots)
-        for i, x in enumerate(roots):
-            w = newton(x)
-            if w is None:
-                continue
-            rep = sum(1.0 / (x - r) for j, r in enumerate(roots) if j != i)
-            denom = 1.0 - w * rep
-            step = w / denom if denom != 0 else w
-            new_roots[i] = x - step
-            if not cmath.isfinite(new_roots[i]):
-                raise NumericError(f"root iteration left float range from {x}")
-            moved = max(moved, abs(step) / max(1.0, abs(x)))
-        roots = new_roots
-        if moved < tol:
-            return roots
-    raise NumericError(f"root iteration still moving after {max_sweeps} sweeps")
-
-
-def _exact_newton(ints, x):
-    """p(x) / p'(x) for integer coefficients, rounded only at the end.
-
-    A float x is X / e, X a Gaussian integer and e a power of two, so
-    Horner's rule on the partial values times e^j stays in integers.
-    """
-    re, im = Fraction(x.real), Fraction(x.imag)
-    e = max(re.denominator, im.denominator)
-    xr, xi = re.numerator * (e // re.denominator), im.numerator * (e // im.denominator)
-    vr = vi = dr = di = 0
-    scale = 1
-    for c in ints:
-        dr, di = dr * xr - di * xi + vr * e, dr * xi + di * xr + vi * e
-        vr, vi = vr * xr - vi * xi + c * scale, vr * xi + vi * xr
-        scale *= e
-    norm = dr * dr + di * di
-    if norm == 0:
-        return None
-    return complex((vr * dr + vi * di) / norm, (vi * dr - vr * di) / norm)
-
-
-# -- the operator route -------------------------------------------------------
-
-_REDRAWS = 5  # draws before a route gives up: unconverged or merged points, or short real fibers
+    from . import numeric
+    return numeric.poly_roots(coeffs, max_sweeps, tol)
 
 
 def joint_spectrum(alg, seed=0):
@@ -182,263 +80,13 @@ def joint_spectrum(alg, seed=0):
 
     The right eigenvectors of a generic combination sum_j c_j K_j are
     common eigenvectors of the commuting K_j: K_j v = p_j v, with p the
-    momenta of the point v belongs to.  So one draw is: an integer
-    combination c; column s of sum_j c_j K_j as one exact _lincomb of the
-    columns s of the stored K_j (QuotientAlgebra.columns), each entry then
-    rounded once; its eigenvalues and unit eigenvectors from one
-    np.linalg.eig; every p_j of every point as the Rayleigh quotient
-    v^H K_j v, all at once over the stacked float K_j, read off the same
-    columns; t fitted to all momenta by one least squares; and one batched
-    _polish at z.  A draw is accepted when every point converges and no two
-    lie within _DEDUP_TOL, the distinctness rule of route two (_unsettled);
-    after _REDRAWS rejected draws a NumericError reports the counts and
+    momenta of the point v belongs to (numeric.joint_spectrum).  A draw of
+    c is accepted when every point converges and no two merge; after
+    numeric._REDRAWS rejected draws a NumericError reports the counts and
     gaps, rather than returning a fiber with a repeated or unconverged point.
     """
-    import numpy as np
-    from .quotient import _lincomb
-    rng = random.Random(seed)
-    spec, n, m = alg.spec, alg.spec.n, alg.dim
-    cols = [alg.columns(j) for j in range(1, n + 1)]
-    kmats = np.array([_to_complex(op, m) for op in cols])
-    zc = np.array([complex(v) for v in alg.z])
-    a, b, _ = spec.tables(zc)
-    a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
-    rejected = []
-    for attempt in range(1, _REDRAWS + 1):
-        c = [rng.randint(1, 9) * rng.choice((-1, 1)) for _ in range(n)]
-        comb = [_lincomb(zip(c, col)) for col in zip(*cols)]
-        eigvals, vecs = np.linalg.eig(_to_complex(comb, m))
-        p = np.einsum("ri,jri->ij", vecs.conj(), kmats @ vecs)
-        t = np.linalg.lstsq(b, (a / p - zc).T, rcond=None)[0].T
-        t, ok = _polish(b, a, zc, t, *_POLISH)
-        bad = _unsettled(t, ok)
-        gap = _min_gap(eigvals)
-        if bad.any():
-            rejected.append((int((~ok).sum()), int((bad & ok).sum()), gap))
-            continue
-        points = _critical_points(b, a, zc, t)
-        return SpectrumResult(
-            points=points,
-            combination=tuple(c),
-            eigenvalues=tuple(sorted(map(complex, eigvals), key=lambda r: (r.real, r.imag))),
-            attempts=attempt,
-            min_gap=gap,
-            momentum_gap=_min_gap([pt.p for pt in points]),
-        )
-    raise NumericError(
-        f"route one rejected every one of {_REDRAWS} draws of {alg.dim} points; "
-        f"(unconverged, merged, smallest eigenvalue gap) per draw: {rejected}")
-
-
-def _to_complex(cols, dim):
-    """The complex matrix with the sparse columns (den, {row: int}); int / int rounds once."""
-    import numpy as np
-    out = np.zeros((dim, len(cols)), dtype=complex)
-    for c, (d, coords) in enumerate(cols):
-        out[list(coords), c] = [x / d for x in coords.values()]
-    return out
-
-
-def _min_gap(values):
-    """Smallest distance between two entries: numbers, or points by largest coordinate."""
-    import numpy as np
-    if len(values) < 2:
-        return math.inf
-    arr = np.array(values, dtype=complex).reshape(len(values), -1)
-    gaps = np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=2)
-    return float(gaps[np.triu_indices(len(arr), 1)].min())
-
-
-_POLISH = (20, 1e-12)  # sweeps and gradient tolerance of both routes' final polish
-
-
-def _unsettled(t, ok):
-    """Rows of t that did not converge, or lie within _DEDUP_TOL of another converged row."""
-    import numpy as np
-    gaps = np.abs(t[:, None] - t[None]).max(axis=2)
-    gaps[~ok], gaps[:, ~ok] = np.inf, np.inf
-    np.fill_diagonal(gaps, np.inf)
-    return ~ok | (gaps < _DEDUP_TOL).any(axis=1)
-
-
-def _critical_points(b, a, zc, t):
-    """CriticalPoint for every row of t, momenta a / f at t, sorted by momenta."""
-    import numpy as np
-    p = a / (zc + _apply(b, t))
-    grad = np.abs(_apply(b.T, p)).max(axis=1)
-    return tuple(sorted((CriticalPoint(tuple(map(complex, ti)), tuple(map(complex, q)), float(g))
-                         for ti, q, g in zip(t, p, grad)), key=_momenta_key))
-
-
-def _momenta_key(pt):
-    return tuple(coord for x in pt.p for coord in (x.real, x.imag))
-
-
-# -- the direct route ---------------------------------------------------------
-
-_ASCENT_STEPS = 100  # damped Newton steps a chamber's start gets to reach its maximum
-_RETRACKS = 2  # rounds that retrack the fiber through a fresh middle point, steps quartered
-_MAX_STEP = 0.25  # largest share of a segment that path tracking steps by
-_MIN_STEP = 1e-4  # smallest share of a segment that path tracking steps by
-_DEDUP_TOL = 1e-7  # two points of either route this close in t count as one (_unsettled)
-
-
-def _apply(mat, rows):
-    """mat @ row for every row of a stack, each rounded as that single product is.
-
-    One matrix product over the stack rounds differently; this way a point
-    takes the same polish steps alone (route one) as in a batch (route two).
-    """
-    return (mat @ rows[..., None])[..., 0]
-
-
-def _solve_rows(mats, rhs):
-    """np.linalg.solve on a stack; a row whose matrix is singular comes back NaN."""
-    import numpy as np
-    try:
-        return np.linalg.solve(mats, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan, dtype=complex)
-        for i, (mat, vec) in enumerate(zip(mats, rhs)):
-            try:
-                out[i] = np.linalg.solve(mat, vec)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _polish(b, a, zc, t, sweeps, gtol):
-    """Newton on the bare critical equations at z for every row of t.
-
-    Returns (corrected t, ok): a row is ok when its gradient falls below
-    gtol relative to the term scale (see _gradient_floor) before a step or
-    after the last of `sweeps` steps, with every hyperplane value finite and
-    nonzero on the way.  The (B, k, k) Hessians -sum_j a_j b^m_j b^l_j / f_j^2
-    go through one batched solve per sweep.
-    """
-    import numpy as np
-    t = np.array(t, dtype=complex)
-    done = np.zeros(len(t), dtype=bool)
-    live = np.arange(len(t))
-    for sweep in range(sweeps + 1):
-        tl = t[live]
-        f = zc + _apply(b, tl)
-        sane = np.isfinite(f).all(axis=1) & (np.abs(f).min(axis=1) != 0.0)
-        live, tl, f = live[sane], tl[sane], f[sane]
-        g = _apply(b.T, a / f)
-        close = (np.abs(g) <= gtol * _gradient_floor(b, a, f)).all(axis=1)
-        done[live[close]] = True
-        live, tl, f, g = live[~close], tl[~close], f[~close], g[~close]
-        if not live.size or sweep == sweeps:
-            break
-        hess = -(b.T * (a / f**2)[:, None, :]) @ b
-        tl = tl + _solve_rows(hess, -g)
-        finite = np.isfinite(tl).all(axis=1)
-        live = live[finite]
-        t[live] = tl[finite]
-    return t, done
-
-
-def _gradient_floor(b, a, f):
-    """Componentwise size of the gradient's terms, the scale roundoff sees.
-
-    A root pressed against several hyperplanes has gradient terms of size
-    a/|f| that must cancel; no iteration can push the residual below the
-    rounding of those terms, so convergence tests are taken relative to
-    this scale (which is O(1) at comfortable roots).  f holds one row of
-    hyperplane values per point.
-    """
-    return 1.0 + _apply(abs(b).T, abs(a) / abs(f))
-
-
-def _real_fiber(b, a, z):
-    """The maximum of sum_j a_j log|f_j| on every bounded chamber, for real z and a >= 1.
-
-    The planes of a k-subset I meet in the vertex v = -b_I^-1 z_I, and
-    v + eps b_I^-1 sigma, for sigma in {-1, 1}^k, lies in the orthant sigma
-    of those planes; eps, half the smallest |f_j(v)| / |b_j b_I^-1|_1 over
-    the other planes, keeps every other f_j on its side.  Every bounded
-    chamber has a vertex, so the starts reach them all, and the first start
-    of each sign vector stands for its chamber.  Each climbs by the damped
-    Newton step d / (1 + delta), delta = sqrt(g . d): with weights >= 1 the
-    negated function is a self-concordant barrier of the chamber, so the
-    step keeps the chamber and raises the function (Nesterov & Nemirovski
-    1994), and once delta < 1/4 _polish converges quadratically without
-    leaving it.  A start that leaves the box of the vertices is in an
-    unbounded chamber, which has no maximum, and is dropped, as is one
-    still climbing after _ASCENT_STEPS steps.  Returns (maxima, number of
-    vertex starts).
-    """
-    import numpy as np
-    n, k = b.shape
-    subsets = np.array(list(k_subsets(n, k))) - 1
-    inv = np.linalg.inv(b[subsets])
-    vertices = -_apply(inv, z[subsets])
-    ratio = np.abs(z + _apply(b, vertices)) / np.abs(b @ inv).sum(axis=2)
-    np.put_along_axis(ratio, subsets, np.inf, axis=1)
-    orthants = np.array(list(itertools.product((-1.0, 1.0), repeat=k))) @ inv.transpose(0, 2, 1)
-    starts = (vertices[:, None] + 0.5 * ratio.min(axis=1)[:, None, None] * orthants).reshape(-1, k)
-    f = z + _apply(b, starts)
-    off = (f != 0).all(axis=1)  # a start on a plane only where z is not generic
-    _, first = np.unique(f[off] > 0, axis=0, return_index=True)
-    t = starts[off][np.sort(first)]
-    ready, live = np.zeros(len(t), dtype=bool), np.arange(len(t))
-    for _ in range(_ASCENT_STEPS):
-        f = z + _apply(b, t[live])
-        g = _apply(b.T, a / f)
-        d = _solve_rows((b.T * (a / f**2)[:, None, :]) @ b, g)
-        delta = np.sqrt((g * d).sum(axis=1))
-        ready[live[delta < 0.25]] = True
-        climb = delta >= 0.25
-        live, tl = live[climb], t[live[climb]] + d[climb] / (1.0 + delta[climb, None])
-        inside = ((tl >= vertices.min(axis=0)) & (tl <= vertices.max(axis=0))).all(axis=1)
-        live = live[inside]
-        t[live] = tl[inside]
-        if not live.size:
-            break
-    t, ok = _polish(b, a, z, t[ready], *_POLISH)
-    return t[ok], len(starts)
-
-
-def _track(b, a_from, a_to, z_from, z_to, t, shrink=1.0):
-    """Carry critical points at (a_from, z_from) along the segment to (a_to, z_to).
-
-    Every row of t is one path, and all paths share one step in the
-    segment parameter s: an Euler predictor dt/ds = H^-1 b^T (a dz / f^2
-    - da / f), H the stacked Hessians, then _polish at the new (a, z) as
-    the corrector.  A corrected point far from where the predictor aimed
-    has likely hopped onto a neighbouring path, so that fails the step,
-    like a corrector that does not converge.  A failure halves the shared
-    step; at the floor _MIN_STEP * shrink the failing paths are dropped,
-    never guessed, and the rest go on.  A success grows the step back, up
-    to _MAX_STEP * shrink.  Returns (t at the end, ok).
-    """
-    import numpy as np
-    da, dz = a_to - a_from, z_to - z_from
-    t = np.array(t, dtype=complex)
-    live = np.arange(len(t))
-    tau, dtau = 0.0, 0.1 * shrink
-    while tau < 1.0 and live.size:
-        ahead = min(1.0, tau + dtau)
-        tl = t[live]
-        f = z_from + tau * dz + _apply(b, tl)
-        w = (a_from + tau * da) / f**2
-        velocity = _solve_rows(-(b.T * w[:, None, :]) @ b, _apply(b.T, w * dz - da / f))
-        move = velocity * (ahead - tau)
-        guess = tl + move
-        fixed, good = _polish(b, a_from + ahead * da, z_from + ahead * dz, guess, 6, 1e-10)
-        drift = np.abs(fixed - guess).max(axis=1)
-        good &= drift <= 0.5 * np.abs(move).max(axis=1) + 1e-8
-        if not good.all() and dtau / 2 >= _MIN_STEP * shrink:
-            dtau /= 2
-            continue
-        live = live[good]
-        t[live] = fixed[good]
-        tau = ahead
-        dtau = min(_MAX_STEP * shrink, dtau * 1.4)
-    ok = np.zeros(len(t), dtype=bool)
-    ok[live] = True
-    return t, ok
+    from . import numeric
+    return numeric.joint_spectrum(alg, seed)
 
 
 def newton_multistart(spec, z, seed=0, target_count=None, stats=None):
@@ -446,78 +94,19 @@ def newton_multistart(spec, z, seed=0, target_count=None, stats=None):
 
     For real z and positive weights the critical points are real, one in
     each bounded chamber (Varchenko, Compositio Math. 1995), and there are
-    C(n-1, k) of those (Zaslavsky 1975).  So the route takes z_r = Re z
-    and weights a_r in [1, 2] drawn from the seed, and finds that fiber by
-    one ascent per chamber (_real_fiber).  When fewer than target_count
-    (default C(n-1, k)) chambers reach a maximum it redraws z_r, moved at
-    random, up to _REDRAWS draws in all; the last draw goes on regardless.
-
-    A coefficient-parameter homotopy (Morgan & Sommese, Appl. Math.
-    Comput. 1989) then carries the fiber in one batch along (a_r, z_r) ->
-    (a_m, z_m) -> (a, z) (_track).  a_m is random complex, and so is z_m
-    after a redraw, so the path misses the discriminant with probability
-    one and distinct starts end at distinct points; for real z on the
-    first draw, z stays put.  Two full Newton steps at z and the _POLISH
-    polish every route ends with finish each path.  When a path is lost,
-    or ends within _DEDUP_TOL of another, the round is redone, up to
-    _RETRACKS times, through a fresh (a_m, z_m) from the same generator:
-    the leg to (a, z) may pass near the discriminant, and shorter steps on
-    it lose the same path again.  Each round tracks the whole fiber, with
-    steps a quarter as long, since which start ends at which point depends
-    on the middle point.  A count still short of target_count raises
-    NumericError with the counts; a short list is never returned.
+    C(n-1, k) of those (Zaslavsky 1975).  So the route finds that fiber,
+    redrawing while fewer than target_count (default C(n-1, k)) chambers
+    reach a maximum, and a parameter homotopy carries it to the given
+    weights and z (numeric.newton_multistart).  A count still short of
+    target_count raises NumericError with the counts; a short list is
+    never returned.
 
     Points come back sorted by momenta.  If stats is a dict it receives
     "vertex_starts" (summed over draws), "chambers" (on the last draw),
     "redraws", "paths" and "retracked" (summed over rounds).
     """
-    import numpy as np
-    n, k = spec.n, spec.k
-    if len(z) != n:
-        raise UsageError("z has wrong length")
-    want = math.comb(n - 1, k) if target_count is None else target_count
-    rng = random.Random(seed)
-
-    def normal():  # n standard normal draws
-        return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-    zc = np.array([complex(v) for v in z])
-    a, b, _ = spec.tables(zc)
-    a, b = np.array(a, dtype=complex), np.array(b)
-    counts = {} if stats is None else stats
-    counts.update(vertex_starts=0, chambers=0, redraws=0, paths=0, retracked=0)
-    for draw in range(_REDRAWS):
-        jolt = (float(np.abs(zc).max()) + 1.0) * min(draw, 1)
-        a_r, z_r = np.array([rng.uniform(1.0, 2.0) for _ in range(n)]), zc.real + jolt * normal()
-        t_r, starts = _real_fiber(b, a_r, z_r)
-        counts["vertex_starts"] += starts
-        counts.update(chambers=len(t_r), redraws=draw)
-        if len(t_r) == want:
-            break
-
-    counts["paths"] = len(t_r)
-    for attempt in range(_RETRACKS + 1):
-        a_m = np.abs(a).mean() * (normal() + 1j * normal())
-        z_m = (z_r + zc) / 2 + 1j * jolt * normal()
-        counts["retracked"] += len(t_r) * (attempt > 0)
-        ends, ok = t_r.astype(complex), np.zeros(len(t_r), dtype=bool)
-        rows = np.arange(len(t_r))
-        for leg in ((a_r, a_m, z_r, z_m), (a_m, a, z_m, zc)):
-            ends[rows], ok[rows] = _track(b, *leg, ends[rows], 4.0**-attempt)
-            rows = rows[ok[rows]]
-        # the tracker's corrector stops at gradient 1e-10; two full Newton
-        # steps at z first bring a path down to rounding
-        ends[rows], _ = _polish(b, a, zc, ends[rows], 2, 0.0)
-        ends[rows], ok[rows] = _polish(b, a, zc, ends[rows], *_POLISH)
-        bad = _unsettled(ends, ok)
-        if not bad.any():
-            break
-    if bad.any() or len(ends) != want:
-        raise NumericError(
-            f"route two found {int((~bad).sum())} of {want} points: {counts['vertex_starts']} "
-            f"vertex starts, {counts['chambers']} chambers after {counts['redraws']} redraws, "
-            f"{len(ends)} paths, {counts['retracked']} retracked, {int((~ok).sum())} lost "
-            f"and {int((bad & ok).sum())} merged")
-    return _critical_points(b, a, zc, ends)
+    from . import numeric
+    return numeric.newton_multistart(spec, z, seed, target_count, stats)
 
 
 def match_point_sets(pa, pb, tol):
@@ -545,7 +134,8 @@ def match_point_sets(pa, pb, tol):
             return False, best_d
         unused.remove(best)
         worst = max(worst, best_d)
-    separated = all(2 * tol < _min_gap(pts) for pts in (pa, pb))
+    from . import numeric
+    separated = all(2 * tol < numeric._min_gap(pts) for pts in (pa, pb))
     return separated, worst
 
 

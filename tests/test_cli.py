@@ -14,7 +14,7 @@ import pytest
 
 import critvar
 from critvar import quotient as qt
-from critvar import cli, spectrum
+from critvar import cli, numeric
 from critvar.cli import main
 from test_ratmat import identity
 
@@ -412,26 +412,26 @@ def test_malformed_config_gives_exit_two(tmp_path, capsys, edit, reason):
 
 def test_numeric_failure_gives_exit_three(config_path, capsys, monkeypatch):
     # every pair of points now counts as merged, so route one runs out of redraws
-    monkeypatch.setattr(spectrum, "_DEDUP_TOL", math.inf)
+    monkeypatch.setattr(numeric, "_DEDUP_TOL", math.inf)
     assert main(["solve", "--config", config_path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: ")
-    assert f"rejected every one of {spectrum._REDRAWS} draws of 3 points" in captured.err
-    assert captured.err.count("(0, 3, ") == spectrum._REDRAWS
+    assert f"rejected every one of {numeric._REDRAWS} draws of 3 points" in captured.err
+    assert captured.err.count("(0, 3, ") == numeric._REDRAWS
 
 
 def test_route_one_rejecting_every_draw_gives_exit_three_with_its_counts(config_path, capsys,
                                                                        monkeypatch):
     # a polish with no sweeps and a zero tolerance converges no point
-    monkeypatch.setattr(spectrum, "_POLISH", (0, 0.0))
+    monkeypatch.setattr(numeric, "_POLISH", (0, 0.0))
     assert main(["solve", "--config", config_path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        f"numeric failure: route one rejected every one of {spectrum._REDRAWS} draws of 3 "
+        f"numeric failure: route one rejected every one of {numeric._REDRAWS} draws of 3 "
         "points; (unconverged, merged, smallest eigenvalue gap) per draw: [(3, 0, ")
-    assert captured.err.count("(3, 0, ") == spectrum._REDRAWS
+    assert captured.err.count("(3, 0, ") == numeric._REDRAWS
 
 
 def test_route_two_failure_gives_exit_three_with_its_counts(config_path, capsys,
@@ -440,13 +440,13 @@ def test_route_two_failure_gives_exit_three_with_its_counts(config_path, capsys,
     def lose_all(b, a_from, a_to, z_from, z_to, t, shrink=1.0):
         return t, np.zeros(len(t), dtype=bool)
 
-    monkeypatch.setattr(spectrum, "_track", lose_all)
+    monkeypatch.setattr(numeric, "_track", lose_all)
     assert main(["solve", "--config", config_path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numeric failure: route two found 0 of 3 points: ")
     assert ("24 vertex starts, 3 chambers after 0 redraws, "
-            f"3 paths, {3 * spectrum._RETRACKS} retracked, 3 lost and 0 merged") in captured.err
+            f"3 paths, {3 * numeric._RETRACKS} retracked, 3 lost and 0 merged") in captured.err
 
 
 def test_commands_take_only_the_tolerances_they_read(config_path, capsys):
@@ -477,6 +477,18 @@ def test_solve_requires_a_base_point(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_solve_on_the_discriminant_exits_two_and_writes_no_report(tmp_path, capsys):
+    # f_1 = 1 + t and f_2 = 2 + 2t vanish together at t = -1; the algebra refuses z
+    cfg = {"n": 3, "k": 1, "b": [["1"], ["2"], ["-1"]], "a": ["1", "1", "2"],
+           "z": ["1", "2", "5"]}
+    path, out = tmp_path / "disc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "discriminant" in captured.err
+    assert not out.exists()
 
 
 def test_sampled_base_point_is_accepted(tmp_path, capsys):
@@ -585,12 +597,14 @@ def child_env():
 
 
 # The layers each command loads: every command imports the layers whose functions
-# the benchmark's tracer patches on `cli`, and only its own command the rest.  -m
-# runs cli as __main__, so `critvar.cli` itself is never imported under that name.
+# the benchmark's tracer patches on `cli`, and only its own command the rest; the
+# numpy kernels in `numeric` are solve's alone.  -m runs cli as __main__, so
+# `critvar.cli` itself is never imported under that name.
 _COMMON_LAYERS = {"critvar", "critvar.arrangement", "critvar.errors", "critvar.laurent",
                   "critvar.ratmat", "critvar.relations", "critvar.spectrum"}
 _COMMAND_LAYERS = {"gen": set(), "verify": {"critvar.quotient"},
-                   "flows": {"critvar.lagrangian"}, "solve": {"critvar.quotient"}}
+                   "flows": {"critvar.lagrangian"},
+                   "solve": {"critvar.quotient", "critvar.numeric"}}
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_LAYERS))
@@ -601,11 +615,21 @@ def test_each_command_loads_only_its_layers(config_path, command):
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "critvar.cli", *argv],
                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
-    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
-              if line.startswith("import time:")}
+    names = [line.rsplit("|", 1)[1] for line in done.stderr.splitlines()
+             if line.startswith("import time:")]
+    loaded = {name.strip() for name in names}
     layers = {m for m in loaded if m == "critvar" or m.startswith("critvar.")}
     assert layers == _COMMON_LAYERS | _COMMAND_LAYERS[command]
     assert "dataclasses" not in loaded
+    if command != "solve":
+        assert "numpy" not in loaded
+        return
+    # a line is logged when its import ends, indented by depth: numpy loads
+    # inside numeric's import, so numeric was compiled before numpy was loaded
+    depth = [len(name) - len(name.lstrip()) for name in names]
+    where = {name.strip(): i for i, name in enumerate(names)}
+    first, last = where["numpy"], where["critvar.numeric"]
+    assert first < last and min(depth[first:last]) > depth[last]
 
 
 @pytest.mark.parametrize("command", ["gen", "verify"])

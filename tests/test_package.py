@@ -3,8 +3,10 @@
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,14 @@ def test_every_exported_name_is_its_home_modules_object():
 def test_every_name_in_a_layers_all_is_its_attribute(module):
     layer = importlib.import_module(f"critvar.{module}")
     assert [name for name in getattr(layer, "__all__", ()) if not hasattr(layer, name)] == []
+
+
+def test_only_the_numeric_module_imports_numpy():
+    # an import inside a function body still compiles with its module
+    found = sorted(path.name for path in Path(critvar.__file__).parent.glob("*.py")
+                   if re.search(r"^\s*(import|from)\s+numpy\b", path.read_text(encoding="utf-8"),
+                                re.MULTILINE))
+    assert found == ["numeric.py"]
 
 
 def test_unknown_names_and_dir():

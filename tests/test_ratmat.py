@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critvar import ratmat
+from critvar import numeric, ratmat
 from critvar.errors import DomainError, UsageError
 
 
@@ -308,13 +308,13 @@ def test_charpoly_matches_the_fraction_recursion(a):
 def test_charpoly_skips_primes_that_divide_a_denominator():
     m = 6
     ceiling = math.isqrt((2**63 - 1) // m)
-    first = [p for p in range(ceiling, ceiling - 2000, -1) if ratmat._is_prime(p)][:3]
+    first = [p for p in range(ceiling, ceiling - 2000, -1) if numeric._is_prime(p)][:3]
     rng = random.Random(41)
     den = math.prod(first)
     a = [[Fraction(rng.randint(-9, 9), rng.choice([1, den, first[0], first[2]]))
           for _ in range(m)] for _ in range(m)]
-    _, bound = ratmat._minor_bound(a)
-    primes = ratmat._primes(m, den, 2 * bound)
+    _, bound = numeric._minor_bound(a)
+    primes = numeric._primes(m, den, 2 * bound)
     assert not set(first) & set(primes) and primes[0] < first[-1]
     assert ratmat.charpoly(a) == _charpoly_int(a) == _charpoly_fraction(a)
 
@@ -326,8 +326,8 @@ def test_is_prime_against_trial_division():
     windows = [range(21, 3000, 2), range(2**31 - 301, 2**31, 2),
                range(3 * 10**9 + 1, 3 * 10**9 + 301, 2)]
     for n in (n for window in windows for n in window):
-        assert ratmat._is_prime(n) == trial(n), n
-    assert not ratmat._is_prime(25326001)  # a strong pseudoprime to the bases 2, 3 and 5
+        assert numeric._is_prime(n) == trial(n), n
+    assert not numeric._is_prime(25326001)  # a strong pseudoprime to the bases 2, 3 and 5
 
 
 def test_charpoly_of_a_triangular_matrix():

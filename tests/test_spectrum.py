@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critvar import ratmat, spectrum
+from critvar import numeric, ratmat
 from critvar.arrangement import ArrangementSpec, random_generic, sample_z
 from critvar.errors import NumericError, UsageError
 from critvar.quotient import QuotientAlgebra
@@ -236,13 +236,13 @@ def test_route_two_redraws_a_degenerate_real_fiber():
     got = newton_multistart(spec, z, seed=1, stats=stats)
     assert len(got) == 10 and stats["redraws"] == 1 and stats["chambers"] == 10
     assert all(pt.grad_norm < 1e-9 for pt in got)
-    assert spectrum._min_gap([pt.p for pt in got]) > 1e-3
+    assert numeric._min_gap([pt.p for pt in got]) > 1e-3
 
 
 def test_route_two_never_returns_a_short_fiber(monkeypatch):
     # no start may climb, so each of the five real fibers, with 3 vertices
     # of 4 orthants each, comes up empty
-    monkeypatch.setattr(spectrum, "_ASCENT_STEPS", 0)
+    monkeypatch.setattr(numeric, "_ASCENT_STEPS", 0)
     spec, z = plane_setup()
     with pytest.raises(NumericError, match="found 0 of 1 points: 60 vertex starts, "
                                            "0 chambers after 4 redraws, 0 paths"):
@@ -285,22 +285,22 @@ def test_polish_reports_a_row_that_converges_on_its_last_sweep():
     a, b, _ = spec.tables(z)
     a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
     zc = np.array([complex(v) for v in z])
-    gtol = spectrum._POLISH[1]
+    gtol = numeric._POLISH[1]
 
     def converged(t):
         f = zc + b @ t
-        floor = spectrum._gradient_floor(b, a, f[None])[0]
+        floor = numeric._gradient_floor(b, a, f[None])[0]
         return bool((np.abs(b.T @ (a / f)) <= gtol * floor).all())
 
     start = np.array(newton_multistart(spec, z, seed=0)[0].t) + 0.1 * (1 + 1j)
     t, steps = start, 0
     while not converged(t):
-        t = spectrum._polish(b, a, zc, [t], 1, 0.0)[0][0]
+        t = numeric._polish(b, a, zc, [t], 1, 0.0)[0][0]
         steps += 1
     assert steps >= 2
-    polished, ok = spectrum._polish(b, a, zc, [start], steps, gtol)
+    polished, ok = numeric._polish(b, a, zc, [start], steps, gtol)
     assert ok[0] and np.array_equal(polished[0], t)
-    assert not spectrum._polish(b, a, zc, [start], steps - 1, gtol)[1][0]
+    assert not numeric._polish(b, a, zc, [start], steps - 1, gtol)[1][0]
 
 
 def test_the_library_routes_load_no_random_or_relation_layer():
@@ -323,6 +323,24 @@ def test_the_library_routes_load_no_random_or_relation_layer():
     out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert json.loads(out) == ["numpy"]
+
+
+def test_the_library_route_one_loads_the_numeric_layer_and_no_relation_layer():
+    script = textwrap.dedent("""
+        import json, random, sys
+        from critvar.arrangement import random_generic, sample_z
+        from critvar.quotient import QuotientAlgebra
+        from critvar.spectrum import joint_spectrum
+        rng = random.Random(5)
+        spec = random_generic(5, 2, rng)
+        joint_spectrum(QuotientAlgebra(spec, sample_z(spec, rng)), seed=1)
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("critvar"))))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert json.loads(out) == ["critvar", "critvar.arrangement", "critvar.errors",
+                               "critvar.numeric", "critvar.quotient", "critvar.ratmat",
+                               "critvar.spectrum"]
 
 
 def test_match_point_sets_rejects():
