@@ -26,8 +26,8 @@ _HOMES = {
                     "rat_str", "sample_z"),
     "errors": ("CritvarError", "DomainError", "GenerationError", "NumericError",
                "UsageError"),
-    "lagrangian": ("chart_complete", "chart_coords", "chart_vector", "flow_f", "flow_g",
-                   "generating_fd_residual", "projection_jacobian",
+    "lagrangian": ("chart_complete", "chart_coords", "chart_vector", "completion_jacobian",
+                   "flow_f", "flow_g", "generating_fd_residual", "projection_jacobian",
                    "projection_jacobian_fd", "sample_chart_point", "scale_action",
                    "transition_expected", "transition_jacobian_fd"),
     "laurent": ("LaurentPoly", "poisson"),

@@ -35,15 +35,15 @@ _DISC_TOL = 1e-12  # relative size below which a float discriminant value counts
 
 
 def parse_rat(x):
-    """Exact rational from an int or a 'p/q' / 'p' string."""
-    if isinstance(x, (int, Fraction)):
+    """Exact rational from an int or a 'p/q' / 'p' string; a bool is refused."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"cannot parse rational {x!r}") from exc
-    raise UsageError(f"cannot parse rational from {type(x).__name__} (floats are not exact)")
+    raise UsageError(f"cannot parse rational from {x!r}: give an int or a 'p/q' string")
 
 
 def rat_str(x):

@@ -17,8 +17,8 @@ makes the transition determinant between charts I and I' come out as
 
 The same data has a generating function Psi = sum_j a_j ln p_j
 - sum_{i in I} z_i p_i with dPsi = sum_{j not in I} z_j dp_j
-- sum_{i in I} p_i dz_i on the variety.  The checks here read one
-finite-difference Jacobian of the completion (the logarithm is
+- sum_{i in I} p_i dz_i on the variety.  The checks here read the columns
+of completion_jacobian, taken once per point (the logarithm is
 differentiated exactly), and the flows of the defining Hamiltonians
 integrate in closed form:
 
@@ -43,6 +43,7 @@ __all__ = [
     "chart_complete",
     "chart_coords",
     "chart_vector",
+    "completion_jacobian",
     "generating_fd_residual",
     "transition_expected",
     "transition_jacobian_fd",
@@ -135,7 +136,7 @@ def chart_vector(spec, iset, z, p):
     return [z[j - 1] if j in iset else p[j - 1] for j in range(1, spec.n + 1)]
 
 
-def _completion_jacobian(spec, iset, z, p):
+def completion_jacobian(spec, iset, z, p):
     """_derivative columns of chart I's completion at (z, p), one per chart slot.
 
     Column j holds d(z_1..z_n, p_1..p_n) / d(slot j) on the complex image.
@@ -149,8 +150,8 @@ def _completion_jacobian(spec, iset, z, p):
     return [_derivative(completed, base, pos, _FD_STEP) for pos in range(spec.n)]
 
 
-def generating_fd_residual(spec, iset, z, p):
-    """Worst error of dPsi, read off the completion Jacobian, against its closed form.
+def generating_fd_residual(spec, iset, z, p, cols):
+    """Worst error of dPsi, read off chart I's completion_jacobian cols, against its closed form.
 
     dPsi = sum_j a_j dp_j/p_j - sum_{i in I} (p_i dz_i + z_i dp_i), the
     logarithm differentiated exactly, should be z_l at slot p_l (l outside
@@ -159,7 +160,6 @@ def generating_fd_residual(spec, iset, z, p):
     shows up in the comparison.
     """
     iset = spec._check_subset(iset, spec.k)
-    cols = _completion_jacobian(spec, iset, z, p)
     free = ([complex(v) for v in part] for part in chart_coords(spec, iset, z, p))
     zc, pc = chart_complete(spec, iset, *free)
     n, weights = spec.n, [complex(x) for x in spec.a]
@@ -180,11 +180,9 @@ def transition_expected(spec, iset_from, iset_to):
     return (spec.plucker(tuple(iset_to)) / spec.plucker(tuple(iset_from))) ** 2
 
 
-def transition_jacobian_fd(spec, iset_from, iset_to, z, p):
-    """Finite-difference (_derivative) determinant of the chart-I to chart-I' change."""
-    iset_from = spec._check_subset(iset_from, spec.k)
+def transition_jacobian_fd(spec, iset_to, cols):
+    """Finite-difference determinant of the chart-I to chart-I' change from chart I's cols."""
     iset_to = spec._check_subset(iset_to, spec.k)
-    cols = _completion_jacobian(spec, iset_from, z, p)
     # slot j of chart I' holds z_j for j in I', else p_j
     rows = [j - 1 if j in iset_to else spec.n + j - 1 for j in range(1, spec.n + 1)]
     return ratmat.det([[col[r] for col in cols] for r in rows])
@@ -208,10 +206,9 @@ def projection_jacobian(spec, iset, z, p):
     return ratmat.det(rows)
 
 
-def projection_jacobian_fd(spec, iset, z, p):
-    """The same determinant from the z_comp x p_comp block of the completion Jacobian."""
+def projection_jacobian_fd(spec, iset, cols):
+    """The same determinant from the z_comp x p_comp block of chart I's cols."""
     iset = spec._check_subset(iset, spec.k)
-    cols = _completion_jacobian(spec, iset, z, p)
     comp = [j for j in range(1, spec.n + 1) if j not in iset]
     return ratmat.det([[cols[l - 1][j - 1] for l in comp] for j in comp])
 

@@ -298,10 +298,6 @@ class QuotientAlgebra:
     def operators(self):
         return [self.bethe_operator(j) for j in range(1, self.spec.n + 1)]
 
-    def element_one(self):
-        """Coordinates of the unit: the empty monomial, rewritten onto the basis."""
-        return self.reduce_monomial(())
-
     def multiplication_matrix(self, poly):
         """P(K_1..K_n) for a Laurent polynomial in p alone (z already frozen)."""
         return _combination(self, _poly_terms(self, poly), False)

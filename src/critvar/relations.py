@@ -27,6 +27,8 @@ merely on the common zero set; the cross brackets {G_J, F_I} unwind to
 exactly the quadratic minor relations.  involution_suite checks every
 pair exactly and reports the offenders, if any; poisson keeps each
 generator's gradient, so one used in many pairs is differentiated once.
+build_relations keeps every generator and the Euler relation in one
+RelationSet, whose all_vanish_at tests a point against all of them.
 """
 
 from __future__ import annotations
@@ -106,16 +108,17 @@ def euler_relation(spec):
     return LaurentPoly._raw(n, terms)
 
 
-class RelationSet(namedtuple("RelationSet", "spec first second g")):
-    """Every generator of one instance, keyed by its subset: first maps each
-    (k-1)-subset I to F_I, second and g each (k+1)-subset J to F_J and G_J."""
+class RelationSet(namedtuple("RelationSet", "spec first second g euler")):
+    """Every generator of one instance: first maps each (k-1)-subset I to F_I,
+    second and g each (k+1)-subset J to F_J and G_J; euler is the Euler relation."""
 
     __slots__ = ()
 
-    def all_vanish_at(self, z, p, extra=()):
-        """Exact membership test for a rational point: the first- and second-kind
-        generators, then the polynomials in extra, in order (laurent.vanish_at)."""
-        return vanish_at([*self.first.values(), *self.second.values(), *extra], z, p)
+    def all_vanish_at(self, z, p):
+        """Exact membership test for a rational point (laurent.vanish_at): the first-
+        and second-kind generators, then each G_J, then the Euler relation."""
+        return vanish_at([*self.first.values(), *self.second.values(), *self.g.values(),
+                          self.euler], z, p)
 
 
 def build_relations(spec):
@@ -125,7 +128,7 @@ def build_relations(spec):
     for jset in k_subsets(spec.n, spec.k + 1):
         second[jset] = second_kind(spec, jset)
         g[jset] = g_comb(spec, jset)
-    return RelationSet(spec=spec, first=first, second=second, g=g)
+    return RelationSet(spec=spec, first=first, second=second, g=g, euler=euler_relation(spec))
 
 
 class BracketReport(namedtuple("BracketReport", "pair_class left right residual")):
@@ -139,13 +142,13 @@ class BracketReport(namedtuple("BracketReport", "pair_class left right residual"
         return self.residual.is_zero
 
 
-def involution_suite(spec, relations=None):
+def involution_suite(spec):
     """Poisson brackets of all pairs from the first-kind and G families.
 
     Returns one BracketReport per unordered pair (and per GF cross pair);
     every residual should be the zero polynomial.
     """
-    rel = relations or build_relations(spec)
+    rel = build_relations(spec)
     firsts = sorted(rel.first.items())
     gs = sorted(rel.g.items())
     out = []

@@ -15,6 +15,7 @@ import pytest
 import critvar
 from critvar import quotient as qt
 from critvar import cli, numeric
+from critvar import lagrangian as lag
 from critvar.cli import main
 from test_ratmat import identity
 
@@ -335,6 +336,22 @@ def test_flows_checks_charts_and_invariance(config_path, capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_flows_takes_one_completion_jacobian_per_point(tmp_path, capsys, monkeypatch):
+    # the four generating-function points; the transition and projection
+    # checks read the first point's Jacobian instead of taking their own
+    calls = []
+    jacobian = lag.completion_jacobian
+
+    def spy(spec, iset, z, p):
+        calls.append(iset)
+        return jacobian(spec, iset, z, p)
+
+    monkeypatch.setattr(lag, "completion_jacobian", spy)
+    rc, report = run_json(capsys, ["flows", "--config", _generated(tmp_path, capsys, 6, 3, 5)])
+    assert rc == 0 and all(c["status"] == "pass" for c in report["checks"])
+    assert calls == [(1, 2, 3)] * 3 + [(1, 2, 4)]
+
+
 def test_gen_emits_a_config_verify_accepts(tmp_path, capsys):
     out = tmp_path / "fresh.json"
     rc = main(["gen", "--n", "4", "--k", "2", "--seed", "7", "--out", str(out)])
@@ -400,7 +417,11 @@ def test_usage_errors_give_exit_two(tmp_path, capsys):
     (lambda cfg: cfg["b"].__setitem__(1, "2"), "b must be a list of rows"),
     (lambda cfg: cfg.update(seed=1.5), '"seed" must be an integer'),
     (lambda cfg: cfg.update(seed="7"), '"seed" must be an integer'),
-], ids=["missing-key", "fractional-n", "string-row", "fractional-seed", "string-seed"])
+    (lambda cfg: cfg["b"].__setitem__(1, [True]), "cannot parse rational from True"),
+    (lambda cfg: cfg["a"].__setitem__(2, True), "cannot parse rational from True"),
+    (lambda cfg: cfg.update(z=["1", False, "3"]), "cannot parse rational from False"),
+], ids=["missing-key", "fractional-n", "string-row", "fractional-seed", "string-seed",
+        "boolean-b", "boolean-a", "boolean-z"])
 def test_malformed_config_gives_exit_two(tmp_path, capsys, edit, reason):
     cfg = {"n": 3, "k": 1, "b": [["1"], ["2"], ["-1"]], "a": ["1", "1", "2"]}
     edit(cfg)

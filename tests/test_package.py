@@ -63,7 +63,7 @@ print(json.dumps([bare, [name for name in critvar.__all__ if name not in globals
     (SpectrumResult, ("points", "combination", "eigenvalues", "attempts", "min_gap",
                       "momentum_gap"),
      ((), (1, 2), (1j,), 1, 0.5, 0.25)),
-    (RelationSet, ("spec", "first", "second", "g"), (None, {}, {}, {})),
+    (RelationSet, ("spec", "first", "second", "g", "euler"), (None, {}, {}, {}, None)),
     (BracketReport, ("pair_class", "left", "right", "residual"),
      ("FF", (1,), (2,), LaurentPoly(2))),
 ], ids=["CriticalPoint", "SpectrumResult", "RelationSet", "BracketReport"])

@@ -62,7 +62,7 @@ def test_two_point_operators_in_closed_form():
     assert alg.dim == 1 and alg.basis == ((2,),)
     assert alg.bethe_operator(1) == [[Fraction(-2)]]
     assert alg.bethe_operator(2) == [[Fraction(2)]]
-    assert alg.element_one() == [Fraction(1, 2)]
+    assert alg.reduce_monomial(()) == [Fraction(1, 2)]
     # p2^2 = 2 p2 and p1 p2 = -2 p2 in the fiber algebra
     assert alg.reduce_monomial((2, 2)) == [Fraction(2)]
     assert alg.reduce_monomial((1, 2)) == [Fraction(-2)]
@@ -151,7 +151,7 @@ def test_memoised_rewrite_matches_the_worklist():
                for j in range(1, n + 1)]
         ops = [transpose(cols) for cols in ops]
         assert alg.operators() == ops
-        assert alg.element_one() == _reduce_by_worklist(alg, ())
+        assert alg.reduce_monomial(()) == _reduce_by_worklist(alg, ())
         for key in alg.all_subsets:
             assert alg.reduce_monomial(key) == _reduce_by_worklist(alg, key)
 
@@ -232,7 +232,9 @@ def test_reduce_monomial_returns_a_fresh_list():
     first[0] += 1
     first[-1] = Fraction(7)
     assert alg.reduce_monomial(key) == want
-    assert alg.element_one() == alg.reduce_monomial(())
+    unit = alg.reduce_monomial(())  # the unit, whose key () is memoised the same way
+    unit.append(Fraction(7))
+    assert len(alg.reduce_monomial(())) == alg.dim
 
 
 def _cycling_shed(alg, pair):
@@ -311,7 +313,7 @@ def _identity_families(alg):
 
 def _unit_column(alg):
     """The unit as an m x 1 block, the vector the on_unit residuals are applied to."""
-    return [[x] for x in alg.element_one()]
+    return [[x] for x in alg.reduce_monomial(())]
 
 
 def _unit_orbit(alg):
@@ -324,7 +326,7 @@ def _unit_orbit(alg):
     ops = {j: qt._fractions(alg.columns(j), alg.dim) for j in range(1, alg.spec.n + 1)}
     cols = []
     for mono in alg.basis:
-        vec = alg.element_one()
+        vec = alg.reduce_monomial(())
         for i in mono:
             vec = mat_vec(ops[i], vec)
         cols.append(vec)
@@ -395,7 +397,7 @@ def test_cyclic_certificate_and_the_n_minus_one_verdict(shape, seed, bump):
     cyclic, prime = qt.cyclic_operator(alg)
     assert (cyclic is None) == (prime is None)
     if cyclic is not None:
-        vec, krylov = alg.element_one(), []
+        vec, krylov = alg.reduce_monomial(()), []
         for _ in range(alg.dim):
             krylov.append(vec)
             vec = [sum(x * y for x, y in zip(row, vec)) for row in ops[cyclic]]
@@ -581,7 +583,7 @@ def test_table_follows_the_operators_not_the_rewrite():
         terms = qt._poly_terms(alg, poly)
         full = _combination_by_products(alg, terms, lambda j: stored[-j])
         assert alg.multiplication_matrix(poly) == full
-        assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
+        assert alg.normal_form(poly) == mat_vec(full, alg.reduce_monomial(()))
     assert _unit_orbit(alg) != identity(alg.dim)
     for name, family in _identity_families(alg).items():
         assert family(True) == [mat_mul(res, unit) for res in family(False)], name
@@ -625,10 +627,10 @@ def test_unit_element_two_routes():
                            (9, 8, 8, 2), (11, 10, 9, 6), (6, 4, 10, 1), (8, 6, 11, 8),
                            (10, 8, 12, 3), (11, 9, 13, 1), (11, 9, 14, 11)]:
         alg = random_algebra(n, k, seed + 60, j1=j1)
-        assert alg.element_one() == _unit_by_solve(alg)
+        assert alg.reduce_monomial(()) == _unit_by_solve(alg)
         # and the unit actually multiplies like a unit
         for j in range(1, n + 1):
-            lhs = mat_vec(alg.bethe_operator(j), alg.element_one())
+            lhs = mat_vec(alg.bethe_operator(j), alg.reduce_monomial(()))
             assert lhs == alg.reduce_monomial((j,))
 
 
@@ -639,7 +641,7 @@ def test_the_unit_climbs_on_squarefree_monomials_without_j1(n, k, seed):
     spec = random_generic(n, k, random.Random(seed))
     for j1 in (1, n):
         alg = QuotientAlgebra(spec, sample_z(spec, random.Random(1)), j1=j1)
-        alg.element_one()
+        alg.reduce_monomial(())
         assert all(len(set(key)) == len(key) and j1 not in key for key in alg._nf)
         assert len(alg._nf) <= sum(math.comb(n - 1, d) for d in range(k + 1))
 
@@ -902,7 +904,7 @@ def test_normal_form_is_the_matrix_applied_to_the_unit():
         ]
         for poly in polys:
             full = alg.multiplication_matrix(poly)
-            assert alg.normal_form(poly) == mat_vec(full, alg.element_one())
+            assert alg.normal_form(poly) == mat_vec(full, alg.reduce_monomial(()))
         assert alg.multiplication_matrix(inv[0]) == _inverse_by_rref(alg.bethe_operator(1))
         assert alg.multiplication_matrix(mul(p[0], p[1])) == mat_mul(
             alg.bethe_operator(1), alg.bethe_operator(2))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from critvar.arrangement import ArrangementSpec, k_subsets, random_generic
 from critvar.errors import UsageError
-from critvar.laurent import poisson
+from critvar.lagrangian import sample_chart_point
+from critvar.laurent import LaurentPoly, poisson
 from critvar.relations import (
     build_relations,
     euler_relation,
@@ -79,6 +80,28 @@ def test_vanishing_along_random_two_point_families():
         assert master_gradient(spec, z, [t]) == [0]
         p = spec.momenta(z, [t])
         assert build_relations(spec).all_vanish_at(z, p)
+
+
+def test_membership_tests_every_generator_and_stops_at_the_first_failing_one(monkeypatch):
+    # all_vanish_at reads first kind, second kind, G_J, then Euler: on the
+    # variety all of them, off it up to the first that does not vanish
+    spec = random_generic(5, 2, random.Random(48))
+    rels = build_relations(spec)
+    order = [*rels.first.values(), *rels.second.values(), *rels.g.values(), rels.euler]
+    assert rels.euler == euler_relation(spec)
+    z, p = sample_chart_point(spec, (1, 2), random.Random(49))
+    seen = []
+    numerators = LaurentPoly._numerators
+    monkeypatch.setattr(LaurentPoly, "_numerators",
+                        lambda poly: seen.append(poly) or numerators(poly))
+    assert rels.all_vanish_at(z, p)
+    assert list(map(id, seen)) == list(map(id, order))
+    moved = Fraction(1, 10**4)
+    for z_off, p_off in [(z, (p[0] + moved,) + p[1:]), ((z[0] + moved,) + z[1:], p)]:
+        first_bad = next(i for i, poly in enumerate(order) if poly.evaluate(z_off, p_off))
+        seen.clear()
+        assert not rels.all_vanish_at(z_off, p_off)
+        assert list(map(id, seen)) == list(map(id, order[: first_bad + 1]))
 
 
 def test_homogeneity():
