@@ -5,8 +5,8 @@ Subcommands
 verify   algebraic identity battery for one instance (minor relations,
          rank of the discriminant span, brackets of the generators, and,
          when a base point is supplied, the full operator algebra; its
-         identities are proved on the unit vector u once one operator is
-         certified cyclic from u and the operators commute).
+         identities are proved on the unit vector u once the operators
+         commute and u spans the algebra under them).
 solve    critical points of one instance two ways (commuting-operator
          spectra, and a homotopy from the real chambers), cross-checked
          against each other and the determinant identities.
@@ -39,8 +39,9 @@ cyclic from u ("cyclic") and the prime p of its certificate (the scalars
 w K_c^i u mod p satisfy no recurrence shorter than the dimension), or nulls,
 and the commutator "products" computed: all C(n, 2) pairs commute once
 [K_c, K_j] = 0 for every j, as the centralizer of a cyclic matrix is its
-polynomials; with no K_c certified every pair is computed and every
-identity runs in full.  Complex numbers are [re, im] pairs.  Each
+polynomials; with no K_c certified every pair is computed, and the path
+stays "unit_orbit" if quotient_dimension passes: P(K) e_I = K_I P(K) u.
+Complex numbers are [re, im] pairs.  Each
 command takes only the tolerances it reads: flows --tol-fd; solve
 --tol-spectral, --tol-hessian.
 Both of solve's routes end in the same fixed Newton polish, which takes
@@ -265,7 +266,8 @@ def _cmd_verify(args):
                   None, units, math.comb(n - 1, k)))
 
     # one certificate (qt.cyclic_operator): u is cyclic for K_c, so all C(n, 2)
-    # pairs commute once n - 1 do, and then P(K) = 0 iff P(K) u = 0
+    # pairs commute once n - 1 do; on commuting operators P(K) = 0 iff
+    # P(K) u = 0 when K_c is certified or K_I u = e_I for every basis I
     cyclic, prime = qt.cyclic_operator(alg)
     pairs = ([(cyclic, j) for j in range(1, n + 1) if j != cyclic] if cyclic
              else [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
@@ -273,7 +275,7 @@ def _cmd_verify(args):
     record(_check("operator_commutators", worst == 0, worst, math.comb(n, 2), 0))
     diag["identities_checked"] += math.comb(n, 2)
     diag["commutators"] = {"cyclic": cyclic, "prime": prime, "products": len(pairs)}
-    on_unit = cyclic is not None and worst == 0
+    on_unit = worst == 0 and (cyclic is not None or units == alg.dim)
     diag["path"] = "unit_orbit" if on_unit else "full_matrix"
 
     families = [

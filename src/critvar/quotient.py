@@ -95,9 +95,13 @@ So G = B^T S B, B the b_I as columns, is invertible, and the map sending
 the class of d_I p_I to the S-orthogonal projection P e_I is a
 well-defined isomorphism independent of which k-subset represents it.
 P = B G^-1 B^T S is never built: B G^-1 is injective, so P x = 0 exactly
-when B^T S x = 0, and the map is decided on Y = B^T S D^-1, D = diag(d_J):
-on the int rows of B^T S, each cleared once, against the int normal
-forms of the p_J.
+when B^T S x = 0, and the map is decided on Y = B^T S D^-1, D = diag(d_J).
+B^T S has no weight in it: b_I puts (-1)^(m+1) a_(i_m) / a_1 on the axis
+{1} u I - i_m, where S is a_1 S_I / a_(i_m), so row I of B^T S is S_I (e_I
++ sum_m (-1)^(m+1) e_({1} u I - i_m)), k+1 entries +-1 times S_I.  Both
+tests below are homogeneous in each row of Y, so they run on the signed
+rows against the int normal forms of the p_J: dropping the scale S_I
+(negative for some weights) changes neither verdict.
 """
 
 from __future__ import annotations
@@ -179,9 +183,8 @@ class QuotientAlgebra:
         self.dim = len(self.basis)
         assert self.dim == math.comb(spec.n - 1, spec.k)
         self.all_subsets = tuple(k_subsets(spec.n, spec.k))
-        self.v_index = {key: r for r, key in enumerate(self.all_subsets)}
         self._nf, self._cols, self._orbits = {}, {}, {}
-        self._sing = self._rows = None
+        self._rows = None
 
     # -- rewriting to the monomial basis ------------------------------------
 
@@ -308,72 +311,53 @@ class QuotientAlgebra:
 
     # -- singular-vector model ------------------------------------------------
 
-    def sing_basis(self):
-        """The b_I = iota_a(e_1 ^ e_I) / a_1 of the module docstring, I avoiding 1 in lex order."""
-        if self._sing is None:
-            a, basis = self.spec.a, []
-            for iset in itertools.combinations(range(2, self.spec.n + 1), self.spec.k):
-                bvec = [_ZERO] * len(self.all_subsets)
-                bvec[self.v_index[iset]] = Fraction(1)
-                for m, i in enumerate(iset):
-                    rest = (1,) + iset[:m] + iset[m + 1:]
-                    bvec[self.v_index[rest]] = (-1) ** (m + 1) * a[i - 1] / a[0]
-                basis.append(bvec)
-            self._sing = basis
-        return self._sing
-
-    def s_diagonal(self):
-        """The symmetric form S in the v_I basis: diagonal with prod_{i in I} a_i."""
-        return [math.prod(self.spec.a[i - 1] for i in key) for key in self.all_subsets]
-
     def _special_rows(self):
-        """Rows T_i in int, each a positive multiple t_i of row i of B^T S; cached.
+        """Row I of B^T S over S_I, I avoiding 1 in lex order, as {axis: +-1}; cached.
 
-        With each basis vector b cleared to b' and S to sigma, both in int,
-        T_i = b'_i sigma, so Y_iJ = T_iJ / (t_i d_J).  No rank of G is
-        taken: it is invertible on every instance (module docstring).
+        The closed form of the module docstring, which reads no weight.  No
+        rank of G is taken: it is invertible on every instance.
         """
         if self._rows is None:
-            sigma = ratmat._cleared([self.s_diagonal()])[1][0]
-            self._rows = [[x * s for x, s in zip(ratmat._cleared([bvec])[1][0], sigma)]
-                          for bvec in self.sing_basis()]
+            sets = itertools.combinations(range(2, self.spec.n + 1), self.spec.k)
+            self._rows = [{iset: 1} | {(1, *iset[:m], *iset[m + 1:]): (-1) ** (m + 1)
+                                       for m in range(len(iset))} for iset in sets]
         return self._rows
 
     def mu_consistency(self):
         """Subsets where the defining recipe disagrees with the reduced class.
 
         For every k-subset J the image of the class of p_J must be P v_J / d_J
-        no matter how J relates to the basis: with R holding the reduced p_J
-        as columns, column J of P D^-1 must equal column J of
-        P_basis D_basis^-1 R, that is column J of Y must equal column J of
-        Y_basis R.  In int, with p_J = sum_I (c_I / e) p_I, each minor d = u / v
-        and L the lcm of the u_I, entry i reads
-        (sum_I T_iI c_I v_I L / u_I) u_J = T_iJ L e v_J.  An empty list
-        certifies the map is well defined on all of V's axes.
+        however J relates to the basis: with R holding the reduced p_J as
+        columns, column J of P D^-1 must equal column J of P_basis D_basis^-1 R,
+        that is column J of Y must equal column J of Y_basis R.  In int, with
+        T the signed rows, p_J = sum_I (c_I / e) p_I, each minor d = u / v and
+        L the lcm of the u_I, entry i reads (sum_I T_iI c_I v_I L / u_I) u_J =
+        T_iJ L e v_J, both sides zero off the rows touching J or an I with
+        c_I != 0.  An empty list certifies the map is well defined on V's axes.
         """
-        rows = self._special_rows()
-        pos = [self.v_index[key] for key in self.basis]
+        touching = {key: [] for key in self.all_subsets}
+        for i, row in enumerate(self._special_rows()):
+            for axis, t in row.items():
+                touching[axis].append((i, t))
         minors = [self.spec.plucker(key) for key in self.basis]
         bad = []
-        for key, col in zip(self.all_subsets, zip(*rows)):
+        for key in self.all_subsets:
             e, coords = self._normal_form(key)
             lcm = math.lcm(*(minors[r].numerator for r in coords))
-            terms = [(pos[r], x * minors[r].denominator * (lcm // minors[r].numerator))
-                     for r, x in coords.items()]
             dj = self.spec.plucker(key)
-            u, scale = dj.numerator, lcm * e * dj.denominator
-            if any(sum(row[c] * m for c, m in terms) * u != t * scale
-                   for row, t in zip(rows, col)):
+            sides = {i: -t * lcm * e * dj.denominator for i, t in touching[key]}
+            for r, x in coords.items():
+                m = x * minors[r].denominator * (lcm // minors[r].numerator) * dj.numerator
+                for i, t in touching[self.basis[r]]:
+                    sides[i] = sides.get(i, 0) + t * m
+            if any(sides.values()):
                 bad.append(key)
         return bad
 
     def mu_is_isomorphism(self):
-        """Full rank: the map's matrix B G^-1 Y_basis has the rank of Y_basis.
-
-        That is the rank of T on the basis columns, Y_basis rescaled.
-        """
-        cols = [self.v_index[key] for key in self.basis]
-        return ratmat.rank([[row[c] for c in cols] for row in self._special_rows()]) == self.dim
+        """Full rank: B G^-1 Y_basis has the rank of Y_basis, so of the rows on the basis axes."""
+        return ratmat.rank([[row.get(key, 0) for key in self.basis]
+                            for row in self._special_rows()]) == self.dim
 
 
 # -- identities the operators satisfy, as exact residual matrices -------------
@@ -425,9 +409,8 @@ def cyclic_operator(alg):
     for every j makes all pairs commute.  Then P(K) is a polynomial in K_c
     too, and P(K) u = 0 gives P(K) K_c^i u = 0 for every i: P(K) = 0.  A
     lower degree (K_c derogatory, or an unlucky w) proves nothing; the next
-    c is tried.  On commuting operators u serves whenever any vector does: a
-    cyclic K_c holds every K_j in Q[K_c], so the algebra is Q[p_c], spanned
-    by the powers of p_c (the K_c^i u).
+    c is tried.  With no c certified u still serves commuting operators
+    once K_I u = e_I for every basis monomial I: P(K) e_I = K_I P(K) u.
     """
     p, m = _PRIME, alg.dim
     unit = alg._normal_form(())[1]

@@ -159,6 +159,9 @@ def hessian_formula(spec, p):
 
     Agrees with the direct determinant exactly on the critical set; the sum
     runs over momenta alone, which is what makes it a function on the fiber.
+    It is S(w, w), w = sum_I d_I prod_(i in I) (p_i / a_i) e_I (S, iota_a of
+    quotient.py), singular on the variety as iota_a w has prod_(i in L) (p_i /
+    a_i) F_L(p) on e_L: the hessian_identity check is the norm of w.
     """
     a, _, minors = spec.tables(p)
     total = 0

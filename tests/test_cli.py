@@ -59,17 +59,19 @@ def test_verify_reports_every_identity(config_path, capsys):
         "commutators": {"cyclic": 1, "prime": 2**31 - 1, "products": 3}}}
 
 
-@pytest.mark.parametrize("attr, fake, rc, statuses, commutators", [
+@pytest.mark.parametrize("attr, fake, rc, statuses, commutators, path", [
     ("cyclic_operator", lambda alg: (None, None), 0,
-     {}, {"cyclic": None, "prime": None, "products": 6}),
+     {}, {"cyclic": None, "prime": None, "products": 6}, "unit_orbit"),
     ("commutator_residual", lambda alg, i, j: identity(alg.dim), 1,
-     {"operator_commutators": "fail"}, {"cyclic": 1, "prime": 2**31 - 1, "products": 3}),
+     {"operator_commutators": "fail"}, {"cyclic": 1, "prime": 2**31 - 1, "products": 3},
+     "full_matrix"),
 ], ids=["cyclicity", "commutators"])
 def test_uncertified_unit_vector_falls_back_to_full_matrices(config_path, capsys,
                                                              monkeypatch, attr, fake, rc,
-                                                             statuses, commutators):
-    # no K_c certified cyclic from u, or commutators that do not vanish,
-    # sends every family to full matrices
+                                                             statuses, commutators, path):
+    # commutators that do not vanish send every family to full matrices; with
+    # no K_c certified cyclic from u all pairs are multiplied out, and the
+    # families stay on u, since K_I u = e_I for every basis monomial I
     flags = []
     second_kind = qt.second_kind_operator_residual
 
@@ -83,9 +85,9 @@ def test_uncertified_unit_vector_falls_back_to_full_matrices(config_path, capsys
     assert got == rc
     assert {c["name"]: c["status"] for c in report["checks"]
             if c["status"] != "pass"} == statuses
-    assert flags and not any(flags)
+    assert flags and set(flags) == {path == "unit_orbit"}
     assert report["diagnostics"]["verify"] == {
-        "path": "full_matrix", "identities_checked": 21, "identities_total": 21,
+        "path": path, "identities_checked": 21, "identities_total": 21,
         "commutators": commutators}
 
 

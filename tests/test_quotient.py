@@ -688,14 +688,14 @@ def test_charpoly_ignores_excluded_index():
 def test_singular_subspace_and_mu():
     for n, k, seed, j1 in [(4, 2, 31, 1), (4, 2, 31, 3), (5, 2, 32, 1), (5, 3, 33, 2)]:
         alg = random_algebra(n, k, seed, j1=j1)
-        assert len(alg.sing_basis()) == alg.dim
+        assert len(_sing_basis(alg)) == alg.dim
         # projection is S-orthogonal: residual vector is killed by every row
         e = [Fraction(0)] * len(alg.all_subsets)
         e[0] = Fraction(1)
         proj = _s_perp_by_gram(alg, e)
-        sdiag = alg.s_diagonal()
+        sdiag = _s_diagonal(alg)
         resid = [x - y for x, y in zip(e, proj)]
-        for bvec in alg.sing_basis():
+        for bvec in _sing_basis(alg):
             assert sum(b * s * r for b, s, r in zip(bvec, sdiag, resid)) == 0
         assert alg.mu_consistency() == []
         assert alg.mu_is_isomorphism()
@@ -703,21 +703,48 @@ def test_singular_subspace_and_mu():
 
 def _axis(alg, key):
     e = [Fraction(0)] * len(alg.all_subsets)
-    e[alg.v_index[key]] = Fraction(1)
+    e[alg.all_subsets.index(key)] = Fraction(1)
     return e
+
+
+def _iota_rows(alg):
+    """iota_a, one row per (k-1)-subset: e_J -> sum_m (-1)^m a_(j_m) e_(J - j_m)."""
+    rows = []
+    for lower in k_subsets(alg.spec.n, alg.spec.k - 1):
+        row = [0] * len(alg.all_subsets)
+        for r, key in enumerate(alg.all_subsets):
+            if set(lower) < set(key):
+                m = next(m for m, j in enumerate(key) if j not in lower)
+                row[r] = (-1) ** m * alg.spec.a[key[m] - 1]
+        rows.append(row)
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _sing_basis(alg):
+    """B, the reference basis of Sing V: the Fraction RREF kernel of iota_a; kept per algebra."""
+    return _nullspace_by_rref(_iota_rows(alg))
+
+
+def _s_diagonal(alg):
+    """S, the reference form: prod_(i in I) a_i on the axis of each k-subset I."""
+    return [math.prod(alg.spec.a[i - 1] for i in key) for key in alg.all_subsets]
+
+
+def _gram(alg, basis):
+    sdiag = _s_diagonal(alg)
+    return [[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis] for br in basis]
 
 
 @functools.lru_cache(maxsize=None)
 def _gram_inverse(alg):
     """G^-1 by Fraction rref, G = B^T S B entry by entry; kept per algebra."""
-    basis, sdiag = alg.sing_basis(), alg.s_diagonal()
-    return _inverse_by_rref([[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis]
-                             for br in basis])
+    return _inverse_by_rref(_gram(alg, _sing_basis(alg)))
 
 
 def _s_perp_by_gram(alg, vec):
     """The projection one vector at a time: B c with c = G^-1 B^T S vec."""
-    basis, sdiag = alg.sing_basis(), alg.s_diagonal()
+    basis, sdiag = _sing_basis(alg), _s_diagonal(alg)
     rhs = [sum(x * s * v for x, s, v in zip(br, sdiag, vec)) for br in basis]
     coeffs = [sum(g * r for g, r in zip(row, rhs)) for row in _gram_inverse(alg)]
     return [sum(c * bvec[i] for c, bvec in zip(coeffs, basis)) for i in range(len(vec))]
@@ -800,26 +827,27 @@ def test_special_vector_map_on_the_rows_matches_the_gram_projection(case):
 
 
 def test_a_singular_vector_off_the_basis_axes_breaks_the_isomorphism():
-    # a basis vector of Sing V swapped for an axis v_J, J containing j1: G stays
-    # invertible, but Y_basis gains a zero row and the map loses rank
+    # a row of B^T S swapped for the axis e_J, J containing j1: G stays
+    # invertible with b_I swapped for e_J, but Y_basis gains a zero row and
+    # the map loses rank
     for n, k, seed, j1 in [(4, 2, 78, 1), (5, 2, 79, 3)]:
         alg = random_algebra(n, k, seed, j1=j1)
         key = next(key for key in alg.all_subsets if j1 in key)
-        alg._sing = alg.sing_basis()[:-1] + [_axis(alg, key)]
+        assert alg.mu_is_isomorphism()
+        alg._special_rows()[-1] = {key: 1}
         assert not alg.mu_is_isomorphism()
-        assert ratmat.rank(_mu_by_axes(alg)) < alg.dim
+        swapped = _sing_basis(alg)[:-1] + [_axis(alg, key)]
+        assert len(_rref(_gram(alg, swapped))[1]) == alg.dim
 
 
-def _iota_rows(alg):
-    """iota_a, one row per (k-1)-subset: e_J -> sum_m (-1)^m a_(j_m) e_(J - j_m)."""
-    rows = []
-    for lower in k_subsets(alg.spec.n, alg.spec.k - 1):
-        row = [0] * len(alg.all_subsets)
-        for key in alg.all_subsets:
-            if set(lower) < set(key):
-                m = next(m for m, j in enumerate(key) if j not in lower)
-                row[alg.v_index[key]] = (-1) ** m * alg.spec.a[key[m] - 1]
-        rows.append(row)
+def _rows_by_reference(alg, basis):
+    """Row I of B^T S over S_I, on its nonzero axes, for each b_I in basis."""
+    sdiag, rows = _s_diagonal(alg), []
+    for bvec in basis:
+        lead = next(r for r, (key, x) in enumerate(zip(alg.all_subsets, bvec))
+                    if x and 1 not in key)  # b_I is e_I on the axes avoiding 1
+        rows.append({key: x * s / sdiag[lead]
+                     for key, x, s in zip(alg.all_subsets, bvec, sdiag) if x})
     return rows
 
 
@@ -829,11 +857,26 @@ def _iota_rows(alg):
 @example((5, 4, 2, [-1, 2, -3, 1, 2], 5, set()))  # k = n - 1: dim 1
 @example((7, 3, 3, [2, -1, 1, -3, 1, 2, -1], 4, set()))  # dim 20
 def test_the_closed_form_singular_basis_is_the_rref_kernel(case):
-    # b_I = iota_a(e_1 ^ e_I) / a_1 is the Fraction RREF kernel of iota_a
-    # whatever j1 is, and G = B^T S B is invertible once |a| != 0
+    # row I of B^T S over S_I, B the Fraction RREF kernel of iota_a, is the
+    # closed form's k+1 signed entries whatever j1 is, and G = B^T S B is
+    # invertible once |a| != 0
     alg = _weighted_algebra(case)
-    assert alg.sing_basis() == _nullspace_by_rref(_iota_rows(alg))
+    assert alg._special_rows() == _rows_by_reference(alg, _sing_basis(alg))
+    assert all(len(row) == alg.spec.k + 1 for row in alg._special_rows())
     assert len(_gram_inverse(alg)) == alg.dim  # DomainError if G were singular
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_special_vector_case())
+def test_a_sign_flipped_on_an_axis_holding_one_fails_that_subset_alone(case):
+    # with j1 = 1 no basis axis holds 1, so an entry of B^T S on an axis J
+    # holding 1 reaches column J of Y alone: flipping its sign fails J only
+    n, k, seed, weights, _, _ = case
+    alg = _weighted_algebra((n, k, seed, weights, 1, set()))
+    row = alg._special_rows()[seed % alg.dim]
+    key = sorted(axis for axis in row if 1 in axis)[seed // alg.dim % k]
+    row[key] = -row[key]
+    assert alg.mu_consistency() == [key]
 
 
 def test_the_form_degenerates_on_the_singular_vectors_when_the_weights_sum_to_zero():
@@ -842,13 +885,12 @@ def test_the_form_degenerates_on_the_singular_vectors_when_the_weights_sum_to_ze
     n, k, weights = 5, 2, tuple(map(Fraction, (3, -1, 2, -5, 1)))
     with pytest.raises(UsageError, match="sum to zero"):
         ArrangementSpec(n=n, k=k, b=random_generic(n, k, random.Random(0)).b, a=weights)
-    subsets = tuple(k_subsets(n, k))
-    alg = SimpleNamespace(spec=SimpleNamespace(n=n, k=k, a=weights), all_subsets=subsets,
-                          v_index={key: r for r, key in enumerate(subsets)}, _sing=None)
-    basis, sdiag = QuotientAlgebra.sing_basis(alg), QuotientAlgebra.s_diagonal(alg)
-    assert basis == _nullspace_by_rref(_iota_rows(alg)) and len(basis) == math.comb(n - 1, k)
-    gram = [[sum(x * s * y for x, s, y in zip(br, sdiag, bc)) for bc in basis] for br in basis]
-    assert len(_rref(gram)[1]) < len(basis)
+    alg = SimpleNamespace(spec=SimpleNamespace(n=n, k=k, a=weights),
+                          all_subsets=tuple(k_subsets(n, k)), _rows=None)
+    basis = _nullspace_by_rref(_iota_rows(alg))
+    assert len(basis) == math.comb(n - 1, k)
+    assert QuotientAlgebra._special_rows(alg) == _rows_by_reference(alg, basis)
+    assert len(_rref(_gram(alg, basis))[1]) < len(basis)
 
 
 def test_the_special_vector_stage_runs_one_exact_elimination(tmp_path, capsys, monkeypatch):

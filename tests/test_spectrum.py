@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from critvar import lagrangian as lag
 from critvar import numeric, ratmat
-from critvar.arrangement import ArrangementSpec, random_generic, sample_z
+from critvar.arrangement import ArrangementSpec, k_subsets, random_generic, sample_z
 from critvar.errors import NumericError, UsageError
 from critvar.quotient import QuotientAlgebra
 from critvar.spectrum import (
@@ -424,6 +427,37 @@ def test_hessian_identity_at_numeric_points():
             for j in range(n):
                 prod *= complex(spec.a[j]) / (pt.p[j] * pt.p[j])
             assert abs(jac - (-1) ** n * direct * prod) <= 1e-8 * max(1.0, abs(jac))
+
+
+@st.composite
+def _chart_point_case(draw):
+    """(spec, (z, p)): an exact chart point of a generic instance, C(n-1, k) <= 20, any weights."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1).filter(lambda k: math.comb(n - 1, k) <= 20))
+    weights = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n)
+                   .filter(lambda a: sum(a) != 0))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    spec = random_generic(n, k, rng, coeff_bound=4)
+    spec = ArrangementSpec(n=n, k=k, b=spec.b, a=tuple(Fraction(w) for w in weights))
+    iset = draw(st.sampled_from(list(k_subsets(n, k))))
+    return spec, lag.sample_chart_point(spec, iset, rng)
+
+
+@settings(derandomize=True, max_examples=35, deadline=None)
+@given(_chart_point_case())
+def test_the_hessian_identity_is_the_norm_of_the_bethe_vector(case):
+    # w = sum_I d_I prod_(i in I) (p_i / a_i) e_I: the coefficient of e_L in
+    # iota_a w is prod_(i in L) (p_i / a_i) F_L(p), so w is a singular vector
+    # at every point of the variety, and its contravariant norm S(w, w) =
+    # sum_I d_I^2 prod_(i in I) p_i^2 / a_i is the Hessian formula up to (-1)^k
+    spec, (z, p) = case
+    w = {key: spec.plucker(key) * math.prod(p[i - 1] / spec.a[i - 1] for i in key)
+         for key in k_subsets(spec.n, spec.k)}
+    for lower in k_subsets(spec.n, spec.k - 1):
+        keys = {j: tuple(sorted(lower + (j,))) for j in range(1, spec.n + 1) if j not in lower}
+        assert sum((-1) ** key.index(j) * spec.a[j - 1] * w[key] for j, key in keys.items()) == 0
+    norm = sum(math.prod(spec.a[i - 1] for i in key) * x * x for key, x in w.items())
+    assert norm == (-1) ** spec.k * hessian_formula(spec, p)
 
 
 def smoothness_witness(spec, z, t, iset):
