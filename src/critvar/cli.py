@@ -15,8 +15,8 @@ flows    chart completion, transitions, generating-function derivatives,
 gen      draw a fresh generic instance and write it as a config file.
 
 Configs are JSON: {"n", "k", "b" (n rows of k rationals), "a" (n
-rationals), optional "z" (n rationals, or "sample"), "seed",
-"coeff_bound"}.  Rationals may be written 3, "3", or "-2/5".
+rationals), optional "z" (n rationals, or "sample"), "seed"}.
+Rationals may be written 3, "3", or "-2/5".
 
 Every run emits a report_v1 JSON document: command, the resolved config,
 one entry per check (name, status pass/fail/skipped, residual, count,
@@ -39,8 +39,9 @@ cyclic from u ("cyclic") and the prime p of its certificate (the scalars
 w K_c^i u mod p satisfy no recurrence shorter than the dimension), or nulls,
 and the commutator "products" computed: all C(n, 2) pairs commute once
 [K_c, K_j] = 0 for every j, as the centralizer of a cyclic matrix is its
-polynomials; with no K_c certified every pair is computed, and the path
-stays "unit_orbit" if quotient_dimension passes: P(K) e_I = K_I P(K) u.
+polynomials; with no K_c certified every pair is computed.  The path is
+"unit_orbit" when the operators commute and quotient_dimension passes:
+P(K) e_I = K_I P(K) u.
 Complex numbers are [re, im] pairs.  Each
 command takes only the tolerances it reads: flows --tol-fd; solve
 --tol-spectral, --tol-hessian.
@@ -175,8 +176,11 @@ def _emit(report, out_path, part=None):
     """Print the report, or write it to out_path: only report[part] when part is given."""
     if not out_path:
         return _say(json.dumps(report, indent=2))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report if part is None else report[part], indent=2) + "\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report if part is None else report[part], indent=2) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write report {out_path}: {exc}") from exc
     passed = sum(1 for c in report["checks"] if c["status"] == "pass")
     _say(f"wrote {out_path}: {passed}/{len(report['checks'])} checks passed")
 
@@ -265,9 +269,9 @@ def _cmd_verify(args):
     record(_check("quotient_dimension", units == math.comb(n - 1, k),
                   None, units, math.comb(n - 1, k)))
 
-    # one certificate (qt.cyclic_operator): u is cyclic for K_c, so all C(n, 2)
-    # pairs commute once n - 1 do; on commuting operators P(K) = 0 iff
-    # P(K) u = 0 when K_c is certified or K_I u = e_I for every basis I
+    # u cyclic for K_c (qt.cyclic_operator): all C(n, 2) pairs commute once
+    # n - 1 do; on commuting operators with K_I u = e_I for every basis I,
+    # P(K) = 0 iff P(K) u = 0
     cyclic, prime = qt.cyclic_operator(alg)
     pairs = ([(cyclic, j) for j in range(1, n + 1) if j != cyclic] if cyclic
              else [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
@@ -275,7 +279,7 @@ def _cmd_verify(args):
     record(_check("operator_commutators", worst == 0, worst, math.comb(n, 2), 0))
     diag["identities_checked"] += math.comb(n, 2)
     diag["commutators"] = {"cyclic": cyclic, "prime": prime, "products": len(pairs)}
-    on_unit = worst == 0 and (cyclic is not None or units == alg.dim)
+    on_unit = worst == 0 and units == alg.dim
     diag["path"] = "unit_orbit" if on_unit else "full_matrix"
 
     families = [

@@ -6,14 +6,14 @@ generators specialized at z, form an algebra of dimension C(n-1, k).
 A monomial basis: the products p_I over the k-subsets I of {1..n} that
 avoid one chosen index j1 (the smallest hyperplane index by default).
 
-Reduction to the basis is a rewrite with four moves:
+Reduction to the basis is a rewrite with three moves:
 
-  * a repeated factor p_i is traded for fresh variables through a
-    first-kind relation whose index set contains the rest of the support,
+  * one p_i, i the first repeated factor or else j1, is traded for fresh
+    variables through a first-kind relation whose index set contains the
+    rest of the support, so a k-fold product holding j1 lands on basis
+    monomials,
   * a squarefree product over k+1 indices J drops to k-fold products by
     the second-kind relation divided by the nonzero scalar f_J(z),
-  * a k-fold product containing j1 sheds it through a first-kind relation
-    again, landing on basis monomials,
   * p_j^-1 p_I, I a k-subset, is p_(I - j) when j is in I; otherwise the
     second-kind relation f_J(z) p_J = sum_(i in J) a_i c_i p_(J - i) on
     J = I u {j}, (i, c_i) the pairs of discriminant_coeffs(J), divided by
@@ -50,11 +50,11 @@ class c, with no copy and no rescaling, and K_j^-1 is read off the
 normal forms of p_j^-1 p_I the same way, with no matrix inverted.  K_j
 applied to a sparse vector (_apply) is a _lincomb of its columns, and
 bethe_operator is a Fraction view.  The unit u is the normal form of the
-empty monomial.  One certificate from u (cyclic_operator: the scalar
-sequence w K_c^i u mod p has a minimal polynomial of degree m) licenses
-two shortcuts: the operators commute if the n-1 commutators with the
-certified K_c vanish (commutator_residual, column by column), and then
-an identity P(K) = 0 holds if P(K) u = 0.
+empty monomial.  Two certificates from u have one job each.  A certified
+K_c (cyclic_operator) makes the operators commute once the n-1
+commutators with it vanish (commutator_residual, column by column).
+K_I u = e_I for every basis monomial I makes P(K) = 0 follow from
+P(K) u = 0 on commuting operators: P(K) e_I = K_I P(K) u.
 
 A Laurent polynomial in p is evaluated on the operators in one way only:
 its terms become (c, indices) pairs, unmerged, the z powers taken into c
@@ -231,11 +231,8 @@ class QuotientAlgebra:
             return self._raise_degree(key)
         if len(support) > k:
             return self._drop_by_second_kind(key, support)
-        if len(support) < len(key):
-            return self._split_repeat(key, support)
-        if self.j1 in key:
-            return self._shed_j1(key)
-        return []
+        i = next((v for v in support if key.count(v) > 1), self.j1)
+        return self._eliminate(key, i, support) if i in key else []
 
     def _raise_degree(self, key):
         # 1 = sum_{j not in I} f_(j,I)(z) / (d_I |a|) p_j, I holding key and j1
@@ -265,16 +262,11 @@ class QuotientAlgebra:
         return [(self.spec.discriminant_value(jset, self.z) / pivot, rest)] + [
             (-t / pivot, tuple(v for v in rest if v != i)) for i, t in terms.items()]
 
-    def _split_repeat(self, key, support):
-        i = next(v for v in support if key.count(v) > 1)
+    def _eliminate(self, key, i, support):
+        # one p_i for fresh variables, off the rest of the support (first kind)
         shorter = list(key)
         shorter.remove(i)
         repl = eliminate_first_kind(self.spec, i, [s for s in support if s != i])
-        return [(c, tuple(sorted(shorter + [l]))) for l, c in repl.items()]
-
-    def _shed_j1(self, key):
-        shorter = [v for v in key if v != self.j1]
-        repl = eliminate_first_kind(self.spec, self.j1, shorter)
         return [(c, tuple(sorted(shorter + [l]))) for l, c in repl.items()]
 
     # -- multiplication operators --------------------------------------------
@@ -403,14 +395,11 @@ def cyclic_operator(alg):
     below m, and Berlekamp-Massey on 2m terms (_minimal_polynomial; Massey,
     IEEE Trans. Inf. Theory 15, 1969) finds the least one.  So degree m
     makes u, A_c u, .., A_c^(m-1) u independent mod p, hence an integer
-    determinant is nonzero: the K_c^i u span Q^m.  That proves two facts.
-    K_c is cyclic, and what commutes with a cyclic matrix is a polynomial in
-    it (Horn & Johnson, Matrix Analysis, 2nd ed., 3.2.4), so [K_c, K_j] = 0
-    for every j makes all pairs commute.  Then P(K) is a polynomial in K_c
-    too, and P(K) u = 0 gives P(K) K_c^i u = 0 for every i: P(K) = 0.  A
-    lower degree (K_c derogatory, or an unlucky w) proves nothing; the next
-    c is tried.  With no c certified u still serves commuting operators
-    once K_I u = e_I for every basis monomial I: P(K) e_I = K_I P(K) u.
+    determinant is nonzero: the K_c^i u span Q^m, so K_c is cyclic.  What
+    commutes with a cyclic matrix is a polynomial in it (Horn & Johnson,
+    Matrix Analysis, 2nd ed., 3.2.4), so [K_c, K_j] = 0 for every j makes
+    all pairs commute.  A lower degree (K_c derogatory, or an unlucky w)
+    proves nothing; the next c is tried.
     """
     p, m = _PRIME, alg.dim
     unit = alg._normal_form(())[1]

@@ -237,26 +237,27 @@ def test_reduce_monomial_returns_a_fresh_list():
     assert len(alg.reduce_monomial(())) == alg.dim
 
 
-def _cycling_shed(alg, pair):
-    """A broken move: each monomial of the pair sheds j1 onto the other."""
-    honest = alg._shed_j1
+def _cycling_elimination(alg, pair):
+    """A broken move: each monomial of the pair eliminates j1 onto the other."""
+    honest = alg._eliminate
 
-    def shed(key):
-        return [(Fraction(2), pair[1 - pair.index(key)])] if key in pair else honest(key)
+    def eliminate(key, i, support):
+        return ([(Fraction(2), pair[1 - pair.index(key)])] if key in pair
+                else honest(key, i, support))
 
-    return shed
+    return eliminate
 
 
 def test_a_cycling_rewrite_raises_naming_the_monomial(monkeypatch):
     alg = random_algebra(5, 2, 106)
     pair = ((1, 2), (1, 3))
-    monkeypatch.setattr(alg, "_shed_j1", _cycling_shed(alg, pair))
+    monkeypatch.setattr(alg, "_eliminate", _cycling_elimination(alg, pair))
     with pytest.raises(CritvarError, match=r"rewrite returns to p\[1, 2\]"):
         alg.reduce_monomial((1, 2))
     with pytest.raises(DomainError, match=r"p\[1, 3\]"):
         alg.reduce_monomial((3, 1))
     # a self-loop is caught as well, and nothing half-done stays in the memo
-    monkeypatch.setattr(alg, "_shed_j1", lambda key: [(Fraction(1), key)])
+    monkeypatch.setattr(alg, "_eliminate", lambda key, i, support: [(Fraction(1), key)])
     with pytest.raises(DomainError, match=r"p\[1, 4\]"):
         alg.reduce_monomial((1, 4))
     monkeypatch.undo()
@@ -270,10 +271,10 @@ def test_a_cycling_rewrite_exits_two_from_the_cli(tmp_path, capsys, monkeypatch)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**spec.to_config(),
                                 "z": [rat_str(v) for v in sample_z(spec, rng, bound=6)]}))
-    move = QuotientAlgebra._shed_j1
-    monkeypatch.setattr(QuotientAlgebra, "_shed_j1",
-                        lambda self, key: [(Fraction(1), key)] if key == (1, 2)
-                        else move(self, key))
+    move = QuotientAlgebra._eliminate
+    monkeypatch.setattr(QuotientAlgebra, "_eliminate",
+                        lambda self, key, i, support: [(Fraction(1), key)] if key == (1, 2)
+                        else move(self, key, i, support))
     assert main(["verify", "--config", str(path)]) == 2
     assert "rewrite returns to p[1, 2]" in capsys.readouterr().err
 
