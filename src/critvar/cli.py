@@ -51,6 +51,10 @@ Exit status:
 0 all checks passed, 1 at least one failed, 2 bad usage or bad input
 data, 3 a numeric procedure gave up.  A reader that closes stdout early
 (`| head`) cuts the report short but does not change the exit status.
+A finished command (the `critvar` script, `python -m critvar.cli`) flushes
+stdout and stderr and ends by os._exit, skipping the interpreter's teardown:
+its atexit handlers do not run, so a tool that needs them (coverage in a
+subprocess, say) should call main() instead.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ from .spectrum import (
     newton_multistart,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _TOLERANCES = {
     "verify": {},
@@ -555,5 +559,16 @@ def main(argv=None):
         return 3
 
 
+def run(argv=None):
+    """main(argv) as a whole process: once the report is out, flush and skip the teardown.
+
+    An exception, argparse's SystemExit included, leaves as it would from main.
+    """
+    rc = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

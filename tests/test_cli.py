@@ -1,21 +1,28 @@
 """End-to-end runs of the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import critvar
 from critvar import quotient as qt
 from critvar import cli, numeric
 from critvar import lagrangian as lag
+from critvar.arrangement import random_generic, rat_str, sample_z
 from critvar.cli import main
 from test_ratmat import identity
 
@@ -700,10 +707,11 @@ def test_each_command_loads_only_its_layers(config_path, command):
     assert first < last and min(depth[first:last]) > depth[last]
 
 
-@pytest.mark.parametrize("command", ["gen", "verify"])
+@pytest.mark.parametrize("command", ["gen", "verify", "solve"])
 def test_a_closed_stdout_keeps_the_exit_status(config_path, command):
     argv = {"gen": ["gen", "--n", "5", "--k", "2", "--seed", "5"],
-            "verify": ["verify", "--config", config_path]}[command]
+            "verify": ["verify", "--config", config_path],
+            "solve": ["solve", "--config", config_path]}[command]
     env = child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the command writes
@@ -714,3 +722,88 @@ def test_a_closed_stdout_keeps_the_exit_status(config_path, command):
         os.close(write_end)
     assert done.returncode == 0
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr
+
+
+# A child that runs one command through cli.run, as the `critvar` script does, after
+# making every pair of route one's points count as merged: route one gives up.
+_GIVING_UP = textwrap.dedent("""
+    import math, sys
+    import critvar.cli, critvar.numeric
+    critvar.numeric._DEDUP_TOL = math.inf
+    critvar.cli.run(sys.argv[1:])
+""")
+
+
+@pytest.mark.parametrize("status, argv, err", [
+    (0, ["-m", "critvar.cli", "gen", "--n", "5", "--k", "2", "--seed", "5"], ""),
+    (1, ["-m", "critvar.cli", "flows", "--config", "{cfg}", "--tol-fd", "0"], ""),
+    (2, ["-m", "critvar.cli", "verify"], "usage: critvar verify "),
+    (2, ["-m", "critvar.cli", "verify", "--config", "{missing}"], "error: cannot read config "),
+    (3, ["-c", _GIVING_UP, "solve", "--config", "{cfg}"],
+     f"numeric failure: route one rejected every one of {numeric._REDRAWS} draws of 3 points"),
+], ids=["passed", "failed-check", "missing-option", "missing-file", "gave-up"])
+def test_each_exit_status_reaches_the_calling_process(config_path, tmp_path, status, argv,
+                                                      err):
+    # run() ends the process by os._exit; argparse's exit leaves through SystemExit
+    argv = [a.format(cfg=config_path, missing=tmp_path / "missing.json") for a in argv]
+    done = subprocess.run([sys.executable, *argv], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == status, done.stderr[-2000:]
+    assert done.stderr.startswith(err) if err else done.stderr == ""
+    if status in (0, 1):
+        report = json.loads(done.stdout)
+        assert (status == 1) == any(c["status"] == "fail" for c in report["checks"])
+    else:
+        assert done.stdout == ""
+
+
+def test_a_solve_report_on_a_pipe_is_the_in_process_one(config_path, capsys):
+    # solve loads numpy and skips the most teardown; the report is whole before the exit
+    done = subprocess.run([sys.executable, "-m", "critvar.cli", "solve", "--config",
+                           config_path], env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    rc, report = run_json(capsys, ["solve", "--config", config_path])
+    child = json.loads(done.stdout)
+    assert rc == 0 and child["timing"].keys() == report["timing"].keys()
+    del child["timing"], report["timing"]
+    assert child == report
+
+
+# every (n, k) with a fiber of dimension at most 10
+_SCALED_SHAPES = [(n, k) for n in range(3, 8) for k in range(1, n) if math.comb(n - 1, k) <= 10]
+
+
+def _relative_gap(p, q):
+    return max(abs(x - y) for x, y in zip(p, q)) / max(abs(x) for x in q)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(shape=st.sampled_from(_SCALED_SHAPES), seed=st.integers(0, 10**6),
+       lam=st.sampled_from((Fraction(2), Fraction(3), Fraction(1, 5))))
+def test_solve_is_scale_equivariant(shape, seed, lam):
+    # Phi(t) = sum_j a_j log(b_j t + z_j): t -> t / lam maps the critical points at z
+    # onto those at z / lam, and every f_j and so p_j = a_j / f_j scales by 1 / lam and
+    # lam; compared relatively, as |p| is unbounded near a hyperplane
+    n, k = shape
+    rng = random.Random(seed)
+    spec = random_generic(n, k, rng)
+    z = sample_z(spec, rng)
+    points = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for zz in (z, [x / lam for x in z]):
+            cfg = dict(spec.to_config(), z=[rat_str(x) for x in zz], seed=seed)
+            path = Path(tmp, "cfg.json")
+            path.write_text(json.dumps(cfg))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["solve", "--config", str(path)]) == 0
+            points.append([[complex(*pair) for pair in pt["p"]]
+                           for pt in json.loads(out.getvalue())["points"]])
+    at_z, scaled = points
+    want = [[complex(lam) * x for x in p] for p in at_z]
+    assert len(scaled) == len(want) == math.comb(n - 1, k)
+    # every point at z / lam is lam times one point at z, and no two share it
+    nearest = [min(range(len(want)), key=lambda i: _relative_gap(q, want[i])) for q in scaled]
+    assert sorted(nearest) == list(range(len(want)))
+    assert max(_relative_gap(q, want[i]) for q, i in zip(scaled, nearest)) <= 1e-9
