@@ -95,9 +95,8 @@ class ArrangementSpec:
             raise UsageError(f"need {n} weights, got {len(a)}")
         b = tuple(tuple(parse_rat(x) for x in row) for row in b)
         fields = vars(self)  # written directly: __setattr__ refuses every name
-        rational = all(isinstance(x, (int, Fraction)) for x in a)
-        if rational:
-            a = tuple(Fraction(x) for x in a)
+        a = tuple(parse_rat(x) if isinstance(x, int) else x for x in a)  # a bool is refused
+        rational = all(isinstance(x, Fraction) for x in a)
         fields.update(n=n, k=k, b=b, a=a, rational_weights=rational)
         if any(x == 0 for x in a):
             raise UsageError("every weight must be nonzero")
@@ -138,11 +137,12 @@ class ArrangementSpec:
         """(a, b, minors) for arithmetic with these sequences of values.
 
         minors maps each increasing k-subset to its minor, in lex order.
-        The exact tables when every value is an int or a Fraction, so the
-        result stays exact; otherwise the float image.
+        The float image when some value is a float or a complex (numpy's
+        float64 and complex128 among them); otherwise the exact tables, so
+        ints, Fractions and anything else built on them stay exact.
         """
-        exact = all(isinstance(v, (int, Fraction)) for seq in values for v in seq)
-        return self._exact if exact else self._image
+        floats = any(isinstance(v, (float, complex)) for seq in values for v in seq)
+        return self._image if floats else self._exact
 
     def require_rational_weights(self):
         if not self.rational_weights:

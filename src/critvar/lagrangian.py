@@ -18,9 +18,9 @@ makes the transition determinant between charts I and I' come out as
 The same data has a generating function Psi = sum_j a_j ln p_j
 - sum_{i in I} z_i p_i with dPsi = sum_{j not in I} z_j dp_j
 - sum_{i in I} p_i dz_i on the variety.  The checks here read the columns
-of completion_jacobian, taken once per point (the logarithm is
-differentiated exactly), and the flows of the defining Hamiltonians
-integrate in closed form:
+of completion_jacobian, taken once per point and exact: _Jet carries the
+partials through chart_complete itself.  The flows of the defining
+Hamiltonians integrate in closed form:
 
     first kind F_I:  z_j -> z_j + d_{(j,I)} s, momenta fixed;
     G_J:             p_{j_m} -> p_{j_m} + (-1)^m d_{J minus j_m} s,
@@ -56,23 +56,40 @@ __all__ = [
 ]
 
 
-# The coarser of _derivative's two steps: at 1e-3 the O(h^4) truncation, and at
-# 1e-6 the rounding (near eps / h), reach 4e-6 on some generic instances.
-_FD_STEP = 3e-4
+class _Jet:
+    """A value with its partials in the n chart slots, over Fraction.
 
-
-def _derivative(fun, base, pos, h):
-    """d fun / d base[pos] for a list-valued fun, as (4 D(h/2) - D(h)) / 3 (Richardson).
-
-    D(s) = (fun(base + s e_pos) - fun(base - s e_pos)) / 2s; their h^2 error terms cancel.
+    Forward-mode differentiation (Griewank & Walther, Evaluating Derivatives,
+    SIAM 2008) of chart_complete, with only the operations it performs:
+    jet +- jet, sum's 0 + jet, scalar * jet, jet / scalar, scalar / jet, == 0.
     """
-    def central(s):
-        bump, dip = list(base), list(base)
-        bump[pos] += s
-        dip[pos] -= s
-        return [(u - v) / (2 * s) for u, v in zip(fun(bump), fun(dip))]
 
-    return [(4 * fine - coarse) / 3 for coarse, fine in zip(central(h), central(h / 2))]
+    def __init__(self, val, grad):
+        self.val, self.grad = val, grad
+
+    def __add__(self, other):
+        if not isinstance(other, _Jet):  # sum's start
+            return _Jet(self.val + other, self.grad)
+        return _Jet(self.val + other.val, [u + v for u, v in zip(self.grad, other.grad)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Jet(self.val - other.val, [u - v for u, v in zip(self.grad, other.grad)])
+
+    def __rmul__(self, c):
+        return _Jet(c * self.val, [c * u for u in self.grad])
+
+    def __truediv__(self, c):
+        return _Jet(self.val / c, [u / c for u in self.grad])
+
+    def __rtruediv__(self, c):
+        q = c / self.val
+        f = -q / self.val
+        return _Jet(q, [f * u for u in self.grad])
+
+    def __eq__(self, other):
+        return self.val == other
 
 
 def _chart(spec, iset, minors):
@@ -137,17 +154,17 @@ def chart_vector(spec, iset, z, p):
 
 
 def completion_jacobian(spec, iset, z, p):
-    """_derivative columns of chart I's completion at (z, p), one per chart slot.
+    """Exact columns of chart I's completion at (z, p), one per chart slot.
 
-    Column j holds d(z_1..z_n, p_1..p_n) / d(slot j) on the complex image.
+    Column j holds d(z_1..z_n, p_1..p_n) / d(slot j), rational at a rational
+    point: one chart_complete on slots seeded as unit _Jets gives all n.  The
+    checks reading them keep their _fd names: perfbench/run.py's
+    EXPECTED_CHECKS lists them.
     """
-    base = [complex(v) for v in chart_vector(spec, iset, z, p)]
-
-    def completed(vec):
-        zf, pf = chart_complete(spec, iset, *chart_coords(spec, iset, vec, vec))
-        return zf + pf
-
-    return [_derivative(completed, base, pos, _FD_STEP) for pos in range(spec.n)]
+    slots = [_Jet(v, [int(s == pos) for s in range(spec.n)])
+             for pos, v in enumerate(chart_vector(spec, iset, z, p))]
+    z_jet, p_jet = chart_complete(spec, iset, *chart_coords(spec, iset, slots, slots))
+    return [list(col) for col in zip(*(x.grad for x in z_jet + p_jet))]
 
 
 def generating_fd_residual(spec, iset, z, p, cols):
@@ -157,17 +174,15 @@ def generating_fd_residual(spec, iset, z, p, cols):
     logarithm differentiated exactly, should be z_l at slot p_l (l outside
     I) and -p_i at slot z_i (i in I).  The values multiplying the
     differentials are the completion's own, so a point off the variety
-    shows up in the comparison.
+    shows up in the comparison.  Exact, and 0 on the variety.
     """
     iset = spec._check_subset(iset, spec.k)
-    free = ([complex(v) for v in part] for part in chart_coords(spec, iset, z, p))
-    zc, pc = chart_complete(spec, iset, *free)
-    n, weights = spec.n, [complex(x) for x in spec.a]
-    worst = 0.0
+    zc, pc = chart_complete(spec, iset, *chart_coords(spec, iset, z, p))
+    n, worst = spec.n, 0
     for slot, col in enumerate(cols, 1):
-        dpsi = sum(w * dp / pv for w, dp, pv in zip(weights, col[n:], pc))
+        dpsi = sum(w * dp / pv for w, dp, pv in zip(spec.a, col[n:], pc))
         dpsi -= sum(pc[i - 1] * col[i - 1] + zc[i - 1] * col[n + i - 1] for i in iset)
-        want = -complex(p[slot - 1]) if slot in iset else complex(z[slot - 1])
+        want = -p[slot - 1] if slot in iset else z[slot - 1]
         worst = max(worst, abs(dpsi - want))
     return worst
 
@@ -181,7 +196,7 @@ def transition_expected(spec, iset_from, iset_to):
 
 
 def transition_jacobian_fd(spec, iset_to, cols):
-    """Finite-difference determinant of the chart-I to chart-I' change from chart I's cols."""
+    """Determinant of the chart-I to chart-I' change, from chart I's completion_jacobian cols."""
     iset_to = spec._check_subset(iset_to, spec.k)
     # slot j of chart I' holds z_j for j in I', else p_j
     rows = [j - 1 if j in iset_to else spec.n + j - 1 for j in range(1, spec.n + 1)]

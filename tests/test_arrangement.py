@@ -40,6 +40,18 @@ def test_validation():
         ArrangementSpec(n=2, k=1, b=((1,), (1,)), a=(1, -1))  # weights sum to zero
 
 
+def test_a_boolean_weight_is_refused_like_a_boolean_entry_of_b():
+    # bool subclasses int, so True would read as the weight 1; parse_rat refuses it in b too
+    b = [[1], [2], [3]]
+    for a in [(True, 2, 3), (1, False, 3), (True, 2j, 3)]:
+        with pytest.raises(UsageError, match="cannot parse rational from"):
+            ArrangementSpec(3, 1, b, a=a)
+    with pytest.raises(UsageError, match="cannot parse rational from"):
+        ArrangementSpec(3, 1, [[True], [2], [3]], a=(1, 2, 3))
+    assert ArrangementSpec(3, 1, b, a=(1, Fraction(1, 2), 3)).a == (1, Fraction(1, 2), 3)
+    assert not ArrangementSpec(3, 1, b, a=(1, 2j, 3)).rational_weights
+
+
 def test_parse_rat():
     assert parse_rat("2/3") == Fraction(2, 3)
     assert parse_rat(-4) == Fraction(-4)

@@ -326,17 +326,16 @@ def test_a_lost_path_is_recovered_through_a_fresh_middle_point(tmp_path, capsys)
 @pytest.mark.parametrize("n, k, seed", [(6, 3, 800004), (6, 2, 827000), (6, 3, 1920004),
                                         (7, 3, 1920000), (9, 4, 22)])
 def test_fd_jacobians_survive_rounding_and_truncation(tmp_path, capsys, n, k, seed):
-    # the projection Jacobian missed --tol-fd 1e-6 by rounding with one
-    # central difference at h = 1e-6 (1.6e-6 on 800004), and by truncation
-    # with extrapolated ones from h = 1e-3 (4.2e-6 on 827000); a central
-    # difference of Psi itself at h = 1e-6 missed it by truncation on the
-    # last three (1.3e-6, 1.8e-5 and 1.1e-5)
+    # finite-difference Jacobians once missed a 1e-6 tolerance here: by
+    # rounding at h = 1e-6 (1.6e-6 on 800004), by truncation from h = 1e-3
+    # (4.2e-6 on 827000), and on the last three by truncation of a
+    # difference of Psi itself; the exact Jacobians leave no residual at all
     rc, report = run_json(capsys, ["flows", "--config", _generated(tmp_path, capsys, n, k, seed)])
     assert rc == 0 and all(c["status"] == "pass" for c in report["checks"])
-    fd = {c["name"]: c["residual"] for c in report["checks"] if c["name"].endswith("_fd")}
-    assert fd["transition_jacobian_fd"] < 1e-7 and fd["generating_function_fd"] < 1e-7
-    if seed in (800004, 827000):  # 1920004 reads 1.1e-7 here, inside --tol-fd
-        assert fd["projection_jacobian_fd"] < 1e-7
+    fd = {c["name"]: (c["residual"], c["expected"]) for c in report["checks"]
+          if c["name"].endswith("_fd")}
+    assert fd == dict.fromkeys(["transition_jacobian_fd", "generating_function_fd",
+                                "projection_jacobian_fd"], (0, 0))
 
 
 def test_projection_chart_independence_reports_its_largest_gap(config_path, capsys,
@@ -441,11 +440,53 @@ def test_solve_passes_every_check_on_eight_three_seed_seven(tmp_path, capsys):
     assert rc == 0
 
 
-def test_failed_tolerance_gives_exit_one(config_path, capsys):
-    rc = main(["flows", "--config", config_path, "--tol-fd", "1e-30"])
-    report = json.loads(capsys.readouterr().out)
+def _flipped_transition(monkeypatch):
+    honest = lag.transition_expected
+    monkeypatch.setattr(lag, "transition_expected", lambda *args: -honest(*args))
+
+
+def _perturbed_projection_row(monkeypatch):
+    # one entry of projection_jacobian's closed-form dz/dp rows moves by 1
+    honest, det = lag.projection_jacobian, lag.ratmat.det
+
+    def perturbed(*args):
+        with monkeypatch.context() as m:
+            m.setattr(lag.ratmat, "det",
+                      lambda rows: det([[rows[0][0] + 1, *rows[0][1:]], *rows[1:]]))
+            return honest(*args)
+
+    monkeypatch.setattr(lag, "projection_jacobian", perturbed)
+
+
+def _off_variety_point(monkeypatch):
+    # p_1 is completed in the charts that hold 1, so the chart coordinates stay
+    honest = lag.sample_chart_point
+
+    def moved(*args):
+        z, p = honest(*args)
+        return z, (p[0] + Fraction(1, 10**4),) + p[1:]
+
+    monkeypatch.setattr(lag, "sample_chart_point", moved)
+
+
+@pytest.mark.parametrize("mutant, failing", [
+    (_flipped_transition, {"transition_jacobian_fd"}),
+    (_perturbed_projection_row, {"projection_chart_independence", "projection_jacobian_fd"}),
+    (_off_variety_point, {"chart_membership", "chart_transitions_exact",
+                          "generating_function_fd", "projection_jacobian_fd",
+                          "flow_invariance"}),
+], ids=["flipped-transition", "perturbed-projection-row", "off-variety-point"])
+def test_each_jacobian_check_fails_on_its_mutant(config_path, capsys, monkeypatch, mutant,
+                                                 failing):
+    # the _fd checks are exact: a wrong closed form or a point off the variety
+    # reads a nonzero residual against expected 0, and flows exits 1
+    mutant(monkeypatch)
+    rc, report = run_json(capsys, ["flows", "--config", config_path])
     assert rc == 1
-    assert any(c["status"] == "fail" for c in report["checks"])
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failing
+    for c in report["checks"]:
+        if c["name"].endswith("_fd"):
+            assert c["expected"] == 0 and (c["residual"] != 0) == (c["name"] in failing)
 
 
 def test_usage_errors_give_exit_two(tmp_path, capsys):
@@ -532,6 +573,11 @@ def test_commands_take_only_the_tolerances_they_read(config_path, capsys):
         main(["flows", "--config", config_path, "--tol-newton", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol-newton" in capsys.readouterr().err
+    # flows decides its Jacobian checks exactly, so it reads no tolerance either
+    with pytest.raises(SystemExit) as exc:
+        main(["flows", "--config", config_path, "--tol-fd", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-fd" in capsys.readouterr().err
     # route two's last polish is route one's, so solve has no Newton tolerance either
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--config", config_path, "--tol-newton", "1e-3"])
@@ -733,10 +779,19 @@ _GIVING_UP = textwrap.dedent("""
     critvar.cli.run(sys.argv[1:])
 """)
 
+# The same after flipping the sign of the exact transition determinant: a check fails.
+_FAILING_CHECK = textwrap.dedent("""
+    import sys
+    import critvar.cli, critvar.lagrangian as lag
+    honest = lag.transition_expected
+    lag.transition_expected = lambda *args: -honest(*args)
+    critvar.cli.run(sys.argv[1:])
+""")
+
 
 @pytest.mark.parametrize("status, argv, err", [
     (0, ["-m", "critvar.cli", "gen", "--n", "5", "--k", "2", "--seed", "5"], ""),
-    (1, ["-m", "critvar.cli", "flows", "--config", "{cfg}", "--tol-fd", "0"], ""),
+    (1, ["-c", _FAILING_CHECK, "flows", "--config", "{cfg}"], ""),
     (2, ["-m", "critvar.cli", "verify"], "usage: critvar verify "),
     (2, ["-m", "critvar.cli", "verify", "--config", "{missing}"], "error: cannot read config "),
     (3, ["-c", _GIVING_UP, "solve", "--config", "{cfg}"],

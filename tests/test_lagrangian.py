@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,19 +98,18 @@ def test_transition_jacobian_matches_minor_ratio():
         z, p = lag.sample_chart_point(spec, src, rng)
         cols = lag.completion_jacobian(spec, src, z, p)
         for dst in charts[1:3]:
-            want = complex(lag.transition_expected(spec, src, dst))
-            got = lag.transition_jacobian_fd(spec, dst, cols)
-            assert abs(got - want) <= 1e-6 * (1 + abs(want))
+            want = lag.transition_expected(spec, src, dst)
+            assert lag.transition_jacobian_fd(spec, dst, cols) == want
 
 
-def test_generating_function_derivatives_by_finite_differences():
+def test_generating_function_derivatives_are_exact():
     rng = random.Random(17)
     for n, k, seed in [(3, 1, 8), (4, 2, 9), (5, 3, 10)]:
         spec = random_generic(n, k, random.Random(seed))
         iset = next(iter(k_subsets(n, k)))
         z, p = lag.sample_chart_point(spec, iset, rng)
         cols = lag.completion_jacobian(spec, iset, z, p)
-        assert lag.generating_fd_residual(spec, iset, z, p, cols) < 1e-6
+        assert lag.generating_fd_residual(spec, iset, z, p, cols) == 0
 
 
 def test_generating_residual_sees_a_moved_dependent_coordinate():
@@ -122,13 +122,13 @@ def test_generating_residual_sees_a_moved_dependent_coordinate():
         iset = next(iter(k_subsets(n, k)))
         z, p = lag.sample_chart_point(spec, iset, rng)
         cols = lag.completion_jacobian(spec, iset, z, p)
-        assert lag.generating_fd_residual(spec, iset, z, p, cols) < 1e-7
+        assert lag.generating_fd_residual(spec, iset, z, p, cols) == 0
         moved = Fraction(1, 10**4)
         z_off = z[:n - 1] + (z[n - 1] + moved,)
         p_off = (p[0] + moved,) + p[1:]
         assert lag.completion_jacobian(spec, iset, z_off, p_off) == cols
-        assert lag.generating_fd_residual(spec, iset, z_off, p, cols) > 1e-6
-        assert lag.generating_fd_residual(spec, iset, z, p_off, cols) > 1e-6
+        assert lag.generating_fd_residual(spec, iset, z_off, p, cols) != 0
+        assert lag.generating_fd_residual(spec, iset, z, p_off, cols) != 0
 
 
 def test_projection_jacobian_closed_form_and_chart_independence():
@@ -147,9 +147,8 @@ def test_projection_jacobian_finite_difference_agreement():
     spec = random_generic(4, 2, random.Random(15))
     iset = (1, 3)
     z, p = lag.sample_chart_point(spec, iset, rng)
-    want = complex(lag.projection_jacobian(spec, iset, z, p))
-    got = lag.projection_jacobian_fd(spec, iset, lag.completion_jacobian(spec, iset, z, p))
-    assert abs(got - want) <= 1e-6 * (1 + abs(want))
+    want = lag.projection_jacobian(spec, iset, z, p)
+    assert lag.projection_jacobian_fd(spec, iset, lag.completion_jacobian(spec, iset, z, p)) == want
 
 
 def test_first_kind_flow_translates_z_and_preserves_the_variety():
@@ -228,32 +227,6 @@ def _rational_instance(n, k, seed):
     return ArrangementSpec(n, k, b, spec.a)
 
 
-def _fd_values(spec, rng):
-    """Every float figure the flows checks compute from completions, at one point."""
-    charts = list(k_subsets(spec.n, spec.k))[:3]
-    z, p = lag.sample_chart_point(spec, charts[0], rng)
-    zc, pc = [complex(v) + 0.25j for v in z], [complex(v) - 0.5j for v in p]
-    z_part, p_part = lag.chart_coords(spec, charts[1], zc, pc)
-    cols = {iset: lag.completion_jacobian(spec, iset, z, p) for iset in charts}
-    return [
-        lag.chart_complete(spec, charts[1], z_part, p_part),
-        [lag.transition_jacobian_fd(spec, dst, cols[charts[0]]) for dst in charts[1:]],
-        [lag.generating_fd_residual(spec, iset, z, p, cols[iset]) for iset in charts],
-        [lag.projection_jacobian_fd(spec, iset, cols[iset]) for iset in charts],
-    ]
-
-
-def test_fd_checks_on_the_float_image_are_bit_identical(monkeypatch):
-    # the image rounds each minor as the Fraction-complex fallback did, so
-    # with the exact tables forced back in the same floats come out
-    for spec in [random_generic(5, 2, random.Random(31)), random_generic(6, 3, random.Random(32)),
-                 _rational_instance(5, 2, 33), _rational_instance(4, 1, 34)]:
-        fast = _fd_values(spec, random.Random(35))
-        with monkeypatch.context() as m:
-            m.setattr(ArrangementSpec, "tables", lambda self, *values: self._exact)
-            assert _fd_values(spec, random.Random(35)) == fast
-
-
 def test_generating_map_on_the_float_image(monkeypatch):
     rng = random.Random(36)
     for spec in [random_generic(5, 2, random.Random(37)), _rational_instance(5, 3, 38)]:
@@ -290,13 +263,10 @@ def test_fd_checks_hold_on_random_charts(case):
     iset, target = charts[chart], charts[chart - 1]
     z, p = lag.sample_chart_point(spec, iset, random.Random(point_seed))
     cols = lag.completion_jacobian(spec, iset, z, p)
-    assert lag.generating_fd_residual(spec, iset, z, p, cols) <= 1e-7
-    want = complex(lag.transition_expected(spec, iset, target))
-    got = lag.transition_jacobian_fd(spec, target, cols)
-    assert abs(got - want) <= 1e-6 * (1 + abs(want))
-    want = complex(lag.projection_jacobian(spec, iset, z, p))
-    got = lag.projection_jacobian_fd(spec, iset, cols)
-    assert abs(got - want) <= 1e-6 * (1 + abs(want))
+    assert lag.generating_fd_residual(spec, iset, z, p, cols) == 0
+    assert lag.transition_jacobian_fd(spec, target, cols) == lag.transition_expected(spec, iset,
+                                                                                     target)
+    assert lag.projection_jacobian_fd(spec, iset, cols) == lag.projection_jacobian(spec, iset, z, p)
     z_part, p_part = lag.chart_coords(spec, iset, z, p)
     comp = [j for j in range(1, n + 1) if j not in iset]
     assert generating_map(spec, iset, z_part, p_part) == [z[j - 1] for j in comp]
@@ -316,3 +286,14 @@ def test_chart_tables_are_kept_per_chart_and_per_minor_table():
     assert not mixed.rational_weights
     with pytest.raises(UsageError):
         lag.chart_complete(mixed, (1, 3), [Fraction(1)] * 2, [Fraction(1)] * 3)
+
+
+def test_tables_give_the_float_image_only_to_float_or_complex_values():
+    # a _Jet over Fraction gets the exact tables without arrangement.py knowing of it
+    spec = random_generic(4, 2, random.Random(8))
+    jet = lag._Jet(Fraction(1, 3), [1, 0])
+    for values in [(), ([jet],), ([1, Fraction(2, 5)], [jet, 3])]:
+        assert spec.tables(*values) is spec._exact
+    for values in [([0.5],), ([Fraction(1)], [1j]), (np.array([1 + 0j, 2]),),
+                   ([Fraction(1), np.float64(2)],)]:
+        assert spec.tables(*values) is spec._image
