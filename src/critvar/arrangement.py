@@ -218,6 +218,32 @@ class ArrangementSpec:
                 return False
         return True
 
+    def bounded_chambers(self, z):
+        """(I, sigma) per bounded chamber at a rational z: sigma its f_j signs, v_I its lowest.
+
+        Heights are l.t, l = sum_i x^(i-1) b_i; x > 1 + max|d| / min|d| (Cauchy's root
+        bound) makes every det[l; b_S] = sum_i x^(i-1) d_(i,S) nonzero.  A region is
+        bounded when it holds the up-cone of one vertex and the down-cone of another.
+        Both cones of v_I have sign(f_j) = sign(f_J(z)) (-1)^pos(j in J) sign(d_I) off I,
+        J = I + {j}; on I the up-cone has sign((-1)^pos(j in I) det[l; b_(I - j)] d_I),
+        the down-cone the opposite.  DomainError on the discriminant.
+        """
+        n, k, sign = self.n, self.k, lambda v: (v > 0) - (v < 0)
+        forms = {J: sign(self.discriminant_value(J, z)) for J in k_subsets(n, k + 1)}
+        if 0 in forms.values():
+            raise DomainError("z lies on the discriminant, so some k+1 planes meet")
+        x = 2 + max(map(abs, self._minors.values())) // min(map(abs, self._minors.values()))
+        height = {S: sign(sum(x**i * self.plucker((i + 1,) + S) for i in range(n)))
+                  for S in k_subsets(n, k - 1)}
+        up, down = {}, set()
+        for I, d in self._minors.items():
+            sigma = tuple(sign(d) * (-1) ** sum(i < j for i in I) * (
+                height[tuple(i for i in I if i != j)] if j in I
+                else forms[tuple(sorted(I + (j,)))]) for j in range(1, n + 1))
+            up[sigma] = I
+            down.add(tuple(-s if j in I else s for j, s in enumerate(sigma, start=1)))
+        return [(I, sigma) for sigma, I in up.items() if sigma in down]
+
     def span_rank(self):
         """Exact rank of the span of all discriminant forms (equals n - k)."""
         rows = []

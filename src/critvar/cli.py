@@ -29,14 +29,17 @@ and the Hessian and Jacobian checks at route two's points ("second_order");
 its "diagnostics.spectrum" gives route one's accepted integer combination,
 its number of draws, and the smallest gaps between its eigenvalues and
 between its points' momenta (null for a one-point fiber), and its
-"diagnostics.newton" gives route two's counts: vertex starts, chambers
-of the real fiber, redraws, tracked paths and the paths tracked again
-through a fresh middle point after one was lost or merged; verify's
-"diagnostics.verify" gives the path its operator identities took
-("unit_orbit", "full_matrix", or null without a base point), the
-identities checked out of the total, and "commutators": the K_c certified
-cyclic from u ("cyclic") and the prime p of its certificate (the scalars
-w K_c^i u mod p satisfy no recurrence shorter than the dimension), or nulls,
+"diagnostics.newton" gives route two's counts: the bounded chambers of
+the real fiber, listed exactly (ArrangementSpec.bounded_chambers), the
+redraws of the real z (1 only when it lay on the discriminant), the
+paths tracked from the certified maxima, one per chamber, and the
+paths tracked again through a fresh middle point after one was lost or
+merged; verify's "diagnostics.verify" gives the path its operator
+identities took ("unit_orbit", "full_matrix", or null without a base
+point), the identities checked out of the total, and "commutators":
+the K_c certified cyclic from u ("cyclic") and the prime p of its
+certificate (the scalars w K_c^i u mod p satisfy no recurrence shorter
+than the dimension), or nulls,
 and the commutator "products" computed: all C(n, 2) pairs commute once
 [K_c, K_j] = 0 for every j, as the centralizer of a cyclic matrix is its
 polynomials; with no K_c certified every pair is computed.  The path is
@@ -50,7 +53,10 @@ Both of solve's routes end in the same fixed Newton polish, which takes
 no tolerance.  gen --out writes the config alone.
 Exit status:
 0 all checks passed, 1 at least one failed, 2 bad usage or bad input
-data, 3 a numeric procedure gave up.  A reader that closes stdout early
+data, 3 a numeric procedure gave up.  A solve that exits 3 writes its
+report, with the checks, stages and diagnostics gathered so far and the
+failure as "error", to --out when given; without --out it prints none,
+so stdout carries whole reports only.  A reader that closes stdout early
 (`| head`) cuts the report short but does not change the exit status.
 A finished command (the `critvar` script, `python -m critvar.cli`) flushes
 stdout and stderr and ends by os._exit, skipping the interpreter's teardown:
@@ -326,16 +332,28 @@ def _cmd_solve(args):
     z = _resolve_z(raw, spec, seed)
     if z is None:
         raise UsageError('solve needs "z" in the config (a vector or "sample")')
-    checks = []
+    checks, stages, diagnostics = [], {}, {}
     expected = math.comb(spec.n - 1, spec.k)
-
-    mark = time.perf_counter()
-    spectral = joint_spectrum(qt.QuotientAlgebra(spec, z), seed=seed)
-    stages = {"joint_spectrum": round(time.perf_counter() - mark, 6)}
-    mark = time.perf_counter()
-    counts = {}
-    newton = newton_multistart(spec, z, seed=seed, target_count=expected, stats=counts)
-    stages["newton"] = round(time.perf_counter() - mark, 6)
+    try:
+        mark = time.perf_counter()
+        spectral = joint_spectrum(qt.QuotientAlgebra(spec, z), seed=seed)
+        stages["joint_spectrum"] = round(time.perf_counter() - mark, 6)
+        diagnostics["spectrum"] = {
+            "combination": list(spectral.combination),
+            "draws": spectral.attempts,
+            # a one-point fiber has no gap; JSON has no infinity
+            "eigenvalue_gap": spectral.min_gap if spectral.min_gap < math.inf else None,
+            "momentum_gap": spectral.momentum_gap if spectral.momentum_gap < math.inf else None,
+        }
+        mark = time.perf_counter()
+        newton = newton_multistart(spec, z, seed=seed, target_count=expected,
+                                   stats=diagnostics.setdefault("newton", {}))
+        stages["newton"] = round(time.perf_counter() - mark, 6)
+    except NumericError as exc:
+        if args.out:  # stdout carries whole reports only
+            _finish("solve", raw, spec, z, seed, checks, stages, started, args.out,
+                    {"error": str(exc), "diagnostics": diagnostics})
+        raise
     checks.append(_check("critical_count_spectral", len(spectral.points) == expected,
                          None, len(spectral.points), expected))
     checks.append(_check("critical_count_newton", len(newton) == expected,
@@ -374,13 +392,7 @@ def _cmd_solve(args):
         "points": points,
         "eigenvalue_combination": list(spectral.combination),
         "eigenvalues": [_c_pair(v) for v in spectral.eigenvalues],
-        "diagnostics": {"spectrum": {
-            "combination": list(spectral.combination),
-            "draws": spectral.attempts,
-            # a one-point fiber has no gap; JSON has no infinity
-            "eigenvalue_gap": spectral.min_gap if spectral.min_gap < math.inf else None,
-            "momentum_gap": spectral.momentum_gap if spectral.momentum_gap < math.inf else None,
-        }, "newton": counts},
+        "diagnostics": diagnostics,
     }
     return _finish("solve", raw, spec, z, seed, checks, stages, started, args.out, extra)
 
@@ -397,6 +409,7 @@ def _cmd_flows(args):
     spec = ArrangementSpec.from_config(raw)
     spec.require_rational_weights()
     seed = _seed(args, raw)
+    z = _resolve_z(raw, spec, seed)  # flows reads no base point, but its echo is parsed
     rng = random.Random(seed)
     checks, stages = [], {}
     record = _recorder(checks, stages)
@@ -481,7 +494,7 @@ def _cmd_flows(args):
         count += 1
     record(_check("flow_invariance", ok_flow, None, count, 0))
 
-    return _finish("flows", raw, spec, None, seed, checks, stages, started, args.out)
+    return _finish("flows", raw, spec, z, seed, checks, stages, started, args.out)
 
 
 # -- gen --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ neither compile it nor load numpy.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 import random
@@ -16,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import k_subsets
-from .errors import NumericError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .ratmat import _cleared
 from .spectrum import CriticalPoint, SpectrumResult
 
@@ -206,7 +204,7 @@ def charpoly(a):
 
 # -- the operator route -------------------------------------------------------
 
-_REDRAWS = 5  # draws before a route gives up: unconverged or merged points, or short real fibers
+_REDRAWS = 5  # draws before route one gives up on unconverged or merged points
 
 
 def joint_spectrum(alg, seed):
@@ -296,7 +294,8 @@ def _momenta_key(pt):
 
 # -- the direct route ---------------------------------------------------------
 
-_ASCENT_STEPS = 100  # damped Newton steps a chamber's start gets to reach its maximum
+_ASCENT_STEPS = 100  # damped Newton steps a chamber's start gets to certify its maximum
+_REFINE = 6  # full Newton steps after lam <= 1/4: lam / (1 - lam) < 1e-28 in exact arithmetic
 _RETRACKS = 2  # rounds that retrack the fiber through a fresh middle point, steps quartered
 _MAX_STEP = 0.25  # largest share of a segment that path tracking steps by
 _MIN_STEP = 1e-4  # smallest share of a segment that path tracking steps by
@@ -369,52 +368,38 @@ def _gradient_floor(b, a, f):
     return 1.0 + _apply(abs(b).T, abs(a) / abs(f))
 
 
-def _real_fiber(b, a, z):
-    """The maximum of sum_j a_j log|f_j| on every bounded chamber, for real z and a >= 1.
+def _real_fiber(b, a, z, chambers):
+    """The maximum of sum_j a_j log|f_j| on each listed chamber, for real z and a >= 1.
 
-    The planes of a k-subset I meet in the vertex v = -b_I^-1 z_I, and
-    v + eps b_I^-1 sigma, for sigma in {-1, 1}^k, lies in the orthant sigma
-    of those planes; eps, half the smallest |f_j(v)| / |b_j b_I^-1|_1 over
-    the other planes, keeps every other f_j on its side.  Every bounded
-    chamber has a vertex, so the starts reach them all, and the first start
-    of each sign vector stands for its chamber.  Each climbs by the damped
-    Newton step d / (1 + delta), delta = sqrt(g . d): with weights >= 1 the
-    negated function is a self-concordant barrier of the chamber, so the
-    step keeps the chamber and raises the function (Nesterov & Nemirovski
-    1994), and once delta < 1/4 _polish converges quadratically without
-    leaving it.  A start that leaves the box of the vertices is in an
-    unbounded chamber, which has no maximum, and is dropped, as is one
-    still climbing after _ASCENT_STEPS steps.  Returns (maxima, number of
-    vertex starts).
+    chambers holds (I, sigma) of ArrangementSpec.bounded_chambers.  The start v_I +
+    eps b_I^-1 sigma_I, v_I = -b_I^-1 z_I, is in the chamber: eps is half the least
+    |f_j(v_I)| / |b_j b_I^-1|_1 off I.  With a >= 1 the negated function is a
+    self-concordant barrier of the chamber, so the damped Newton step d / (1 + lam),
+    lam = sqrt(g . d), keeps the chamber and climbs, and lam < 1 proves a maximum
+    (Nesterov, Introductory Lectures on Convex Optimization, 2004, 4.1).  lam <= 1/4,
+    a factor four to spare, certifies it; _REFINE full steps follow.  ok: certified
+    within _ASCENT_STEPS + _REFINE steps, and the chamber's signs at the end.
     """
-    n, k = b.shape
-    subsets = np.array(list(k_subsets(n, k))) - 1
+    subsets, signs = np.array([I for I, _ in chambers]) - 1, np.array([s for _, s in chambers])
     inv = np.linalg.inv(b[subsets])
     vertices = -_apply(inv, z[subsets])
     ratio = np.abs(z + _apply(b, vertices)) / np.abs(b @ inv).sum(axis=2)
     np.put_along_axis(ratio, subsets, np.inf, axis=1)
-    orthants = np.array(list(itertools.product((-1.0, 1.0), repeat=k))) @ inv.transpose(0, 2, 1)
-    starts = (vertices[:, None] + 0.5 * ratio.min(axis=1)[:, None, None] * orthants).reshape(-1, k)
-    f = z + _apply(b, starts)
-    off = (f != 0).all(axis=1)  # a start on a plane only where z is not generic
-    _, first = np.unique(f[off] > 0, axis=0, return_index=True)
-    t = starts[off][np.sort(first)]
-    ready, live = np.zeros(len(t), dtype=bool), np.arange(len(t))
-    for _ in range(_ASCENT_STEPS):
+    orthant = np.take_along_axis(signs, subsets, axis=1)
+    t = vertices + 0.5 * ratio.min(axis=1)[:, None] * _apply(inv, orthant)
+    left = np.full(len(t), _REFINE)  # the full steps a start still owes once certified
+    for _ in range(_ASCENT_STEPS + _REFINE):
+        live = np.flatnonzero(left)
+        if not live.size:
+            break
         f = z + _apply(b, t[live])
         g = _apply(b.T, a / f)
         d = _solve_rows((b.T * (a / f**2)[:, None, :]) @ b, g)
-        delta = np.sqrt((g * d).sum(axis=1))
-        ready[live[delta < 0.25]] = True
-        climb = delta >= 0.25
-        live, tl = live[climb], t[live[climb]] + d[climb] / (1.0 + delta[climb, None])
-        inside = ((tl >= vertices.min(axis=0)) & (tl <= vertices.max(axis=0))).all(axis=1)
-        live = live[inside]
-        t[live] = tl[inside]
-        if not live.size:
-            break
-    t, ok = _polish(b, a, z, t[ready], *_POLISH)
-    return t[ok], len(starts)
+        lam = np.sqrt((g * d).sum(axis=1))
+        sure = (left[live] < _REFINE) | (lam <= 0.25)
+        left[live[sure]] -= 1
+        t[live] += np.where(sure[:, None], d, d / (1.0 + lam[:, None]))
+    return t, (left == 0) & (np.sign(z + _apply(b, t)) == signs).all(axis=1)
 
 
 def _track(b, a_from, a_to, z_from, z_to, t, shrink=1.0):
@@ -458,19 +443,16 @@ def _track(b, a_from, a_to, z_from, z_to, t, shrink=1.0):
 
 
 def newton_multistart(spec, z, seed, target_count, stats):
-    """spectrum.newton_multistart.  The real fiber is at z_r = Re z and weights
-    a_r in [1, 2] from the seed, one ascent per chamber (_real_fiber); a
-    short one redraws z_r, moved at random, up to _REDRAWS draws, the last
-    kept regardless.  A coefficient-parameter homotopy (Morgan & Sommese,
-    Appl. Math. Comput. 1989) carries it in one batch along (a_r, z_r) ->
-    (a_m, z_m) -> (a, z) (_track).  a_m is random complex, and so is z_m
-    after a redraw, so the path misses the discriminant with probability
-    one and distinct starts end at distinct points.  Two full Newton steps
-    at z and the _POLISH polish finish each path.  A lost or merged path
-    redoes the round, up to _RETRACKS times, through a fresh (a_m, z_m),
-    tracking the whole fiber with steps a quarter as long: which start ends
-    where depends on the middle point, and the leg to (a, z) may pass near
-    the discriminant.
+    """spectrum.newton_multistart.  The real fiber, at z_r = Re z and weights a_r
+    in [1, 2] from the seed, is one certified maximum per bounded chamber
+    (_real_fiber); z_r moves at random, once, only when it lies on the
+    discriminant.  A coefficient-parameter homotopy (Morgan & Sommese, Appl.
+    Math. Comput. 1989) carries it in one batch along (a_r, z_r) -> (a_m, z_m)
+    -> (a, z) (_track); a_m is random complex, and so is z_m once z_r moved, so
+    distinct starts end at distinct points with probability one.  Two full
+    Newton steps at z and the _POLISH polish finish each path.  A lost or merged
+    path redoes the round, up to _RETRACKS times, through a fresh (a_m, z_m) with
+    steps a quarter as long, as the leg to (a, z) may pass near the discriminant.
     """
     n, k = spec.n, spec.k
     if len(z) != n:
@@ -484,17 +466,22 @@ def newton_multistart(spec, z, seed, target_count, stats):
     a, b, _ = spec.tables(zc)
     a, b = np.array(a, dtype=complex), np.array(b)
     counts = {} if stats is None else stats
-    counts.update(vertex_starts=0, chambers=0, redraws=0, paths=0, retracked=0)
-    for draw in range(_REDRAWS):
-        jolt = (float(np.abs(zc).max()) + 1.0) * min(draw, 1)
-        a_r, z_r = np.array([rng.uniform(1.0, 2.0) for _ in range(n)]), zc.real + jolt * normal()
-        t_r, starts = _real_fiber(b, a_r, z_r)
-        counts["vertex_starts"] += starts
-        counts.update(chambers=len(t_r), redraws=draw)
-        if len(t_r) == want:
-            break
+    a_r = np.array([rng.uniform(1.0, 2.0) for _ in range(n)])
+    move, z_r, jolt = normal(), zc.real, 0.0  # drawn even if unused: later draws stay put
+    try:
+        chambers = spec.bounded_chambers([Fraction(x) for x in z_r])
+    except DomainError:
+        jolt = float(np.abs(zc).max()) + 1.0
+        z_r = z_r + jolt * move
+        chambers = spec.bounded_chambers([Fraction(x) for x in z_r])
+    t_r, certified = _real_fiber(b, a_r, z_r, chambers)
+    missed = [I for (I, _), ok in zip(chambers, certified) if not ok]
+    counts.update(chambers=len(chambers), redraws=int(jolt > 0),
+                  paths=len(chambers) - len(missed), retracked=0)
+    if missed:
+        raise NumericError(f"route two certified no maximum in {len(missed)} of "
+                           f"{len(chambers)} bounded chambers, lowest vertices {missed}")
 
-    counts["paths"] = len(t_r)
     for attempt in range(_RETRACKS + 1):
         a_m = np.abs(a).mean() * (normal() + 1j * normal())
         z_m = (z_r + zc) / 2 + 1j * jolt * normal()
@@ -512,9 +499,7 @@ def newton_multistart(spec, z, seed, target_count, stats):
         if not bad.any():
             break
     if bad.any() or len(ends) != want:
-        raise NumericError(
-            f"route two found {int((~bad).sum())} of {want} points: {counts['vertex_starts']} "
-            f"vertex starts, {counts['chambers']} chambers after {counts['redraws']} redraws, "
-            f"{len(ends)} paths, {counts['retracked']} retracked, {int((~ok).sum())} lost "
-            f"and {int((bad & ok).sum())} merged")
+        raise NumericError(f"route two found {int((~bad).sum())} of {want} points: "
+                           + ", ".join(f"{value} {key}" for key, value in counts.items())
+                           + f", {int((~ok).sum())} lost and {int((bad & ok).sum())} merged")
     return _critical_points(b, a, zc, ends)

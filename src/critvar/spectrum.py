@@ -10,9 +10,10 @@ no command calls it.
 
 Route two never sees the algebra: for real z and positive weights the
 critical points of sum_j a_j log f_j are the maxima of its bounded real
-chambers, found by one ascent each, and a parameter homotopy carries
-that fiber to the given weights and z, solving the critical equations
-sum_j a_j b^m_j / f_j = 0 with their analytic Jacobian along the way.
+chambers, listed exactly from the minors and reached by one certified
+ascent each, and a parameter homotopy carries that fiber to the given
+weights and z, solving the critical equations sum_j a_j b^m_j / f_j = 0
+with their analytic Jacobian along the way.
 
 Both routes should produce the same C(n-1, k) points; the test suite and
 the solve command insist on it.  The closed forms for the Hessian and
@@ -94,16 +95,18 @@ def newton_multistart(spec, z, seed=0, target_count=None, stats=None):
 
     For real z and positive weights the critical points are real, one in
     each bounded chamber (Varchenko, Compositio Math. 1995), and there are
-    C(n-1, k) of those (Zaslavsky 1975).  So the route finds that fiber,
-    redrawing while fewer than target_count (default C(n-1, k)) chambers
-    reach a maximum, and a parameter homotopy carries it to the given
-    weights and z (numeric.newton_multistart).  A count still short of
-    target_count raises NumericError with the counts; a short list is
-    never returned.
+    C(n-1, k) of those (Zaslavsky 1975).  So the route lists those chambers
+    exactly (ArrangementSpec.bounded_chambers), climbs once in each to its
+    maximum, certified by the Newton decrement, and a parameter homotopy
+    carries that fiber to the given weights and z (numeric.newton_multistart).
+    A chamber with no certified maximum, or fewer than target_count (default
+    C(n-1, k)) points at the end, raises NumericError with the counts; a
+    short list is never returned.
 
     Points come back sorted by momenta.  If stats is a dict it receives
-    "vertex_starts" (summed over draws), "chambers" (on the last draw),
-    "redraws", "paths" and "retracked" (summed over rounds).
+    "chambers" (the bounded chambers listed), "redraws" (1 when Re z lay on
+    the discriminant and the real fiber moved off it, else 0), "paths" (the
+    certified maxima tracked) and "retracked" (summed over rounds).
     """
     from . import numeric
     return numeric.newton_multistart(spec, z, seed, target_count, stats)

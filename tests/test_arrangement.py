@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critvar import ratmat
 from critvar.arrangement import (
@@ -196,6 +199,75 @@ def test_off_discriminant():
     # the float test is relative to the terms' size: scaling z keeps the answer
     assert spec.is_off_discriminant([1e-13, 1e-13, 2.5e-13])
     assert not spec.is_off_discriminant([1e8, 1e8, 2e8 + 3e-8])  # one ulp off
+
+
+def _solve(rows, rhs):
+    """x with rows . x = rhs by Gauss-Jordan over Fraction; None when rows are singular."""
+    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, rhs)]
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        m = [row if r == c else [x - row[c] * y for x, y in zip(row, m[c])]
+             for r, row in enumerate(m)]
+    return [row[-1] for row in m]
+
+
+def _reference_bounded_chambers(spec, z):
+    """Sign vectors of the bounded chambers, by brute force over vertices and rays.
+
+    Every chamber has a vertex, so the signs around the vertices (the 2^k
+    orthants of the planes through v, the other planes' signs at v) give
+    every chamber.  A chamber sigma is unbounded exactly when its recession
+    cone {d : sigma_j b_j . d >= 0} has a ray, and an extreme ray of that
+    pointed cone lies on k-1 of the planes b_j . d = 0.
+    """
+    n, k, b = spec.n, spec.k, spec.b
+    sign = lambda v: (v > 0) - (v < 0)  # noqa: E731
+    chambers = set()
+    for rows in itertools.combinations(range(n), k):
+        v = _solve([b[i] for i in rows], [-z[i] for i in rows])
+        at = [sign(z[j] + sum(x * y for x, y in zip(b[j], v))) for j in range(n)]
+        for orthant in itertools.product((-1, 1), repeat=k):
+            signs = dict(zip(rows, orthant))
+            chambers.add(tuple(signs.get(j, at[j]) for j in range(n)))
+    rays = []
+    for rows in itertools.combinations(range(n), k - 1):
+        w = next(w for c in range(k) if (w := _solve(
+            [b[i] for i in rows] + [[int(m == c) for m in range(k)]], [0] * (k - 1) + [1])))
+        rays += [[sign(s * sum(x * y for x, y in zip(b[j], w))) for j in range(n)]
+                 for s in (-1, 1)]
+    return {sigma for sigma in chambers
+            if not any(all(x * y >= 0 for x, y in zip(sigma, ray)) for ray in rays)}
+
+
+# every (n, k) with n <= 9 and a fiber of dimension at most 20: k = 1 and k = n-1 among them
+_CHAMBER_SHAPES = [(n, k) for n in range(2, 10) for k in range(1, n) if math.comb(n - 1, k) <= 20]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(shape=st.sampled_from(_CHAMBER_SHAPES), seed=st.integers(0, 10**6))
+def test_the_sweep_lists_each_bounded_chamber_once_at_a_vertex(shape, seed):
+    n, k = shape
+    rng = random.Random(seed)
+    spec = random_generic(n, k, rng, coeff_bound=rng.choice((2, 9)))
+    z = sample_z(spec, rng)
+    chambers = spec.bounded_chambers(z)
+    assert len(chambers) == math.comb(n - 1, k)
+    assert {sigma for _, sigma in chambers} == _reference_bounded_chambers(spec, z)
+    for iset, sigma in chambers:  # v_I is a vertex of the chamber listed with it
+        v = _solve([spec.b[i - 1] for i in iset], [-z[i - 1] for i in iset])
+        for j, f in enumerate(spec.hyperplane_values(z, v), start=1):
+            assert (j in iset and f == 0) or f * sigma[j - 1] > 0
+
+
+def test_the_sweep_refuses_a_z_on_the_discriminant():
+    spec = plane_spec()
+    assert [iset for iset, _ in spec.bounded_chambers([0, 0, 1])] == [(1, 3)]
+    with pytest.raises(DomainError, match="discriminant"):
+        spec.bounded_chambers([1, 1, 2])  # triple point: no list, short or not
 
 
 def test_momenta_and_gradient_at_known_critical_point():

@@ -22,7 +22,7 @@ import critvar
 from critvar import quotient as qt
 from critvar import cli, numeric
 from critvar import lagrangian as lag
-from critvar.arrangement import random_generic, rat_str, sample_z
+from critvar.arrangement import ArrangementSpec, random_generic, rat_str, sample_z
 from critvar.cli import main
 from test_ratmat import identity
 
@@ -262,9 +262,9 @@ def test_solve_finds_and_cross_checks_critical_points(config_path, capsys):
         assert len(pt["t"]) == 2 and len(pt["p"]) == 4
         assert all(len(pair) == 2 for pair in pt["t"] + pt["p"])
     # route two reports its counts, and its seconds are one timing stage;
-    # four lines in the plane have C(4, 2) vertices with four orthants each
+    # four lines in the plane bound C(3, 2) chambers, each climbed once
     assert report["diagnostics"]["newton"] == {
-        "vertex_starts": 24, "chambers": 3, "redraws": 0, "paths": 3, "retracked": 0}
+        "chambers": 3, "redraws": 0, "paths": 3, "retracked": 0}
     assert set(report["timing"]["stages"]) == {"joint_spectrum", "newton", "second_order"}
 
 
@@ -560,9 +560,77 @@ def test_route_two_failure_gives_exit_three_with_its_counts(config_path, capsys,
     assert main(["solve", "--config", config_path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numeric failure: route two found 0 of 3 points: ")
-    assert ("24 vertex starts, 3 chambers after 0 redraws, "
-            f"3 paths, {3 * numeric._RETRACKS} retracked, 3 lost and 0 merged") in captured.err
+    assert captured.err == (
+        "numeric failure: route two found 0 of 3 points: 3 chambers, 0 redraws, 3 paths, "
+        f"{3 * numeric._RETRACKS} retracked, 3 lost and 0 merged\n")
+
+
+@pytest.mark.parametrize("mutant", ["dropped", "misplaced"])
+def test_a_chamber_without_its_maximum_exits_three_and_is_named(config_path, tmp_path,
+                                                                capsys, monkeypatch, mutant):
+    # "dropped": the ascent loses chamber 1's maximum; "misplaced": the sweep gives
+    # chamber 1 a wrong sign off its vertex, so its maximum ends on the wrong side
+    named = []
+    if mutant == "dropped":
+        real_fiber = numeric._real_fiber
+
+        def fiber(b, a, z, chambers):
+            t, ok = real_fiber(b, a, z, chambers)
+            named.append(chambers[1][0])
+            ok[1] = False
+            return t, ok
+
+        monkeypatch.setattr(numeric, "_real_fiber", fiber)
+    else:
+        sweep = ArrangementSpec.bounded_chambers
+
+        def chambers(spec, z):
+            listed = sweep(spec, z)
+            iset, sigma = listed[1]
+            j = next(j for j in range(spec.n) if j + 1 not in iset)
+            named.append(iset)
+            listed[1] = (iset, sigma[:j] + (-sigma[j],) + sigma[j + 1:])
+            return listed
+
+        monkeypatch.setattr(ArrangementSpec, "bounded_chambers", chambers)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--config", config_path, "--out", str(out)]) == 3
+    message = ("route two certified no maximum in 1 of 3 bounded chambers, "
+               f"lowest vertices [{named[0]}]")
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    # the report carries what was gathered before route two gave up, and the message
+    report = json.loads(out.read_text())
+    assert list(report) == ["report", "command", "config", "checks", "timing", "error",
+                            "diagnostics"]
+    assert report["error"] == message and report["checks"] == []
+    assert list(report["timing"]["stages"]) == ["joint_spectrum"]
+    assert report["diagnostics"]["spectrum"]["draws"] == 1
+    assert report["diagnostics"]["newton"] == {
+        "chambers": 3, "redraws": 0, "paths": 2, "retracked": 0}
+
+
+def test_route_one_giving_up_writes_a_report_without_diagnostics(config_path, tmp_path,
+                                                                 capsys, monkeypatch):
+    monkeypatch.setattr(numeric, "_DEDUP_TOL", math.inf)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--config", config_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert err == f"numeric failure: {report['error']}\n"
+    assert report["error"].startswith("route one rejected every one of ")
+    assert report["diagnostics"] == {} and report["timing"]["stages"] == {}
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "flows"])
+def test_every_command_parses_the_base_point(tmp_path, capsys, command):
+    # flows echoed an unparsed "z" and exited 0, where verify and solve exit 2
+    cfg = {"n": 4, "k": 2, "b": [["1", "0"], ["0", "1"], ["1", "1"], ["1", "-1"]],
+           "a": ["1", "2", "1", "1"], "z": [0.5, 0, 1, 2]}
+    path = tmp_path / "float_z.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot parse rational from 0.5" in captured.err
 
 
 def test_commands_take_only_the_tolerances_they_read(config_path, capsys):
@@ -667,7 +735,7 @@ _REPORT_SCHEMA = {
               ["critical_count_spectral", "critical_count_newton", "spectral_newton_match",
                "hessian_identity", "jacobian_from_hessian"],
               {"spectrum": ["combination", "draws", "eigenvalue_gap", "momentum_gap"],
-               "newton": ["vertex_starts", "chambers", "redraws", "paths", "retracked"]}),
+               "newton": ["chambers", "redraws", "paths", "retracked"]}),
     "flows": (["report", "command", "config", "checks", "timing"],
               ["chart_membership", "chart_transitions_exact", "transition_jacobian_fd",
                "generating_function_fd", "projection_chart_independence",

@@ -243,13 +243,16 @@ def test_route_two_redraws_a_degenerate_real_fiber():
 
 
 def test_route_two_never_returns_a_short_fiber(monkeypatch):
-    # no start may climb, so each of the five real fibers, with 3 vertices
-    # of 4 orthants each, comes up empty
+    # with no damped steps the triangle's start is never certified: the route
+    # names the chamber by its lowest vertex in the sweep's height (10, 12),
+    # (0, -1) on the planes 1 and 3, and draws no other real fiber
     monkeypatch.setattr(numeric, "_ASCENT_STEPS", 0)
     spec, z = plane_setup()
-    with pytest.raises(NumericError, match="found 0 of 1 points: 60 vertex starts, "
-                                           "0 chambers after 4 redraws, 0 paths"):
-        newton_multistart(spec, z, seed=9)
+    stats = {}
+    with pytest.raises(NumericError, match=r"^route two certified no maximum in 1 of 1 "
+                                           r"bounded chambers, lowest vertices \[\(1, 3\)\]$"):
+        newton_multistart(spec, z, seed=9, stats=stats)
+    assert stats == {"chambers": 1, "redraws": 0, "paths": 0, "retracked": 0}
 
 
 def test_newton_determinism():
